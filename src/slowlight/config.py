@@ -1,6 +1,13 @@
 """Run configuration: strict INI-style blocks for the medium, signal,
 control, grid and solver, with units embedded in the key names.
 
+One field declaration per key: each section dataclass lists its keys in
+the order ``resolved_config.ini`` writes them, and the key's parser, check
+and requirement live in the field's metadata.  Loading, validation, the
+resolved INI and the ``config.*`` summary keys are all driven by these
+declarations; rules that tie keys of one section together live in that
+section's ``__post_init__``.
+
 Unknown sections or keys abort before any computation; every run writes
 back the fully-resolved configuration so results can be reproduced
 bit-for-bit.
@@ -9,33 +16,58 @@ bit-for-bit.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .medium import RamanLine, RamanMedium
 from .spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
 from .tdprop import ControlField, SolverSettings
 
-_SCHEMA = {
-    "medium": {"gamma_invps", "delta_invps", "d0", "g_per_intensity", "length_mm", "lambda0_nm"},
-    "signal": {"shape", "bandwidth_invps", "duration_ps", "gdd_ps2"},
-    "control": {"kind", "intensity", "intensity_list", "fwhm_ps"},
-    "grid": {"n", "dt_ps"},
-    "solver": {"nz", "scheme"},
-}
 
-_CONTROL_KINDS = ("constant", "gaussian", "flat_top")
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
-@dataclass
+def _finite_list(raw: str) -> list[float]:
+    return [_finite(item.strip()) for item in raw.split(",")]
+
+
+def _key(parse, requirement=None, check=None, **default):
+    """Declare one key: ``parse`` reads its INI text, ``check`` accepts or
+    rejects the parsed value and ``requirement`` says what it asks for."""
+    return field(metadata={"parse": parse, "check": check, "requirement": requirement}, **default)
+
+
+def _positive(**default):
+    return _key(_finite, "positive", lambda value: value > 0, **default)
+
+
+def _non_negative(**default):
+    return _key(_finite, "non-negative", lambda value: value >= 0, **default)
+
+
+def _one_of(options, **default):
+    return _key(str, f"one of {options}", options.__contains__, **default)
+
+
+@dataclass(kw_only=True)
 class MediumConfig:
-    gamma_invps: float
-    delta_invps: float
-    length_mm: float
-    lambda0_nm: float
-    d0: float | None = None
-    g_per_intensity: float | None = None
+    gamma_invps: float = _positive()
+    delta_invps: float = _positive()
+    d0: float | None = _non_negative(default=None)
+    g_per_intensity: float | None = _non_negative(default=None)
+    length_mm: float = _positive()
+    lambda0_nm: float = _positive()
+
+    def __post_init__(self):
+        if (self.d0 is None) == (self.g_per_intensity is None):
+            raise ConfigError("section [medium] needs exactly one of d0 or g_per_intensity")
 
     @property
     def k0(self) -> float:
@@ -61,12 +93,16 @@ class MediumConfig:
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SignalConfig:
-    shape: str
-    bandwidth_invps: float | None = None
-    duration_ps: float | None = None
-    gdd_ps2: float = 0.0
+    shape: str = _one_of(PULSE_SHAPES)
+    bandwidth_invps: float | None = _positive(default=None)
+    duration_ps: float | None = _positive(default=None)
+    gdd_ps2: float = _key(_finite, default=0.0)
+
+    def __post_init__(self):
+        if (self.bandwidth_invps is None) == (self.duration_ps is None):
+            raise ConfigError("section [signal] needs exactly one of bandwidth_invps or duration_ps")
 
     def transform_limited_duration(self) -> float:
         if self.duration_ps is not None:
@@ -84,12 +120,20 @@ class SignalConfig:
         )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ControlConfig:
-    kind: str = "constant"
-    intensity: float | None = None
-    intensity_list: list[float] = field(default_factory=list)
-    fwhm_ps: float | None = None
+    kind: str = _one_of(("constant", "gaussian", "flat_top"), default="constant")
+    intensity_list: list[float] = _key(
+        _finite_list, "non-negative", lambda values: min(values) >= 0, default_factory=list
+    )
+    intensity: float | None = _non_negative(default=None)
+    fwhm_ps: float | None = _positive(default=None)
+
+    def __post_init__(self):
+        if self.kind != "constant" and self.fwhm_ps is None:
+            raise ConfigError(f"control.kind = {self.kind} requires fwhm_ps")
+        if self.intensity is None and not self.intensity_list:
+            self.intensity = 1.0
 
     def build(self, grid: TimeGrid, intensity: float | None = None) -> ControlField:
         level = self.intensity if intensity is None else intensity
@@ -100,10 +144,10 @@ class ControlConfig:
         return ControlField.flat_top(grid, self.fwhm_ps, level)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class GridConfig:
-    n: int = 2**14
-    dt_ps: float | None = None
+    n: int = _key(int, "a power of two >= 8", lambda n: n >= 8 and n & (n - 1) == 0, default=2**14)
+    dt_ps: float | None = _positive(default=None)
 
     def resolve_dt(self, signal: SignalConfig, medium: MediumConfig) -> float:
         """Pick a time step resolving the two-photon beat and the pulse,
@@ -128,10 +172,10 @@ class GridConfig:
         return TimeGrid.centered(self.n, self.resolve_dt(signal, medium))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolverConfig:
-    nz: int = 256
-    scheme: str = "midpoint"
+    nz: int = _key(int, default=256)
+    scheme: str = _one_of(("midpoint",), default="midpoint")
 
     def build(self) -> SolverSettings:
         return SolverSettings(nz=self.nz, scheme=self.scheme)
@@ -145,78 +189,57 @@ class SimulationConfig:
     grid: GridConfig
     solver: SolverConfig
 
+    def _resolved_items(self):
+        """(section, key, text) for every resolved key, in file order: d0 is
+        written as g_per_intensity and dt_ps as the step the grid uses."""
+        resolved = replace(
+            self,
+            medium=replace(self.medium, d0=None, g_per_intensity=self.medium.strength_per_intensity()),
+            grid=replace(self.grid, dt_ps=self.grid.resolve_dt(self.signal, self.medium)),
+        )
+        for section in fields(resolved):
+            block = getattr(resolved, section.name)
+            for key in fields(block):
+                value = getattr(block, key.name)
+                if value is None or value == []:
+                    continue
+                if isinstance(value, list):
+                    text = ", ".join(repr(v) for v in value)
+                else:
+                    text = value if isinstance(value, str) else repr(value)
+                yield section.name, key.name, text
+
     def resolved_ini(self) -> str:
         """Fully-resolved configuration, suitable for bit-identical re-runs."""
-        dt = self.grid.resolve_dt(self.signal, self.medium)
-        lines = ["[medium]"]
-        lines.append(f"gamma_invps = {self.medium.gamma_invps!r}")
-        lines.append(f"delta_invps = {self.medium.delta_invps!r}")
-        lines.append(f"g_per_intensity = {self.medium.strength_per_intensity()!r}")
-        lines.append(f"length_mm = {self.medium.length_mm!r}")
-        lines.append(f"lambda0_nm = {self.medium.lambda0_nm!r}")
-        lines.append("")
-        lines.append("[signal]")
-        lines.append(f"shape = {self.signal.shape}")
-        if self.signal.bandwidth_invps is not None:
-            lines.append(f"bandwidth_invps = {self.signal.bandwidth_invps!r}")
-        else:
-            lines.append(f"duration_ps = {self.signal.duration_ps!r}")
-        lines.append(f"gdd_ps2 = {self.signal.gdd_ps2!r}")
-        lines.append("")
-        lines.append("[control]")
-        lines.append(f"kind = {self.control.kind}")
-        if self.control.intensity_list:
-            lines.append(
-                "intensity_list = " + ", ".join(repr(v) for v in self.control.intensity_list)
-            )
-        if self.control.intensity is not None:
-            lines.append(f"intensity = {self.control.intensity!r}")
-        if self.control.fwhm_ps is not None:
-            lines.append(f"fwhm_ps = {self.control.fwhm_ps!r}")
-        lines.append("")
-        lines.append("[grid]")
-        lines.append(f"n = {self.grid.n}")
-        lines.append(f"dt_ps = {dt!r}")
-        lines.append("")
-        lines.append("[solver]")
-        lines.append(f"nz = {self.solver.nz}")
-        lines.append(f"scheme = {self.solver.scheme}")
-        return "\n".join(lines) + "\n"
+        blocks = []
+        for section, items in itertools.groupby(self._resolved_items(), key=lambda item: item[0]):
+            blocks.append(f"[{section}]\n" + "".join(f"{key} = {text}\n" for _, key, text in items))
+        return "\n".join(blocks)
 
     def flat_items(self) -> dict:
         """config.* entries embedded in run summaries."""
-        out = {}
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read_string(self.resolved_ini())
-        for section in parser.sections():
-            for key, value in parser.items(section):
-                out[f"config.{section}.{key}"] = value
-        return out
+        return {f"config.{section}.{key}": text for section, key, text in self._resolved_items()}
 
 
-def _get_float(section, key, name, required=False, default=None, positive=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key {name}")
-        return default
-    raw = section[key]
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {name} must be a number, got {raw!r}") from exc
-    if positive and value <= 0:
-        raise ConfigError(f"key {name} must be positive, got {value}")
-    return value
-
-
-def _get_int(section, key, name, default):
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {name} must be an integer, got {raw!r}") from exc
+def _load_section(cls, name: str, given):
+    """Parse one INI section, empty when absent, into its dataclass."""
+    values = {}
+    for key in fields(cls):
+        qualified = f"{name}.{key.name}"
+        if key.name not in given:
+            if key.default is MISSING and key.default_factory is MISSING:
+                raise ConfigError(f"missing required key {qualified}")
+            continue
+        raw = given[key.name]
+        try:
+            value = key.metadata["parse"](raw)
+        except ValueError as exc:
+            raise ConfigError(f"key {qualified}: {exc}") from exc
+        check = key.metadata["check"]
+        if check is not None and not check(value):
+            raise ConfigError(f"key {qualified} must be {key.metadata['requirement']}, got {raw!r}")
+        values[key.name] = value
+    return cls(**values)
 
 
 def load_config(path) -> SimulationConfig:
@@ -229,88 +252,21 @@ def load_config(path) -> SimulationConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    sections = typing.get_type_hints(SimulationConfig)
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigError(f"unknown config section [{name}]")
+        unknown = set(parser[name]) - {key.name for key in fields(sections[name])}
+        if unknown:
+            raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [{name}]")
 
-    if "medium" not in parser:
-        raise ConfigError("missing required section [medium]")
-    med = parser["medium"]
-    medium = MediumConfig(
-        gamma_invps=_get_float(med, "gamma_invps", "medium.gamma_invps", required=True, positive=True),
-        delta_invps=_get_float(med, "delta_invps", "medium.delta_invps", required=True, positive=True),
-        length_mm=_get_float(med, "length_mm", "medium.length_mm", required=True, positive=True),
-        lambda0_nm=_get_float(med, "lambda0_nm", "medium.lambda0_nm", required=True, positive=True),
-        d0=_get_float(med, "d0", "medium.d0"),
-        g_per_intensity=_get_float(med, "g_per_intensity", "medium.g_per_intensity"),
-    )
-    if (medium.d0 is None) == (medium.g_per_intensity is None):
-        raise ConfigError("section [medium] needs exactly one of d0 or g_per_intensity")
-    if medium.d0 is not None and medium.d0 < 0:
-        raise ConfigError(f"medium.d0 must be non-negative, got {medium.d0}")
-    if medium.g_per_intensity is not None and medium.g_per_intensity < 0:
-        raise ConfigError("medium.g_per_intensity must be non-negative")
-
-    if "signal" not in parser:
-        raise ConfigError("missing required section [signal]")
-    sig = parser["signal"]
-    shape = sig.get("shape", "")
-    if shape not in PULSE_SHAPES:
-        raise ConfigError(f"signal.shape must be one of {PULSE_SHAPES}, got {shape!r}")
-    signal = SignalConfig(
-        shape=shape,
-        bandwidth_invps=_get_float(sig, "bandwidth_invps", "signal.bandwidth_invps", positive=True),
-        duration_ps=_get_float(sig, "duration_ps", "signal.duration_ps", positive=True),
-        gdd_ps2=_get_float(sig, "gdd_ps2", "signal.gdd_ps2", default=0.0),
-    )
-    if (signal.bandwidth_invps is None) == (signal.duration_ps is None):
-        raise ConfigError("section [signal] needs exactly one of bandwidth_invps or duration_ps")
-
-    control = ControlConfig()
-    if "control" in parser:
-        ctl = parser["control"]
-        control.kind = ctl.get("kind", "constant")
-        if control.kind not in _CONTROL_KINDS:
-            raise ConfigError(f"control.kind must be one of {_CONTROL_KINDS}, got {control.kind!r}")
-        control.intensity = _get_float(ctl, "intensity", "control.intensity")
-        if control.intensity is not None and control.intensity < 0:
-            raise ConfigError("control.intensity must be non-negative")
-        if "intensity_list" in ctl:
-            try:
-                control.intensity_list = [float(v) for v in ctl["intensity_list"].split(",")]
-            except ValueError as exc:
-                raise ConfigError("control.intensity_list must be comma-separated numbers") from exc
-            if any(v < 0 for v in control.intensity_list):
-                raise ConfigError("control.intensity_list entries must be non-negative")
-        control.fwhm_ps = _get_float(ctl, "fwhm_ps", "control.fwhm_ps", positive=True)
-        if control.kind != "constant" and control.fwhm_ps is None:
-            raise ConfigError(f"control.kind = {control.kind} requires fwhm_ps")
-    if control.intensity is None and not control.intensity_list:
-        control.intensity = 1.0
-
-    grid = GridConfig()
-    if "grid" in parser:
-        grd = parser["grid"]
-        grid.n = _get_int(grd, "n", "grid.n", grid.n)
-        grid.dt_ps = _get_float(grd, "dt_ps", "grid.dt_ps", positive=True)
-
-    solver = SolverConfig()
-    if "solver" in parser:
-        sol = parser["solver"]
-        solver.nz = _get_int(sol, "nz", "solver.nz", solver.nz)
-        solver.scheme = sol.get("scheme", solver.scheme)
-        if solver.scheme != "midpoint":
-            raise ConfigError(f"solver.scheme must be 'midpoint', got {solver.scheme!r}")
-
+    config = SimulationConfig(**{
+        name: _load_section(cls, name, parser[name] if name in parser else {})
+        for name, cls in sections.items()
+    })
     try:
-        config = SimulationConfig(medium=medium, signal=signal, control=control, grid=grid, solver=solver)
         config.medium.build()
         config.solver.build()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config

@@ -18,6 +18,7 @@ from .spectral import (
     C_MM_PER_PS,
     ComplexEnvelope,
     FrequencyGrid,
+    _grid_array,
     forward_transform,
     inverse_transform,
 )
@@ -31,11 +32,7 @@ class TransferFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} values, got shape {self.values.shape}"
-            )
+        self.values = _grid_array(self.grid, self.values, complex)
 
     def center_transmission(self) -> float:
         """Intensity transmission |H(0)|^2 at zero detuning."""

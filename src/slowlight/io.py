@@ -110,7 +110,7 @@ def read_absorption_csv(path):
     Returns (wavelengths_nm, values, kind) with kind one of "absorption"
     (fractional A) or "optical_depth", auto-detected from the header.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_csv(path) as handle:
         header = handle.readline().strip()
         if header not in ABSORPTION_HEADERS:
             raise ConfigError(
@@ -135,8 +135,15 @@ def write_summary(path, entries: dict):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _open_csv(path):
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_table(path, expected_header: str):
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_csv(path) as handle:
         header = handle.readline().strip()
         if header != expected_header:
             raise ConfigError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationRiskError
-from .spectral import C_NM_PER_PS, FrequencyGrid
+from .spectral import C_NM_PER_PS, FrequencyGrid, _grid_array
 
 _EDGE_DECAY_FRACTION = 0.01
 _TAPER_FRACTION = 0.05
@@ -35,11 +35,7 @@ class OpticalDepthSpectrum:
     center_wavelength_nm: float
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=float)
-        if self.depth.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} depth samples, got shape {self.depth.shape}"
-            )
+        self.depth = _grid_array(self.grid, self.depth, float)
         if np.any(self.depth < 0):
             raise ValueError("optical depth must be non-negative everywhere")
 
@@ -52,11 +48,7 @@ class Susceptibility:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} values, got shape {self.values.shape}"
-            )
+        self.values = _grid_array(self.grid, self.values, complex)
 
 
 def _records_to_depth(wavelengths_nm, values, absorption: bool):

@@ -41,6 +41,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _grid_array(grid, values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype`` holding one sample per grid point."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (grid.n,):
+        raise ValueError(f"expected {grid.n} samples, got shape {values.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid: ``t_k = t_start + k*dt`` for k = 0..n-1."""
@@ -107,11 +115,7 @@ class ComplexEnvelope:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} samples, got shape {self.samples.shape}"
-            )
+        self.samples = _grid_array(self.grid, self.samples, complex)
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.dt)
@@ -136,11 +140,7 @@ class SpectralEnvelope:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != (self.grid.n,):
-            raise ValueError(
-                f"expected {self.grid.n} samples, got shape {self.samples.shape}"
-            )
+        self.samples = _grid_array(self.grid, self.samples, complex)
 
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.domega / (2.0 * np.pi))

@@ -64,6 +64,27 @@ def test_help():
         assert name in cp.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("xcorr", "--signal-csv", "{missing}"),
+        ("kk", "--absorption-csv", "{missing}", "--center-nm", 765.0, "--lambda0-nm", 765.0,
+         "--length-mm", 30.0),
+        ("propagate", "--config", "{config}", "--chi-source", "csv", "--chi-csv", "{missing}"),
+    ],
+    ids=["xcorr", "kk", "propagate"],
+)
+def test_missing_input_file_exits_2(tmp_path, argv):
+    missing = tmp_path / "missing.csv"
+    config = write_config(tmp_path)
+    args = [str(a).format(missing=missing, config=config) for a in argv]
+    cp = run_cli(*args, "--out-dir", tmp_path / "out")
+    assert cp.returncode == 2
+    assert "Traceback" not in cp.stderr
+    lines = cp.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {missing}")
+
+
 class TestAnalytic:
     def test_sweep_values(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -194,6 +215,12 @@ class TestPropagate:
             "--domain", "td", "--chi-source", "csv",
         )
         assert cp.returncode == 2
+
+    def test_grid_n_not_power_of_two_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, CONFIG.replace("n = 16384", "n = 10000"))
+        cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / "out")
+        assert cp.returncode == 2
+        assert "grid.n" in cp.stderr
 
     def test_solver_refusal_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, CONFIG.replace("d0 = 2.5", "d0 = 80.0").replace("nz = 256", "nz = 16"))

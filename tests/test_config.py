@@ -1,3 +1,7 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,3 +125,58 @@ def test_resolved_ini_round_trips(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "nope.ini")
+
+
+NON_FINITE_SITES = {
+    "medium.gamma_invps": ("gamma_invps = 1.0", "gamma_invps = {}"),
+    "grid.dt_ps": ("dt_ps = 0.06", "dt_ps = {}"),
+    "control.intensity": ("intensity = 1.0", "intensity = {}"),
+    "control.intensity_list": ("intensity = 1.0", "intensity_list = 0.5, {}"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", list(NON_FINITE_SITES))
+def test_non_finite_number_rejected(tmp_path, key, value):
+    old, new = NON_FINITE_SITES[key]
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(write(tmp_path, GOOD.replace(old, new.format(value))))
+
+
+@pytest.mark.parametrize("n", [10000, 4])
+def test_grid_n_must_be_power_of_two_at_least_8(tmp_path, n):
+    with pytest.raises(ConfigError, match="grid.n"):
+        load_config(write(tmp_path, GOOD.replace("n = 16384", f"n = {n}")))
+
+
+EXAMPLE = (Path(__file__).resolve().parents[1] / "configs" / "example.ini").read_text()
+
+# Edits to configs/example.ini whose resolved_config.ini text and config.*
+# summary entries are pinned in data/resolved_config.json.  Those bytes must
+# not change: older resolved_config.ini files have to re-run bit-identically.
+RESOLVED_VARIANTS = {
+    "example": [],
+    "g_per_intensity": [("d0 = 2.5", "g_per_intensity = 0.30000000000000004")],
+    "duration_ps": [("bandwidth_invps = 1.8", "duration_ps = 3.1")],
+    "intensity_list_with_intensity": [("intensity = 1.0", "intensity = 1.0\nintensity_list = 0, 0.5, 1e-3")],
+    "intensity_list_only": [("intensity = 1.0", "intensity_list = 0.25, 2")],
+    "gaussian_control": [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")],
+    "no_control": [("[control]\nkind = constant\nintensity = 1.0\n", "")],
+    "no_grid": [("[grid]\nn = 16384\ndt_ps = 0.06\n", "")],
+    "no_solver": [("[solver]\nnz = 256\nscheme = midpoint\n", "")],
+    "dt_omitted": [("dt_ps = 0.06\n", "")],
+    "gdd_zero": [("gdd_ps2 = 0.0", "gdd_ps2 = 0")],
+}
+
+
+@pytest.mark.parametrize("name", list(RESOLVED_VARIANTS))
+def test_resolved_config_bytes_pinned(tmp_path, name):
+    pinned = json.loads((Path(__file__).parent / "data" / "resolved_config.json").read_text())[name]
+    text = EXAMPLE
+    for old, new in RESOLVED_VARIANTS[name]:
+        assert old in text
+        text = text.replace(old, new)
+    config = load_config(write(tmp_path, text))
+    assert config.resolved_ini() == pinned["resolved_ini"]
+    assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
+    assert load_config(write(tmp_path, pinned["resolved_ini"])).resolved_ini() == pinned["resolved_ini"]
