@@ -1,6 +1,7 @@
 """Experiment-facing metrics: intensity cross-correlation, first-moment
-delays, widths, deconvolved durations, absorption spectra and the
-linearity diagnostic for delay-versus-power scans.
+delays, widths, deconvolved durations, absorption spectra, the delay and
+loss of a propagated pulse, the TD-FD envelope error and the linearity
+diagnostic for delay-versus-power scans.
 
 The sum-frequency cross-correlator is modeled as an ideal intensity
 correlator, I_xc(tau) = int I_sig(t) I_ref(t - tau) dt.
@@ -63,6 +64,20 @@ def first_moment_delay(
 ) -> float:
     """Difference of the normalized first moments, on minus off (ps)."""
     return on.first_moment(window) - off.first_moment(window)
+
+
+def delay_and_loss(reference: ComplexEnvelope, output: ComplexEnvelope) -> tuple[float, float]:
+    """Delay (ps) and loss (dB) of ``output`` against ``reference``: the
+    intensity-centroid shift and -10 log10 of the energy ratio."""
+    delay = output.centroid() - reference.centroid()
+    loss = -10.0 * np.log10(output.energy() / reference.energy())
+    return float(delay), float(loss)
+
+
+def relative_l2_error(envelope: ComplexEnvelope, reference: ComplexEnvelope) -> float:
+    """||envelope - reference||_2 / ||reference||_2 over the samples."""
+    diff = envelope.samples - reference.samples
+    return float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(reference.samples) ** 2)))
 
 
 def fwhm(curve: CorrelationCurve) -> float:

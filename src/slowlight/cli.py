@@ -17,6 +17,7 @@ configuration for bit-identical re-runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -41,14 +42,8 @@ def _out_path(args, name):
 
 
 def _medium_figures(the_medium):
-    figures = med.figures_of_merit(the_medium)
-    return {
-        "figures.d0": figures.d0,
-        "figures.group_delay_ps": figures.group_delay_ps,
-        "figures.loss_db": figures.loss_db,
-        "figures.delay_per_loss_ps_per_db": figures.delay_per_loss_ps_per_db,
-        "figures.delay_bandwidth_product": figures.delay_bandwidth_product,
-    }
+    figures = dataclasses.asdict(med.figures_of_merit(the_medium))
+    return {f"figures.{key}": value for key, value in figures.items()}
 
 
 def _write_run_config(args, config: SimulationConfig):
@@ -127,15 +122,21 @@ def cmd_kk(args) -> int:
     return 0
 
 
-def _chi_for_run(args, config, the_medium, fgrid):
+def _model_transfer(the_medium, fgrid):
+    chi = fdprop.susceptibility_from_medium(the_medium, fgrid)
+    return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
+
+
+def _transfer_for_run(args, the_medium, fgrid):
     if args.chi_source == "model":
-        return fdprop.susceptibility_from_medium(the_medium, fgrid)
+        return _model_transfer(the_medium, fgrid)
     if not args.chi_csv:
         raise ConfigError("--chi-source csv requires --chi-csv")
     detunings, values = io.read_susceptibility_csv(args.chi_csv)
     real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
     imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
-    return Susceptibility(grid=fgrid, values=real + 1j * imag)
+    chi = Susceptibility(grid=fgrid, values=real + 1j * imag)
+    return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
 
 
 def cmd_propagate(args) -> int:
@@ -150,8 +151,7 @@ def cmd_propagate(args) -> int:
     pulse = config.signal.build(grid)
     intensity = config.control.intensity
     the_medium = config.medium.build().with_control_intensity(intensity)
-    chi = _chi_for_run(args, config, the_medium, fgrid)
-    transfer = fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
+    transfer = _transfer_for_run(args, the_medium, fgrid)
 
     warnings = []
     td_fd_l2_error = None
@@ -163,13 +163,7 @@ def cmd_propagate(args) -> int:
         out = result.output
         warnings.extend(result.warnings)
         if config.control.kind == "constant":
-            fd_out = fdprop.propagate(pulse, transfer)
-            td_fd_l2_error = float(
-                np.sqrt(
-                    np.sum(np.abs(out.samples - fd_out.samples) ** 2)
-                    / np.sum(np.abs(fd_out.samples) ** 2)
-                )
-            )
+            td_fd_l2_error = analysis.relative_l2_error(out, fdprop.propagate(pulse, transfer))
 
     spec_in = forward_transform(pulse)
     if args.domain == "fd":
@@ -181,8 +175,7 @@ def cmd_propagate(args) -> int:
     io.write_spectrum_csv(_out_path(args, "spectrum_off.csv"), fgrid, spec_in.samples)
     io.write_spectrum_csv(_out_path(args, "spectrum_on.csv"), fgrid, spec_on)
 
-    delay = out.centroid() - pulse.centroid()
-    loss_db_total = -10.0 * np.log10(out.energy() / pulse.energy())
+    delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",
         "run.chi_source": args.chi_source,
@@ -219,23 +212,14 @@ def cmd_sweep(args) -> int:
     pulse = config.signal.build(grid)
     base_medium = config.medium.build()
 
-    points = []
     if args.domain == "td":
         points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse, config.solver.build())
     else:
-        in_centroid = pulse.centroid()
-        in_energy = pulse.energy()
-        for intensity in intensities:
-            m = base_medium.with_control_intensity(intensity)
-            chi = fdprop.susceptibility_from_medium(m, fgrid)
-            out = fdprop.propagate(pulse, fdprop.transfer_function(chi, m.k0, m.length_mm))
-            points.append(
-                tdprop.ScanPoint(
-                    float(intensity),
-                    float(out.centroid() - in_centroid),
-                    float(-10.0 * np.log10(out.energy() / in_energy)),
-                )
-            )
+        transfers = (_model_transfer(base_medium.with_control_intensity(i), fgrid) for i in intensities)
+        points = [
+            tdprop.ScanPoint(float(i), *analysis.delay_and_loss(pulse, fdprop.propagate(pulse, h)))
+            for i, h in zip(intensities, transfers)
+        ]
     io.write_scan_csv(_out_path(args, "intensity_scan.csv"), points)
 
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}

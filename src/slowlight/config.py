@@ -22,9 +22,9 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
-from .medium import RamanLine, RamanMedium
+from .medium import RamanMedium, symmetric_doublet
 from .spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
-from .tdprop import ControlField, SolverSettings
+from .tdprop import _SCHEMES, ControlField, SolverSettings, _max_beat_dt
 
 
 def _finite(raw: str) -> float:
@@ -79,17 +79,8 @@ class MediumConfig:
         return self.d0 * self.gamma_invps / self.length_mm
 
     def build(self) -> RamanMedium:
-        g = self.strength_per_intensity()
-        half = self.delta_invps / 2.0
-        lines = (
-            RamanLine(-half, self.gamma_invps, g),
-            RamanLine(+half, self.gamma_invps, g),
-        )
-        return RamanMedium(
-            lines=lines,
-            splitting=self.delta_invps,
-            length_mm=self.length_mm,
-            k0=self.k0,
+        return symmetric_doublet(
+            self.strength_per_intensity(), self.gamma_invps, self.delta_invps, self.k0, self.length_mm
         )
 
 
@@ -153,7 +144,7 @@ class GridConfig:
         """Pick a time step resolving the two-photon beat and the pulse,
         with span at least 16x the transform-limited duration."""
         duration = signal.transform_limited_duration()
-        dt_beat = 2.0 * math.pi / (8.0 * medium.delta_invps)
+        dt_beat = _max_beat_dt(medium.delta_invps)
         dt_pulse = duration / 16.0
         dt_span = 16.0 * duration / self.n
         if self.dt_ps is not None:
@@ -175,7 +166,7 @@ class GridConfig:
 @dataclass(kw_only=True)
 class SolverConfig:
     nz: int = _key(int, default=256)
-    scheme: str = _one_of(("midpoint",), default="midpoint")
+    scheme: str = _one_of(_SCHEMES, default="midpoint")
 
     def build(self) -> SolverSettings:
         return SolverSettings(nz=self.nz, scheme=self.scheme)

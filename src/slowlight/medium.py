@@ -100,6 +100,14 @@ class RamanMedium:
                 and abs(lo.strength_per_intensity - hi.strength_per_intensity) <= _SYMMETRY_RTOL * smax)
 
 
+def symmetric_doublet(g: float, gamma: float, delta: float, k0: float, length_mm: float) -> RamanMedium:
+    """Two lines of equal linewidth ``gamma`` and coupling ``g`` at -delta/2
+    and +delta/2."""
+    half = delta / 2.0
+    lines = (RamanLine(-half, gamma, g), RamanLine(+half, gamma, g))
+    return RamanMedium(lines=lines, splitting=delta, length_mm=length_mm, k0=k0)
+
+
 def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_mm: float) -> RamanMedium:
     """Symmetric medium parameterized directly by its peak optical depth.
 
@@ -110,12 +118,7 @@ def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_m
     for name, val in (("gamma", gamma), ("delta", delta), ("k0", k0), ("length_mm", length_mm)):
         if val <= 0:
             raise ValueError(f"{name} must be positive, got {val}")
-    g = d0 * gamma / length_mm
-    lines = (
-        RamanLine(center_detuning=-delta / 2.0, linewidth=gamma, strength_per_intensity=g),
-        RamanLine(center_detuning=+delta / 2.0, linewidth=gamma, strength_per_intensity=g),
-    )
-    return RamanMedium(lines=lines, splitting=delta, length_mm=length_mm, k0=k0)
+    return symmetric_doublet(d0 * gamma / length_mm, gamma, delta, k0, length_mm)
 
 
 def chi(medium: RamanMedium, omega) -> np.ndarray | complex:

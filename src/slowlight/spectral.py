@@ -258,26 +258,21 @@ def moment_centroid(x: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _half_crossings(x: np.ndarray, y: np.ndarray, half: float):
-    """All (left, right) linearly interpolated half-maximum crossing pairs."""
+    """All (left, right) linearly interpolated half-maximum crossing pairs;
+    a curve already above half at an end crosses at that end's sample."""
     above = y >= half
-    pairs = []
-    start = None
-    for i in range(len(y)):
-        if above[i] and start is None:
-            if i == 0:
-                left = x[0]
-            else:
-                f = (half - y[i - 1]) / (y[i] - y[i - 1])
-                left = x[i - 1] + f * (x[i] - x[i - 1])
-            start = left
-        elif not above[i] and start is not None:
-            f = (y[i - 1] - half) / (y[i - 1] - y[i])
-            right = x[i - 1] + f * (x[i] - x[i - 1])
-            pairs.append((start, right))
-            start = None
-    if start is not None:
-        pairs.append((start, x[-1]))
-    return pairs
+    edges = np.flatnonzero(above[1:] != above[:-1]) + 1
+    up = edges[above[edges]]
+    down = edges[~above[edges]]
+    f = (half - y[up - 1]) / (y[up] - y[up - 1])
+    lefts = x[up - 1] + f * (x[up] - x[up - 1])
+    f = (y[down - 1] - half) / (y[down - 1] - y[down])
+    rights = x[down - 1] + f * (x[down] - x[down - 1])
+    if above[0]:
+        lefts = np.concatenate((x[:1], lefts))
+    if above[-1]:
+        rights = np.concatenate((rights, x[-1:]))
+    return list(zip(lefts, rights))
 
 
 def interpolated_fwhm(x: np.ndarray, y: np.ndarray) -> float:

@@ -191,7 +191,7 @@ def test_criterion_5_wavelength_bandwidth_conversion():
     value = sl.wavelength_bandwidth_to_frequency(765.0, 3.6)
     exact = sl.C_NM_PER_PS * 3.6 / 765.0**2
     checks = [
-        (abs(value - exact) < 1e-12, f"c*dl/l^2 = {value:.6f} 1/ps (exact formula)"),
+        (abs(value - exact) < 1e-12, f"c*dl/l^2 = {value:.6f} cycles/ps (THz; exact formula)"),
         (abs(value - 1.845) < 2e-3, f"value {value:.4f} ~ 1.845 THz (quoted 1.8 THz)"),
     ]
     _report(5, "wavelength-to-frequency bandwidth conversion (part 3/3)", checks)

@@ -242,6 +242,21 @@ class TestSweep:
         summary = read_summary(out / "summary.txt")
         assert float(summary["linearity.residual_ratio"]) < 0.02
 
+    def test_fd_row_matches_propagate_metrics(self, tmp_path):
+        # one delay/loss definition: the sweep row at intensity 1.0 is the
+        # propagate run at that intensity, to the last printed digit
+        cfg = write_config(tmp_path)
+        cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / "single", "--domain", "fd")
+        assert cp.returncode == 0, cp.stderr
+        summary = read_summary(tmp_path / "single" / "summary.txt")
+        text = CONFIG.replace("intensity = 1.0", "intensity_list = 0, 0.5, 1.0")
+        sweep_cfg = write_config(tmp_path, text, name="sweep.ini")
+        cp = run_cli("sweep", "--config", sweep_cfg, "--out-dir", tmp_path / "scan", "--domain", "fd")
+        assert cp.returncode == 0, cp.stderr
+        rows = (tmp_path / "scan" / "intensity_scan.csv").read_text().splitlines()[1:]
+        row = next(r.split(",") for r in rows if r.startswith("1,"))
+        assert row[1:] == [summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]]
+
     def test_single_zero_intensity(self, tmp_path):
         text = CONFIG.replace("intensity = 1.0", "intensity_list = 0")
         cfg = write_config(tmp_path, text)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import AmbiguousWidthError, GridResolutionError
-from slowlight.spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, interpolated_fwhm
+from slowlight.spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, _half_crossings, interpolated_fwhm
 
 from conftest import rel_l2
 
@@ -216,3 +216,43 @@ class TestWidthMeasurement:
     def test_nonpositive_curve_rejected(self):
         with pytest.raises(ValueError):
             interpolated_fwhm(np.arange(4.0), np.zeros(4))
+
+
+def _half_crossings_loop(x, y, half):
+    """Sample-by-sample reference for ``spectral._half_crossings``."""
+    above = y >= half
+    pairs = []
+    start = None
+    for i in range(len(y)):
+        if above[i] and start is None:
+            if i == 0:
+                left = x[0]
+            else:
+                f = (half - y[i - 1]) / (y[i] - y[i - 1])
+                left = x[i - 1] + f * (x[i] - x[i - 1])
+            start = left
+        elif not above[i] and start is not None:
+            f = (y[i - 1] - half) / (y[i - 1] - y[i])
+            right = x[i - 1] + f * (x[i] - x[i - 1])
+            pairs.append((start, right))
+            start = None
+    if start is not None:
+        pairs.append((start, x[-1]))
+    return pairs
+
+
+# levels of 0.5 sit exactly on the half maximum, so plateaus there are common
+_LEVELS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestHalfCrossings:
+    @settings(max_examples=300, deadline=None)
+    @given(samples=st.lists(st.tuples(st.floats(0.01, 2.0), _LEVELS), min_size=1, max_size=64))
+    @example(samples=[(1.0, 0.5)] * 5)
+    @example(samples=[(1.0, v) for v in (1.0, 0.5, 0.5, 0.2, 0.5, 0.5, 1.0)])
+    @example(samples=[(1.0, v) for v in (0.9, 0.1, 0.7, 0.3, 0.6)])
+    @example(samples=[(0.5, v) for v in (0.2, 0.5, 0.8, 0.4, 0.5, 0.1)])
+    def test_matches_sample_loop_exactly(self, samples):
+        x = np.cumsum([step for step, _ in samples]) - 3.0
+        y = np.array([level for _, level in samples])
+        assert _half_crossings(x, y, 0.5) == _half_crossings_loop(x, y, 0.5)

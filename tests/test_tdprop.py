@@ -132,6 +132,10 @@ class TestControlScan:
     def test_empty_scan(self, std_medium, flattop_signal):
         assert sl.delay_vs_control_scan(std_medium, [], flattop_signal) == []
 
+    def test_negative_intensity_rejected(self, std_medium, flattop_signal):
+        with pytest.raises(ValueError, match="non-negative"):
+            sl.delay_vs_control_scan(std_medium, [-1.0], flattop_signal)
+
     def test_zero_intensity_row(self, std_medium, flattop_signal):
         points = sl.delay_vs_control_scan(std_medium, [0.0], flattop_signal)
         assert points[0].delay_ps == 0.0
