@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate, correlation_lags
 
 from .spectral import ComplexEnvelope, interpolated_fwhm, moment_centroid
 
@@ -46,11 +45,12 @@ def cross_correlate(
     """Intensity cross-correlation of a signal against a reference pulse."""
     if signal.grid != reference.grid:
         raise ValueError("signal and reference must share a time grid")
-    i_sig = signal.intensity()
-    i_ref = reference.intensity()
-    # correlate(a, b)[lag] = sum_t a(t + lag) b(t) = int I_sig(t) I_ref(t - lag) dt
-    raw = correlate(i_sig, i_ref, mode="same", method="fft") * signal.grid.dt
-    lags = correlation_lags(i_sig.size, i_ref.size, mode="same") * signal.grid.dt
+    n = signal.grid.n
+    # sum_t I_sig(t + lag) I_ref(t) = int I_sig(t) I_ref(t - lag) dt for the n
+    # central lags -n//2 ... n - 1 - n//2; padding to 2n keeps the FFT linear
+    spectrum = np.fft.rfft(signal.intensity(), 2 * n) * np.conj(np.fft.rfft(reference.intensity(), 2 * n))
+    raw = np.roll(np.fft.irfft(spectrum, 2 * n), n // 2)[:n] * signal.grid.dt
+    lags = (np.arange(n) - n // 2) * signal.grid.dt
     raw = np.maximum(raw, 0.0)  # clip FFT round-off noise
     if normalize:
         peak = np.max(raw)

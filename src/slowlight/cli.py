@@ -186,8 +186,9 @@ def cmd_propagate(args) -> int:
         "grid.n": grid.n,
         "grid.dt_ps": grid.dt,
         "solver.nz": config.solver.nz,
-        "solver.scheme": config.solver.scheme,
     }
+    if args.domain == "td" and config.control.kind != "constant":
+        del summary["metrics.center_transmission"]  # a fixed-intensity FD value
     if args.chi_source == "model":
         summary.update(_medium_figures(the_medium))
     if td_fd_l2_error is not None:

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from .errors import ConfigError
 from .medium import RamanMedium, symmetric_doublet
 from .spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
-from .tdprop import _SCHEMES, ControlField, SolverSettings, _max_beat_dt
+from .tdprop import ControlField, SolverSettings, _max_beat_dt
 
 
 def _finite(raw: str) -> float:
@@ -166,10 +166,9 @@ class GridConfig:
 @dataclass(kw_only=True)
 class SolverConfig:
     nz: int = _key(int, default=256)
-    scheme: str = _one_of(_SCHEMES, default="midpoint")
 
     def build(self) -> SolverSettings:
-        return SolverSettings(nz=self.nz, scheme=self.scheme)
+        return SolverSettings(nz=self.nz)
 
 
 @dataclass
@@ -243,6 +242,9 @@ def load_config(path) -> SimulationConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
+    # resolved_config.ini files once carried the solver's only scheme
+    if parser.get("solver", "scheme", fallback=None) == "midpoint":
+        parser.remove_option("solver", "scheme")
     sections = typing.get_type_hints(SimulationConfig)
     for name in parser.sections():
         if name not in sections:

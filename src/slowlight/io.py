@@ -51,10 +51,8 @@ def atomic_write_text(path, text: str):
 
 def _table_text(header: str, columns) -> str:
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join([_FMT] * rows.shape[1]) + "\n"
+    return header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
 def write_envelope_csv(path, env: ComplexEnvelope):

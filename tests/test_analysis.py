@@ -50,6 +50,25 @@ class TestCrossCorrelate:
         with pytest.raises(ValueError, match="grid"):
             sl.cross_correlate(gaussian_pulse(grid, 0.5), gaussian_pulse(other, 0.5))
 
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_matches_direct_correlation(self, n):
+        small = sl.TimeGrid.centered(n, 8.0 / n)
+        t = small.times
+        # asymmetric: a skewed double pulse against a one-sided exponential
+        sig = np.exp(-((t - 0.8) / 0.9) ** 2) + 0.4 * np.exp(-((t + 2.1) / 0.3) ** 2) * (t < -1.9)
+        ref = np.exp(-np.abs(t + 0.3) / 0.4) * (t > -0.3)
+        curve = sl.cross_correlate(
+            sl.ComplexEnvelope(grid=small, samples=np.sqrt(sig).astype(complex)),
+            sl.ComplexEnvelope(grid=small, samples=np.sqrt(ref).astype(complex)),
+            normalize=False,
+        )
+        full = np.correlate(sig, ref, "full") * small.dt  # full[j]: lag j - (n - 1)
+        lags = np.arange(n) - n // 2
+        assert np.array_equal(curve.delays, lags * small.dt)
+        assert np.allclose(curve.intensity, full[lags + n - 1], rtol=0, atol=1e-13 * np.max(full))
+        peak = np.argmax(full)
+        assert curve.delays[np.argmax(curve.intensity)] == (peak - (n - 1)) * small.dt
+
     def test_symmetric_inputs_give_symmetric_curve(self, grid):
         sig = gaussian_pulse(grid, 0.8)
         curve = sl.cross_correlate(sig, sig, normalize=True)

@@ -57,6 +57,12 @@ def read_csv(path):
     return header, body
 
 
+def test_import_leaves_scipy_out():
+    code = "import sys, slowlight; assert 'scipy' not in sys.modules, 'scipy imported'"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+
+
 def test_help():
     cp = run_cli("--help")
     assert cp.returncode == 0, cp.stderr
@@ -207,6 +213,18 @@ class TestPropagate:
         # no automatic cross-check for shaped control
         assert "metrics.td_fd_l2_error" not in summary
         assert float(summary["metrics.first_moment_delay_ps"]) > 0.1
+
+    def test_center_transmission_only_for_fixed_intensity(self, tmp_path):
+        gaussian = CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")
+        runs = {"fd": (CONFIG, "fd"), "td": (CONFIG, "td"), "td_gaussian": (gaussian, "td")}
+        for name, (text, domain) in runs.items():
+            cfg = write_config(tmp_path, text, name=f"{name}.ini")
+            cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / name, "--domain", domain)
+            assert cp.returncode == 0, cp.stderr
+        # the key reads the fixed-intensity FD transfer, which a shaped control does not have
+        assert "metrics.center_transmission" not in read_summary(tmp_path / "td_gaussian" / "summary.txt")
+        fd = read_summary(tmp_path / "fd" / "summary.txt")["metrics.center_transmission"]
+        assert read_summary(tmp_path / "td" / "summary.txt")["metrics.center_transmission"] == fd
 
     def test_td_with_csv_chi_rejected(self, tmp_path):
         cfg = write_config(tmp_path)

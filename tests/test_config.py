@@ -163,7 +163,7 @@ RESOLVED_VARIANTS = {
     "gaussian_control": [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")],
     "no_control": [("[control]\nkind = constant\nintensity = 1.0\n", "")],
     "no_grid": [("[grid]\nn = 16384\ndt_ps = 0.06\n", "")],
-    "no_solver": [("[solver]\nnz = 256\nscheme = midpoint\n", "")],
+    "no_solver": [("[solver]\nnz = 256\n", "")],
     "dt_omitted": [("dt_ps = 0.06\n", "")],
     "gdd_zero": [("gdd_ps2 = 0.0", "gdd_ps2 = 0")],
 }
@@ -180,3 +180,12 @@ def test_resolved_config_bytes_pinned(tmp_path, name):
     assert config.resolved_ini() == pinned["resolved_ini"]
     assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
     assert load_config(write(tmp_path, pinned["resolved_ini"])).resolved_ini() == pinned["resolved_ini"]
+
+
+def test_legacy_solver_scheme(tmp_path):
+    """resolved_config.ini files once carried ``scheme = midpoint``; they still
+    load, to the same configuration, while any other scheme is an unknown key."""
+    legacy = EXAMPLE.replace("nz = 256\n", "nz = 256\nscheme = midpoint\n")
+    assert load_config(write(tmp_path, legacy)).resolved_ini() == load_config(write(tmp_path, EXAMPLE)).resolved_ini()
+    with pytest.raises(ConfigError, match="unknown key 'scheme'"):
+        load_config(write(tmp_path, legacy.replace("scheme = midpoint", "scheme = rk4")))

@@ -1,8 +1,12 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import GridResolutionError
+from slowlight.tdprop import _coherence_scan, _scan_weights
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
 
@@ -11,6 +15,33 @@ def fd_reference(medium, pulse):
     chi = sl.susceptibility_from_medium(medium, pulse.grid.frequency_grid())
     H = sl.transfer_function(chi, medium.k0, medium.length_mm)
     return sl.propagate(pulse, H)
+
+
+class TestCoherenceScan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log2_n=st.integers(3, 12),
+        gamma_dt=st.floats(1e-3, 5.0),
+        detuning_ratio=st.floats(-10.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log2_n=12, gamma_dt=1e-3, detuning_ratio=3.4, seed=0)  # longest memory
+    @example(log2_n=12, gamma_dt=1e-3, detuning_ratio=-3.4, seed=1)
+    @example(log2_n=3, gamma_dt=5.0, detuning_ratio=0.0, seed=2)
+    def test_matches_sequential_recurrence(self, log2_n, gamma_dt, detuning_ratio, seed):
+        n = 2**log2_n
+        gamma, dt = 1.0 + 1j * detuning_ratio, gamma_dt
+        rng = np.random.default_rng(seed)
+        drive = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        weights = _scan_weights(gamma, dt, n)
+        scan = _coherence_scan(drive, weights, np.empty(n, complex), np.empty(n, complex))
+        c_prev, c_curr, _ = weights
+        e = cmath.exp(-gamma * dt)
+        expected = [0j]
+        for k in range(1, n):
+            expected.append(e * expected[-1] + (c_prev * drive[k - 1] + c_curr * drive[k]))
+        expected = np.array(expected)
+        assert np.max(np.abs(scan - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestSolve:
@@ -122,8 +153,6 @@ class TestSolve:
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="16"):
             sl.SolverSettings(nz=8)
-        with pytest.raises(ValueError, match="scheme"):
-            sl.SolverSettings(scheme="rk4")
         with pytest.raises(ValueError, match="non-negative"):
             sl.ControlField.constant(-1.0)
 
