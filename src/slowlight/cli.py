@@ -10,8 +10,9 @@ xcorr      cross-correlation metrics for envelope CSVs
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
 failure or resolution refusal.  All outputs are plot-ready CSVs plus a
-flat ``key = value`` summary; every run also writes the fully-resolved
-configuration for bit-identical re-runs.
+flat ``key = value`` summary; the config-driven runs (analytic, propagate,
+sweep) also write the fully-resolved configuration for bit-identical
+re-runs.
 """
 
 from __future__ import annotations
@@ -46,11 +47,7 @@ def _medium_figures(the_medium):
     return {f"figures.{key}": value for key, value in figures.items()}
 
 
-def _write_run_config(args, config: SimulationConfig):
-    io.atomic_write_text(_out_path(args, "resolved_config.ini"), config.resolved_ini())
-
-
-def cmd_analytic(args) -> int:
+def cmd_analytic(args):
     config = load_config(args.config)
     m = config.medium
     if m.gamma_invps >= m.delta_invps:
@@ -63,34 +60,29 @@ def cmd_analytic(args) -> int:
     started = time.monotonic()
     count = int(round(args.d0_max / args.d0_step)) + 1
     d0_values = np.arange(count) * args.d0_step
-    delays, losses, dbps = [], [], []
-    for d0 in d0_values:
-        point = med.from_target_depth(float(d0), m.gamma_invps, m.delta_invps, m.k0, m.length_mm)
-        delays.append(med.group_delay(point))
-        losses.append(med.loss_db(point))
-        dbps.append(med.delay_bandwidth_product(point))
-    io.write_analytic_csv(_out_path(args, "analytic_sweep.csv"), d0_values, delays, losses, dbps)
 
-    ratio = med.delay_per_loss(m.gamma_invps, m.delta_invps)
-    unit = med.from_target_depth(1.0, m.gamma_invps, m.delta_invps, m.k0, m.length_mm)
-    tau_per_d0 = med.group_delay(unit)
-    d0_unity = 1.0 / (tau_per_d0 * (m.delta_invps - m.gamma_invps))
+    def figures(d0):
+        point = med.from_target_depth(float(d0), m.gamma_invps, m.delta_invps, m.k0, m.length_mm)
+        return med.figures_of_merit(point)
+
+    rows = [(f.group_delay_ps, f.loss_db, f.delay_bandwidth_product) for f in map(figures, d0_values)]
+    io.write_analytic_csv(_out_path(args, "analytic_sweep.csv"), d0_values, *zip(*rows))
+
+    unit = figures(1.0)
+    d0_unity = 1.0 / unit.delay_bandwidth_product
     summary = {
         "run.command": "analytic",
         "sweep.d0_max": float(args.d0_max),
         "sweep.d0_step": float(args.d0_step),
-        "figures.delay_per_loss_ps_per_db": ratio,
+        "figures.delay_per_loss_ps_per_db": unit.delay_per_loss_ps_per_db,
         "figures.d0_at_unit_dbp": d0_unity,
-        "figures.loss_db_at_unit_dbp": d0_unity * med.loss_db(unit),
+        "figures.loss_db_at_unit_dbp": d0_unity * unit.loss_db,
         "run.seconds": time.monotonic() - started,
     }
-    summary.update(config.flat_items())
-    io.write_summary(_out_path(args, "summary.txt"), summary)
-    _write_run_config(args, config)
-    return 0
+    return summary, config
 
 
-def cmd_kk(args) -> int:
+def cmd_kk(args):
     wavelengths, values, kind = io.read_absorption_csv(args.absorption_csv)
     k0 = 2.0 * np.pi / (args.lambda0_nm * 1e-6)
     grid = TimeGrid(t_start=0.0, dt=2.0 * np.pi / args.span_invps, n=args.n).frequency_grid()
@@ -118,8 +110,13 @@ def cmd_kk(args) -> int:
             chi, k0, args.length_mm, 0.0
         ),
     }
-    io.write_summary(_out_path(args, "summary.txt"), summary)
-    return 0
+    return summary, None
+
+
+def _set_up(config: SimulationConfig):
+    """The time grid, the signal pulse and the control-free medium of a run."""
+    grid = config.grid.build(config.signal, config.medium)
+    return grid, config.signal.build(grid), config.medium.build()
 
 
 def _model_transfer(the_medium, fgrid):
@@ -128,10 +125,8 @@ def _model_transfer(the_medium, fgrid):
 
 
 def _transfer_for_run(args, the_medium, fgrid):
-    if args.chi_source == "model":
-        return _model_transfer(the_medium, fgrid)
     if not args.chi_csv:
-        raise ConfigError("--chi-source csv requires --chi-csv")
+        return _model_transfer(the_medium, fgrid)
     detunings, values = io.read_susceptibility_csv(args.chi_csv)
     real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
     imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
@@ -139,37 +134,30 @@ def _transfer_for_run(args, the_medium, fgrid):
     return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
 
 
-def cmd_propagate(args) -> int:
+def cmd_propagate(args):
     config = load_config(args.config)
     if config.control.intensity_list:
         raise ConfigError("propagate expects a single control.intensity; use sweep for lists")
-    if args.domain == "td" and args.chi_source == "csv":
-        raise ConfigError("the time-domain solver integrates the two-line model; use --domain fd with --chi-source csv")
+    if args.domain == "td" and args.chi_csv:
+        raise ConfigError("the time-domain solver integrates the two-line model; use --domain fd with --chi-csv")
 
-    grid = config.grid.build(config.signal, config.medium)
+    grid, pulse, base_medium = _set_up(config)
     fgrid = grid.frequency_grid()
-    pulse = config.signal.build(grid)
     intensity = config.control.intensity
-    the_medium = config.medium.build().with_control_intensity(intensity)
+    the_medium = base_medium.with_control_intensity(intensity)
     transfer = _transfer_for_run(args, the_medium, fgrid)
 
-    warnings = []
-    td_fd_l2_error = None
+    spec_in = forward_transform(pulse)
+    warnings, checks = [], {}
     if args.domain == "fd":
         out = fdprop.propagate(pulse, transfer)
-    else:
-        control = config.control.build(grid, intensity)
-        result = tdprop.solve(the_medium, control, pulse, config.solver.build())
-        out = result.output
-        warnings.extend(result.warnings)
-        if config.control.kind == "constant":
-            td_fd_l2_error = analysis.relative_l2_error(out, fdprop.propagate(pulse, transfer))
-
-    spec_in = forward_transform(pulse)
-    if args.domain == "fd":
         spec_on = spec_in.samples * transfer.values
     else:
+        result = tdprop.solve(the_medium, config.control.build(grid, intensity), pulse, config.solver.build())
+        out, warnings = result.output, result.warnings
         spec_on = forward_transform(out).samples
+        if config.control.kind == "constant":
+            checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, fdprop.propagate(pulse, transfer))
     io.write_envelope_csv(_out_path(args, "input_envelope.csv"), pulse)
     io.write_envelope_csv(_out_path(args, "output_envelope.csv"), out)
     io.write_spectrum_csv(_out_path(args, "spectrum_off.csv"), fgrid, spec_in.samples)
@@ -178,7 +166,7 @@ def cmd_propagate(args) -> int:
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",
-        "run.chi_source": args.chi_source,
+        "run.chi_source": "csv" if args.chi_csv else "model",
         "metrics.first_moment_delay_ps": delay,
         "metrics.loss_db": loss_db_total,
         "metrics.output_fwhm_ps": out.intensity_fwhm(),
@@ -189,18 +177,14 @@ def cmd_propagate(args) -> int:
     }
     if args.domain == "td" and config.control.kind != "constant":
         del summary["metrics.center_transmission"]  # a fixed-intensity FD value
-    if args.chi_source == "model":
+    if not args.chi_csv:
         summary.update(_medium_figures(the_medium))
-    if td_fd_l2_error is not None:
-        summary["metrics.td_fd_l2_error"] = td_fd_l2_error
-    summary["warnings"] = "; ".join(warnings) if warnings else "none"
-    summary.update(config.flat_items())
-    io.write_summary(_out_path(args, "summary.txt"), summary)
-    _write_run_config(args, config)
-    return 0
+    summary.update(checks)
+    summary["warnings"] = "; ".join(warnings) or "none"
+    return summary, config
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     config = load_config(args.config)
     intensities = config.control.intensity_list
     if not intensities:
@@ -208,14 +192,11 @@ def cmd_sweep(args) -> int:
     if config.control.kind != "constant":
         raise ConfigError("sweep assumes constant control during each point")
 
-    grid = config.grid.build(config.signal, config.medium)
-    fgrid = grid.frequency_grid()
-    pulse = config.signal.build(grid)
-    base_medium = config.medium.build()
-
+    grid, pulse, base_medium = _set_up(config)
     if args.domain == "td":
         points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse, config.solver.build())
     else:
+        fgrid = grid.frequency_grid()
         transfers = (_model_transfer(base_medium.with_control_intensity(i), fgrid) for i in intensities)
         points = [
             tdprop.ScanPoint(float(i), *analysis.delay_and_loss(pulse, fdprop.propagate(pulse, h)))
@@ -229,13 +210,10 @@ def cmd_sweep(args) -> int:
         summary["linearity.slope_ps_per_intensity"] = slope
         summary["linearity.residual_ratio"] = residual
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
-    summary.update(config.flat_items())
-    io.write_summary(_out_path(args, "summary.txt"), summary)
-    _write_run_config(args, config)
-    return 0
+    return summary, config
 
 
-def cmd_xcorr(args) -> int:
+def cmd_xcorr(args):
     signal = io.read_envelope_csv(args.signal_csv)
     reference = synthesize_pulse("gaussian", signal.grid, duration=args.ref_duration_ps)
     curve_on = analysis.cross_correlate(signal, reference)
@@ -257,8 +235,7 @@ def cmd_xcorr(args) -> int:
         curve_off = analysis.cross_correlate(off_env, reference)
         io.write_correlation_csv(_out_path(args, "xcorr_off.csv"), curve_off)
         summary["metrics.first_moment_delay_ps"] = analysis.first_moment_delay(curve_on, curve_off)
-    io.write_summary(_out_path(args, "summary.txt"), summary)
-    return 0
+    return summary, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", parents=[common], help="single propagation run")
     p.add_argument("--config", required=True)
     p.add_argument("--domain", choices=("fd", "td"), default="fd")
-    p.add_argument("--chi-source", choices=("model", "csv"), default="model")
-    p.add_argument("--chi-csv")
+    p.add_argument("--chi-csv", help="susceptibility CSV to propagate through instead of the model (fd only)")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("sweep", parents=[common], help="delay/loss vs control intensity")
@@ -311,18 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then write its summary and, for config-driven
+    runs, the resolved configuration."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        summary, config = args.func(args)
+        if config is not None:
+            summary.update(config.flat_items())
+        io.write_summary(_out_path(args, "summary.txt"), summary)
+        if config is not None:
+            io.atomic_write_text(_out_path(args, "resolved_config.ini"), config.resolved_ini())
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SlowLightError as exc:
+    except (SlowLightError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -141,17 +141,14 @@ class GridConfig:
     dt_ps: float | None = _positive(default=None)
 
     def resolve_dt(self, signal: SignalConfig, medium: MediumConfig) -> float:
-        """Pick a time step resolving the two-photon beat and the pulse,
-        with span at least 16x the transform-limited duration."""
+        """The given dt_ps, else a step resolving the two-photon beat and the
+        pulse, with span at least 16x the transform-limited duration."""
+        if self.dt_ps is not None:
+            return self.dt_ps
         duration = signal.transform_limited_duration()
         dt_beat = _max_beat_dt(medium.delta_invps)
         dt_pulse = duration / 16.0
-        dt_span = 16.0 * duration / self.n
-        if self.dt_ps is not None:
-            return self.dt_ps
-        dt = min(0.5 * dt_beat, dt_pulse)
-        if dt < dt_span:
-            dt = dt_span
+        dt = max(min(0.5 * dt_beat, dt_pulse), 16.0 * duration / self.n)
         if dt > min(dt_beat, dt_pulse):
             raise ConfigError(
                 f"no time step with n = {self.n} both spans 16x the pulse and resolves "

@@ -55,36 +55,33 @@ def _table_text(header: str, columns) -> str:
     return header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
+def _write_complex_csv(path, header: str, axis: np.ndarray, values: np.ndarray):
+    values = np.asarray(values, dtype=complex)
+    atomic_write_text(path, _table_text(header, [axis, values.real, values.imag]))
+
+
 def write_envelope_csv(path, env: ComplexEnvelope):
-    atomic_write_text(
-        path, _table_text(ENVELOPE_HEADER, [env.grid.times, env.samples.real, env.samples.imag])
-    )
+    _write_complex_csv(path, ENVELOPE_HEADER, env.grid.times, env.samples)
 
 
 def read_envelope_csv(path) -> ComplexEnvelope:
-    t, re, im = _read_table(path, ENVELOPE_HEADER)
+    _, (t, re, im) = _read_table(path, ENVELOPE_HEADER)
     dt = _uniform_step(t, "time")
     grid = TimeGrid(t_start=float(t[0]), dt=dt, n=t.size)
     return ComplexEnvelope(grid=grid, samples=re + 1j * im)
 
 
 def write_spectrum_csv(path, grid: FrequencyGrid, values: np.ndarray):
-    values = np.asarray(values, dtype=complex)
-    atomic_write_text(
-        path, _table_text(SPECTRUM_HEADER, [grid.omegas, values.real, values.imag])
-    )
+    _write_complex_csv(path, SPECTRUM_HEADER, grid.omegas, values)
 
 
 def write_susceptibility_csv(path, grid: FrequencyGrid, chi: np.ndarray):
-    chi = np.asarray(chi, dtype=complex)
-    atomic_write_text(
-        path, _table_text(SUSCEPTIBILITY_HEADER, [grid.omegas, chi.real, chi.imag])
-    )
+    _write_complex_csv(path, SUSCEPTIBILITY_HEADER, grid.omegas, chi)
 
 
 def read_susceptibility_csv(path):
     """Returns (detunings, chi) arrays; the caller resamples as needed."""
-    w, re, im = _read_table(path, SUSCEPTIBILITY_HEADER)
+    _, (w, re, im) = _read_table(path, SUSCEPTIBILITY_HEADER)
     _uniform_step(w, "detuning")
     return w, re + 1j * im
 
@@ -108,18 +105,8 @@ def read_absorption_csv(path):
     Returns (wavelengths_nm, values, kind) with kind one of "absorption"
     (fractional A) or "optical_depth", auto-detected from the header.
     """
-    with _open_csv(path) as handle:
-        header = handle.readline().strip()
-        if header not in ABSORPTION_HEADERS:
-            raise ConfigError(
-                f"unrecognized absorption CSV header {header!r}; expected one of "
-                f"{ABSORPTION_HEADERS}"
-            )
-        body = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if body.shape[1] != 2:
-        raise ConfigError(f"absorption CSV must have 2 columns, got {body.shape[1]}")
-    kind = "absorption" if header == ABSORPTION_HEADERS[0] else "optical_depth"
-    return body[:, 0], body[:, 1], kind
+    header, (wavelengths, values) = _read_table(path, *ABSORPTION_HEADERS)
+    return wavelengths, values, header.partition(",")[2]
 
 
 def write_summary(path, entries: dict):
@@ -140,17 +127,17 @@ def _open_csv(path):
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_table(path, expected_header: str):
+def _read_table(path, *headers: str):
+    """(header, columns) of a CSV whose header is one of ``headers``."""
     with _open_csv(path) as handle:
         header = handle.readline().strip()
-        if header != expected_header:
-            raise ConfigError(
-                f"unexpected CSV header {header!r} in {path}; expected {expected_header!r}"
-            )
+        if header not in headers:
+            expected = " or ".join(map(repr, headers))
+            raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
         body = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if body.shape[1] != len(expected_header.split(",")):
-        raise ConfigError(f"malformed CSV {path}: expected {expected_header!r} columns")
-    return tuple(body[:, i] for i in range(body.shape[1]))
+    if body.shape[1] != len(header.split(",")):
+        raise ConfigError(f"malformed CSV {path}: expected {header!r} columns")
+    return header, tuple(body.T)
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:

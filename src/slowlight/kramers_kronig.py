@@ -117,20 +117,11 @@ def ingest_absorption(
     # sharp cliffs at the measured-range ends corrupt the transform as badly
     # as grid-edge truncation, so the taper rolls the ends down to zero
     if force_taper and peak > 0:
-        taper_width = _TAPER_FRACTION * (w[-1] - w[0])
-        d = _taper_ends(w, d, nu[0], nu[-1], depth[0], depth[-1], taper_width)
+        width = _TAPER_FRACTION * (w[-1] - w[0])
+        for end, lo, hi in ((0, nu[0] - width, nu[0]), (-1, nu[-1], nu[-1] + width)):
+            zone = (w > lo) & (w < hi)
+            d[zone] = depth[end] * 0.5 * (1.0 + np.cos(np.pi * np.abs(w[zone] - nu[end]) / width))
     return OpticalDepthSpectrum(grid=target_grid, depth=d, center_wavelength_nm=center_wavelength_nm)
-
-
-def _taper_ends(w, d, nu_lo, nu_hi, d_lo, d_hi, width):
-    out = d.copy()
-    if d_lo > 0 and width > 0:
-        zone = (w < nu_lo) & (w > nu_lo - width)
-        out[zone] = d_lo * 0.5 * (1.0 + np.cos(np.pi * (nu_lo - w[zone]) / width))
-    if d_hi > 0 and width > 0:
-        zone = (w > nu_hi) & (w < nu_hi + width)
-        out[zone] = d_hi * 0.5 * (1.0 + np.cos(np.pi * (w[zone] - nu_hi) / width))
-    return out
 
 
 def hilbert_transform(f: np.ndarray, pad_factor: int = _PAD_FACTOR) -> np.ndarray:

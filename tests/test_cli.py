@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import slowlight as sl
+from slowlight.cli import main
 from slowlight.data import ktp_absorption_path
 
 CONFIG = """\
@@ -76,7 +77,7 @@ def test_help():
         ("xcorr", "--signal-csv", "{missing}"),
         ("kk", "--absorption-csv", "{missing}", "--center-nm", 765.0, "--lambda0-nm", 765.0,
          "--length-mm", 30.0),
-        ("propagate", "--config", "{config}", "--chi-source", "csv", "--chi-csv", "{missing}"),
+        ("propagate", "--config", "{config}", "--chi-csv", "{missing}"),
     ],
     ids=["xcorr", "kk", "propagate"],
 )
@@ -191,7 +192,7 @@ class TestPropagate:
         second = tmp_path / "second"
         cp = run_cli(
             "propagate", "--config", cfg, "--out-dir", second,
-            "--domain", "fd", "--chi-source", "csv", "--chi-csv", chi_path,
+            "--domain", "fd", "--chi-csv", chi_path,
         )
         assert cp.returncode == 0, cp.stderr
         s1 = read_summary(first / "summary.txt")
@@ -199,6 +200,10 @@ class TestPropagate:
         assert float(s2["metrics.first_moment_delay_ps"]) == pytest.approx(
             float(s1["metrics.first_moment_delay_ps"]), rel=1e-6
         )
+        # the source follows --chi-csv; model figures do not describe a measured chi
+        assert s1["run.chi_source"] == "model"
+        assert s2["run.chi_source"] == "csv"
+        assert not any(key.startswith("figures.") for key in s2)
 
     def test_td_shaped_control(self, tmp_path):
         text = CONFIG.replace(
@@ -227,12 +232,25 @@ class TestPropagate:
         assert read_summary(tmp_path / "td" / "summary.txt")["metrics.center_transmission"] == fd
 
     def test_td_with_csv_chi_rejected(self, tmp_path):
+        from slowlight import io as sio
+
         cfg = write_config(tmp_path)
+        grid = sl.TimeGrid.centered(64, 0.06).frequency_grid()
+        chi_path = tmp_path / "chi.csv"
+        sio.write_susceptibility_csv(chi_path, grid, np.zeros(grid.n))
         cp = run_cli(
             "propagate", "--config", cfg, "--out-dir", tmp_path / "out",
-            "--domain", "td", "--chi-source", "csv",
+            "--domain", "td", "--chi-csv", chi_path,
         )
         assert cp.returncode == 2
+        assert "two-line model" in cp.stderr
+
+    def test_chi_source_option_removed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["propagate", "--config", str(cfg), "--chi-source", "model", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --chi-source" in capsys.readouterr().err
 
     def test_grid_n_not_power_of_two_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, CONFIG.replace("n = 16384", "n = 10000"))
@@ -371,3 +389,83 @@ class TestXcorr:
         assert cp.returncode == 0, cp.stderr
         summary = read_summary(out / "summary.txt")
         assert float(summary["metrics.first_moment_delay_ps"]) == 0.0
+
+
+def _config_keys(*control):
+    return [
+        "config.medium.gamma_invps", "config.medium.delta_invps", "config.medium.g_per_intensity",
+        "config.medium.length_mm", "config.medium.lambda0_nm",
+        "config.signal.shape", "config.signal.bandwidth_invps", "config.signal.gdd_ps2",
+        "config.control.kind", *control,
+        "config.grid.n", "config.grid.dt_ps", "config.solver.nz",
+    ]
+
+
+_PROPAGATE_KEYS = [
+    "run.command", "run.chi_source", "metrics.first_moment_delay_ps", "metrics.loss_db",
+    "metrics.output_fwhm_ps", "metrics.center_transmission", "grid.n", "grid.dt_ps", "solver.nz",
+    "figures.d0", "figures.group_delay_ps", "figures.loss_db", "figures.delay_per_loss_ps_per_db",
+    "figures.delay_bandwidth_product",
+]
+
+# summary.txt key order is part of its format: a subcommand's own keys, then config.*
+SUMMARY_KEYS = {
+    "analytic": [
+        "run.command", "sweep.d0_max", "sweep.d0_step", "figures.delay_per_loss_ps_per_db",
+        "figures.d0_at_unit_dbp", "figures.loss_db_at_unit_dbp", "run.seconds",
+        *_config_keys("config.control.intensity"),
+    ],
+    "kk": [
+        "run.command", "input.absorption_csv", "input.kind", "input.center_nm", "input.lambda0_nm",
+        "input.length_mm", "grid.n", "grid.span_invps", "kk.peak_depth", "kk.reconstructed_delay_ps",
+    ],
+    "propagate_fd": [*_PROPAGATE_KEYS, "warnings", *_config_keys("config.control.intensity")],
+    "propagate_td": [
+        *_PROPAGATE_KEYS, "metrics.td_fd_l2_error", "warnings",
+        *_config_keys("config.control.intensity"),
+    ],
+    "propagate_td_gaussian": [
+        *[key for key in _PROPAGATE_KEYS if key != "metrics.center_transmission"], "warnings",
+        *_config_keys("config.control.intensity", "config.control.fwhm_ps"),
+    ],
+    "sweep_fd": [
+        "run.command", "sweep.points", "linearity.slope_ps_per_intensity", "linearity.residual_ratio",
+        "metrics.max_delay_ps", *_config_keys("config.control.intensity_list"),
+    ],
+    "xcorr": [
+        "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
+        "metrics.deconvolved_duration_ps", "metrics.first_moment_delay_ps",
+    ],
+}
+
+
+def test_summary_key_order(tmp_path):
+    # in-process on a small grid: the key sequence, not the numbers, is pinned
+    base = CONFIG.replace("n = 16384", "n = 4096")
+    configs = {
+        "const": base,
+        "gauss": base.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0"),
+        "sweep": base.replace("intensity = 1.0", "intensity_list = 0, 0.5, 1.0"),
+    }
+    paths = {name: str(write_config(tmp_path, text, name=f"{name}.ini")) for name, text in configs.items()}
+    fd_dir = tmp_path / "propagate_fd"
+    runs = {
+        "analytic": ["analytic", "--config", paths["const"]],
+        "kk": [
+            "kk", "--absorption-csv", ktp_absorption_path(), "--center-nm", "765.85",
+            "--lambda0-nm", "765", "--length-mm", "30", "--force-taper",
+        ],
+        "propagate_fd": ["propagate", "--config", paths["const"], "--domain", "fd"],
+        "propagate_td": ["propagate", "--config", paths["const"], "--domain", "td"],
+        "propagate_td_gaussian": ["propagate", "--config", paths["gauss"], "--domain", "td"],
+        "sweep_fd": ["sweep", "--config", paths["sweep"], "--domain", "fd"],
+        "xcorr": [
+            "xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"),
+            "--off-csv", str(fd_dir / "input_envelope.csv"), "--ref-duration-ps", "1.0",
+        ],
+    }
+    keys = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0, name
+        keys[name] = list(read_summary(tmp_path / name / "summary.txt"))
+    assert keys == SUMMARY_KEYS

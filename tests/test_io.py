@@ -59,6 +59,10 @@ def test_absorption_kind_detection(tmp_path):
     bad.write_text("lambda,alpha\n760,0.2\n")
     with pytest.raises(ConfigError, match="header"):
         io.read_absorption_csv(bad)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("wavelength_nm,absorption\n760,0.2,0.1\n761,0.3,0.1\n")
+    with pytest.raises(ConfigError, match="columns"):
+        io.read_absorption_csv(wide)
 
 
 def test_correlation_and_scan_formats(tmp_path):
