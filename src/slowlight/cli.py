@@ -34,7 +34,7 @@ from .kramers_kronig import (
     ingest_absorption,
     kk_real_from_imag,
 )
-from .spectral import TimeGrid, forward_transform, synthesize_pulse
+from .spectral import TimeGrid, forward_transform, resample_to_resolve, synthesize_pulse
 
 
 def _out_path(args, name):
@@ -148,16 +148,23 @@ def cmd_propagate(args):
     transfer = _transfer_for_run(args, the_medium, fgrid)
 
     spec_in = forward_transform(pulse)
-    warnings, checks = [], {}
+    warnings, solver, checks = [], {"solver.nz": config.solver.nz}, {}
     if args.domain == "fd":
         out = fdprop.propagate(pulse, transfer)
         spec_on = spec_in.samples * transfer.values
     else:
-        result = tdprop.solve(the_medium, config.control.build(grid, intensity), pulse, config.solver.build())
+        control = config.control.build(grid, intensity)
+        result = tdprop.solve_converged(the_medium, control, pulse, config.solver.build())
         out, warnings = result.output, result.warnings
+        solver = {
+            "solver.nz": result.nz,
+            "solver.nz_needed": result.nz_needed,
+            "solver.z_error_estimate": result.z_error_estimate,
+        }
         spec_on = forward_transform(out).samples
         if config.control.kind == "constant":
-            checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, fdprop.propagate(pulse, transfer))
+            reference = fdprop.propagate_causal(pulse, the_medium)
+            checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, reference)
     io.write_envelope_csv(_out_path(args, "input_envelope.csv"), pulse)
     io.write_envelope_csv(_out_path(args, "output_envelope.csv"), out)
     io.write_spectrum_csv(_out_path(args, "spectrum_off.csv"), fgrid, spec_in.samples)
@@ -173,7 +180,7 @@ def cmd_propagate(args):
         "metrics.center_transmission": transfer.center_transmission(),
         "grid.n": grid.n,
         "grid.dt_ps": grid.dt,
-        "solver.nz": config.solver.nz,
+        **solver,
     }
     if args.domain == "td" and config.control.kind != "constant":
         del summary["metrics.center_transmission"]  # a fixed-intensity FD value
@@ -215,6 +222,9 @@ def cmd_sweep(args):
 
 def cmd_xcorr(args):
     signal = io.read_envelope_csv(args.signal_csv)
+    grid = signal.grid
+    # a reference finer than the grid is met by resampling the envelopes, not refused
+    signal, upsample = resample_to_resolve(signal, args.ref_duration_ps)
     reference = synthesize_pulse("gaussian", signal.grid, duration=args.ref_duration_ps)
     curve_on = analysis.cross_correlate(signal, reference)
     io.write_correlation_csv(_out_path(args, "xcorr_on.csv"), curve_on)
@@ -230,11 +240,14 @@ def cmd_xcorr(args):
     )
     if args.off_csv:
         off_env = io.read_envelope_csv(args.off_csv)
-        if off_env.grid != signal.grid:
+        if off_env.grid != grid:
             raise ConfigError("on and off envelope CSVs must share a time grid")
+        off_env, _ = resample_to_resolve(off_env, args.ref_duration_ps)
         curve_off = analysis.cross_correlate(off_env, reference)
         io.write_correlation_csv(_out_path(args, "xcorr_off.csv"), curve_off)
         summary["metrics.first_moment_delay_ps"] = analysis.first_moment_delay(curve_on, curve_off)
+    if upsample > 1:
+        summary["xcorr.upsample"] = upsample
     return summary, None
 
 

@@ -37,6 +37,7 @@ FLAT_TOP_TBP = 4.0 * SINC_HALF_POWER_X      # 5.566230
 PULSE_SHAPES = ("gaussian", "flat_top_spectrum")
 
 _MIN_SAMPLES_PER_FWHM = 16
+_MAX_RESAMPLED_N = 2**20  # resample_to_resolve stops doubling at this many samples
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -234,6 +235,26 @@ def synthesize_pulse(
         raise GridResolutionError("synthesized pulse has no energy on this grid")
     env.samples = env.samples / np.sqrt(energy)
     return env
+
+
+def resample_to_resolve(env: ComplexEnvelope, fwhm_ps: float) -> tuple[ComplexEnvelope, int]:
+    """``env`` on a grid fine enough to synthesize a pulse of intensity FWHM
+    ``fwhm_ps``, and the factor its dt was divided by: the smallest power of
+    two that resolves it, while the grid stays within _MAX_RESAMPLED_N samples.
+    The spectrum is zero-padded, which is exact for a band-limited envelope;
+    factor 1 returns ``env`` itself."""
+    if fwhm_ps <= 0:
+        raise ValueError(f"duration must be positive, got {fwhm_ps}")
+    grid, factor = env.grid, 1
+    while fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor and 2 * factor * grid.n <= _MAX_RESAMPLED_N:
+        factor *= 2
+    if factor == 1:
+        return env, 1
+    fine = TimeGrid(t_start=grid.t_start, dt=grid.dt / factor, n=factor * grid.n)
+    samples = np.zeros(fine.n, dtype=complex)
+    start = fine.n // 2 - grid.n // 2  # same domega: the old band sits at the centre
+    samples[start : start + grid.n] = forward_transform(env).samples
+    return inverse_transform(SpectralEnvelope(grid=fine.frequency_grid(), samples=samples)), factor
 
 
 def wavelength_bandwidth_to_frequency(lambda0_nm: float, delta_lambda_nm: float) -> float:

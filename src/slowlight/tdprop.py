@@ -20,6 +20,9 @@ whose decay constant Gamma +- i*Delta/2 absorbs both the damping and the
 two-photon beat exactly; only the slowly-varying drive Ec* E is linearly
 interpolated.  The recurrence R_k = e R_{k-1} + x_k runs as a doubling scan
 (Hillis & Steele 1986) on work arrays allocated once per solve.
+
+``solve`` marches a given number of z steps; ``solve_converged`` chooses
+it from a Richardson estimate of the z error.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import delay_and_loss
+from .analysis import delay_and_loss, relative_l2_error
 from .errors import AmbiguousWidthError, GridResolutionError
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
@@ -40,6 +43,7 @@ _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
 _SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
 _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
+_Z_TOLERANCE = 1e-5  # relative L2 z error that solve_converged aims below
 
 
 @dataclass
@@ -92,7 +96,7 @@ class ControlField:
 
 @dataclass
 class SolverSettings:
-    nz: int = 256
+    nz: int = 256  # the step count of solve, the ceiling of solve_converged
 
     def __post_init__(self):
         if self.nz < 16:
@@ -109,9 +113,16 @@ class CoherenceState:
 
 @dataclass
 class SolveResult:
+    """``nz`` is the step count used and ``nz_needed`` the fewest the
+    step-phase limit allows; ``z_error_estimate`` is the Richardson estimate
+    of the relative L2 z error of ``output`` (nan from a single solve)."""
+
     output: ComplexEnvelope
     coherences: CoherenceState
     warnings: list = field(default_factory=list)
+    nz: int = 0
+    nz_needed: int = 0
+    z_error_estimate: float = math.nan
 
 
 class ScanPoint(NamedTuple):
@@ -167,6 +178,8 @@ def _max_chi_magnitude(medium: RamanMedium, grid: TimeGrid) -> float:
 
 
 def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: SolverSettings):
+    """The fewest z steps the per-step phase limit allows; GridResolutionError
+    if dt misses the beat or settings.nz lies below that."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -175,13 +188,14 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
             f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
         )
     chi_max = _max_chi_magnitude(medium, pulse.grid)
+    nz_needed = math.ceil(medium.k0 * chi_max * medium.length_mm / (2.0 * _MAX_STEP_PHASE))
     step_phase = medium.k0 * chi_max * medium.length_mm / (2.0 * settings.nz)
     if step_phase >= _MAX_STEP_PHASE:
-        nz_needed = int(np.ceil(medium.k0 * chi_max * medium.length_mm / (2.0 * _MAX_STEP_PHASE)))
         raise GridResolutionError(
             f"per-step phase {step_phase:.3g} exceeds {_MAX_STEP_PHASE}; "
             f"need nz >= {nz_needed} (got {settings.nz})"
         )
+    return nz_needed
 
 
 def solve(
@@ -198,7 +212,7 @@ def solve(
     """
     settings = settings or SolverSettings()
     medium = medium.with_control_intensity(control.intensity)
-    _validate_resolution(medium, pulse, settings)
+    nz_needed = _validate_resolution(medium, pulse, settings)
 
     grid = pulse.grid
     n, dt = grid.n, grid.dt
@@ -255,7 +269,42 @@ def solve(
         output=ComplexEnvelope(grid=grid, samples=e_field),
         coherences=CoherenceState(q21=q21, q31=q31),
         warnings=warnings,
+        nz=settings.nz,
+        nz_needed=nz_needed,
     )
+
+
+def solve_converged(
+    medium: RamanMedium,
+    control: ControlField,
+    pulse: ComplexEnvelope,
+    settings: SolverSettings | None = None,
+) -> SolveResult:
+    """``solve`` at the first nz whose Richardson error estimate (Hairer,
+    Norsett & Wanner, "Solving ODEs I", sec. II.4) is below _Z_TOLERANCE.
+
+    nz starts at the smallest power of two >= max(16, nz_needed) and
+    doubles up to the ceiling ``settings.nz``; the midpoint march is second
+    order, so at step ratio r the finer solve's error is about
+    ||E_fine - E_coarse|| / ((r^2 - 1) ||E_fine||).  Reaching the ceiling
+    above the tolerance adds a warning."""
+    settings = settings or SolverSettings()
+    ceiling = settings.nz
+    nz_needed = _validate_resolution(medium.with_control_intensity(control.intensity), pulse, settings)
+    nz = min(ceiling, 1 << (max(16, nz_needed) - 1).bit_length())
+    fine = solve(medium, control, pulse, SolverSettings(nz))
+    while nz < ceiling:
+        coarse, nz = fine, min(2 * nz, ceiling)
+        fine = solve(medium, control, pulse, SolverSettings(nz))
+        ratio = nz / coarse.nz
+        fine.z_error_estimate = relative_l2_error(coarse.output, fine.output) / (ratio**2 - 1.0)
+        if fine.z_error_estimate < _Z_TOLERANCE:
+            return fine
+    fine.warnings.append(
+        f"z error estimate {fine.z_error_estimate:.3g} is not below {_Z_TOLERANCE} "
+        f"at the nz ceiling {ceiling}; raise [solver] nz"
+    )
+    return fine
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -280,11 +329,11 @@ def delay_vs_control_scan(
 ) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    Each point is an independent solve, measured against the input by
-    ``analysis.delay_and_loss``: the intensity-centroid shift and the
-    energy ratio in dB.
+    Each point is an independent ``solve_converged``, measured against the
+    input by ``analysis.delay_and_loss``: the intensity-centroid shift and
+    the energy ratio in dB.
     """
     return [
-        ScanPoint(float(i), *delay_and_loss(pulse, solve(medium, ControlField.constant(i), pulse, settings).output))
+        ScanPoint(float(i), *delay_and_loss(pulse, solve_converged(medium, ControlField.constant(i), pulse, settings).output))
         for i in control_intensities
     ]

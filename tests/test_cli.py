@@ -262,7 +262,23 @@ class TestPropagate:
         cfg = write_config(tmp_path, CONFIG.replace("d0 = 2.5", "d0 = 80.0").replace("nz = 256", "nz = 16"))
         cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / "out", "--domain", "td")
         assert cp.returncode == 3
-        assert "nz" in cp.stderr
+        assert "nz >=" in cp.stderr  # [solver] nz is the ceiling, and it lies below nz_needed
+
+    @pytest.mark.parametrize("command", ["propagate", "sweep"])
+    def test_td_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):
+        # the z-step search depends only on the inputs and the nz ceiling
+        text = CONFIG.replace("n = 16384", "n = 4096")
+        if command == "sweep":
+            text = text.replace("intensity = 1.0", "intensity_list = 0.5, 1.0, 2.0")
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = [command, "--domain", "td", "--out-dir"]
+        assert main([*argv, str(first), "--config", str(write_config(tmp_path, text))]) == 0
+        assert main([*argv, str(second), "--config", str(first / "resolved_config.ini")]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert "nz = 256\n" in (first / "resolved_config.ini").read_text()  # the ceiling, not nz used
 
 
 class TestSweep:
@@ -375,6 +391,20 @@ class TestXcorr:
         assert float(summary["metrics.first_moment_delay_ps"]) == pytest.approx(0.140, abs=1e-4)
         assert (out / "xcorr_on.csv").exists() and (out / "xcorr_off.csv").exists()
 
+    def test_default_reference_on_propagate_output(self, tmp_path):
+        # the 0.16-ps default needs dt <= 0.01 ps; the envelopes are resampled from dt = 0.06
+        cfg = write_config(tmp_path)
+        fd = tmp_path / "fd"
+        assert main(["propagate", "--config", str(cfg), "--domain", "fd", "--out-dir", str(fd)]) == 0
+        out = tmp_path / "out"
+        argv = ["xcorr", "--signal-csv", fd / "output_envelope.csv", "--off-csv", fd / "input_envelope.csv"]
+        assert main([*map(str, argv), "--out-dir", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert summary["xcorr.upsample"] == "8"
+        envelope_delay = float(read_summary(fd / "summary.txt")["metrics.first_moment_delay_ps"])
+        delay = float(summary["metrics.first_moment_delay_ps"])
+        assert delay == pytest.approx(envelope_delay, rel=2e-3)
+
     def test_identical_inputs_zero_delay(self, tmp_path):
         from slowlight import io as sio
 
@@ -408,6 +438,12 @@ _PROPAGATE_KEYS = [
     "figures.delay_bandwidth_product",
 ]
 
+# a TD run also reports the z steps it needed and its z error estimate
+_TD_PROPAGATE_KEYS = [
+    *_PROPAGATE_KEYS[: _PROPAGATE_KEYS.index("solver.nz") + 1], "solver.nz_needed", "solver.z_error_estimate",
+    *_PROPAGATE_KEYS[_PROPAGATE_KEYS.index("solver.nz") + 1 :],
+]
+
 # summary.txt key order is part of its format: a subcommand's own keys, then config.*
 SUMMARY_KEYS = {
     "analytic": [
@@ -421,11 +457,11 @@ SUMMARY_KEYS = {
     ],
     "propagate_fd": [*_PROPAGATE_KEYS, "warnings", *_config_keys("config.control.intensity")],
     "propagate_td": [
-        *_PROPAGATE_KEYS, "metrics.td_fd_l2_error", "warnings",
+        *_TD_PROPAGATE_KEYS, "metrics.td_fd_l2_error", "warnings",
         *_config_keys("config.control.intensity"),
     ],
     "propagate_td_gaussian": [
-        *[key for key in _PROPAGATE_KEYS if key != "metrics.center_transmission"], "warnings",
+        *[key for key in _TD_PROPAGATE_KEYS if key != "metrics.center_transmission"], "warnings",
         *_config_keys("config.control.intensity", "config.control.fwhm_ps"),
     ],
     "sweep_fd": [

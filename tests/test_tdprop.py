@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import GridResolutionError
-from slowlight.tdprop import _coherence_scan, _scan_weights
+from slowlight.tdprop import _Z_TOLERANCE, _coherence_scan, _scan_weights, solve_converged
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
 
@@ -155,6 +155,50 @@ class TestSolve:
             sl.SolverSettings(nz=8)
         with pytest.raises(ValueError, match="non-negative"):
             sl.ControlField.constant(-1.0)
+
+
+class TestSolveConverged:
+    @pytest.fixture(scope="class")
+    def example_reference(self, std_medium, flattop_signal):
+        """The example point at nz = 512, the stand-in for the exact z solution."""
+        return sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal, sl.SolverSettings(nz=512))
+
+    def test_example_point_picks_32_steps(self, std_medium, flattop_signal, example_reference):
+        result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
+        assert (result.nz, result.nz_needed) == (32, 13)
+        assert result.z_error_estimate < _Z_TOLERANCE
+        true_error = rel_l2(result.output.samples, example_reference.output.samples)
+        assert true_error / 2 < result.z_error_estimate < 2 * true_error
+        assert result.warnings == []
+
+    def test_ceiling_off_a_power_of_two_uses_the_last_step_ratio(
+        self, std_medium, flattop_signal, example_reference
+    ):
+        control = sl.ControlField.constant(1.0)
+        result = solve_converged(std_medium, control, flattop_signal, sl.SolverSettings(nz=24))
+        assert result.nz == 24  # 16, then the ceiling: r = 1.5
+        true_error = rel_l2(result.output.samples, example_reference.output.samples)
+        assert true_error / 2 < result.z_error_estimate < 2 * true_error
+
+    def test_matches_causal_frequency_domain_reference(self, std_medium, flattop_signal):
+        # the periodic FD reference differs by 5e-4 through wrap-around alone
+        result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
+        reference = sl.fdprop.propagate_causal(flattop_signal, std_medium.with_control_intensity(1.0))
+        assert rel_l2(result.output.samples, reference.samples) < 2e-4
+
+    def test_single_solve_at_ceiling_warns(self, std_medium, flattop_signal):
+        control = sl.ControlField.constant(1.0)
+        result = solve_converged(std_medium, control, flattop_signal, sl.SolverSettings(nz=16))
+        assert result.nz == 16
+        assert np.isnan(result.z_error_estimate)
+        assert len(result.warnings) == 1 and "ceiling 16" in result.warnings[0]
+
+    def test_ceiling_below_nz_needed_refused(self):
+        medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
+        grid = sl.TimeGrid.centered(2**12, 0.05)
+        pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
+        with pytest.raises(GridResolutionError, match="nz >="):
+            solve_converged(medium, sl.ControlField.constant(1.0), pulse, sl.SolverSettings(nz=16))
 
 
 class TestControlScan:
