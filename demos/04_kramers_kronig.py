@@ -30,7 +30,7 @@ depth = sl.OpticalDepthSpectrum(
 chi = sl.kk_real_from_imag(depth, K0, LENGTH)
 exact = sl.chi(medium, grid.omegas)
 err = np.max(np.abs(chi.values.real - exact.real)) / np.max(np.abs(exact.real))
-tau = sl.group_delay_from_susceptibility(chi, K0, LENGTH, 0.0)
+tau = sl.group_delay_from_susceptibility(chi, K0, LENGTH)
 print("analytic doublet check:")
 print(f"  Re-chi reconstruction error: {err:.2%} of peak")
 print(f"  reconstructed delay {tau:.5f} ps vs analytic {sl.group_delay(medium):.5f} ps")
@@ -45,7 +45,7 @@ measured = sl.ingest_absorption(
     force_taper=True,
 )
 chi_measured = sl.kk_real_from_imag(measured, K0, LENGTH)
-tau_measured = sl.group_delay_from_susceptibility(chi_measured, K0, LENGTH, 0.0)
+tau_measured = sl.group_delay_from_susceptibility(chi_measured, K0, LENGTH)
 print(f"  peak optical depth: {np.max(measured.depth):.3f}")
 print(f"  reconstructed window-center delay: {tau_measured:.4f} ps")
 

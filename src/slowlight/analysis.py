@@ -15,12 +15,13 @@ import numpy as np
 
 from .spectral import ComplexEnvelope, interpolated_fwhm, moment_centroid
 
+_ABSORPTION_FLOOR = 1e-6  # off-spectrum level, relative to its peak, below which A is not taken
+
 
 @dataclass
 class CorrelationCurve:
     delays: np.ndarray
     intensity: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.delays = np.asarray(self.delays, dtype=float)
@@ -28,21 +29,14 @@ class CorrelationCurve:
         if self.delays.shape != self.intensity.shape:
             raise ValueError("delay and intensity arrays must have matching shapes")
 
-    def first_moment(self, window: tuple[float, float] | None = None) -> float:
-        """Mean delay; ``window = (lo, hi)`` restricts the integration range
-        (useful when a measured baseline would otherwise bias the moment).
-        Default: the full grid."""
-        if window is None:
-            return moment_centroid(self.delays, self.intensity)
-        lo, hi = window
-        mask = (self.delays >= lo) & (self.delays <= hi)
-        return moment_centroid(self.delays[mask], self.intensity[mask])
+    def first_moment(self) -> float:
+        """Mean delay over the full grid."""
+        return moment_centroid(self.delays, self.intensity)
 
 
-def cross_correlate(
-    signal: ComplexEnvelope, reference: ComplexEnvelope, normalize: bool = True
-) -> CorrelationCurve:
-    """Intensity cross-correlation of a signal against a reference pulse."""
+def cross_correlate(signal: ComplexEnvelope, reference: ComplexEnvelope) -> CorrelationCurve:
+    """Intensity cross-correlation of a signal against a reference pulse,
+    normalized to unit peak."""
     if signal.grid != reference.grid:
         raise ValueError("signal and reference must share a time grid")
     n = signal.grid.n
@@ -52,18 +46,15 @@ def cross_correlate(
     raw = np.roll(np.fft.irfft(spectrum, 2 * n), n // 2)[:n] * signal.grid.dt
     lags = (np.arange(n) - n // 2) * signal.grid.dt
     raw = np.maximum(raw, 0.0)  # clip FFT round-off noise
-    if normalize:
-        peak = np.max(raw)
-        if peak > 0:
-            raw = raw / peak
-    return CorrelationCurve(delays=lags, intensity=raw, normalized=normalize)
+    peak = np.max(raw)
+    if peak > 0:
+        raw = raw / peak
+    return CorrelationCurve(delays=lags, intensity=raw)
 
 
-def first_moment_delay(
-    on: CorrelationCurve, off: CorrelationCurve, window: tuple[float, float] | None = None
-) -> float:
+def first_moment_delay(on: CorrelationCurve, off: CorrelationCurve) -> float:
     """Difference of the normalized first moments, on minus off (ps)."""
-    return on.first_moment(window) - off.first_moment(window)
+    return on.first_moment() - off.first_moment()
 
 
 def delay_and_loss(reference: ComplexEnvelope, output: ComplexEnvelope) -> tuple[float, float]:
@@ -96,17 +87,18 @@ def deconvolve_duration(tau_xc: float, tau_ref: float) -> float:
     return float(np.sqrt(tau_xc**2 - tau_ref**2))
 
 
-def absorption_spectrum(on: np.ndarray, off: np.ndarray, floor: float = 1e-6):
+def absorption_spectrum(on: np.ndarray, off: np.ndarray):
     """Fractional absorption A = 1 - on/off, with a validity mask.
 
-    Points where the control-off spectrum falls below ``floor`` times its
-    peak are flagged invalid (A set to 0 there) rather than divided out.
+    Points where the control-off spectrum falls below _ABSORPTION_FLOOR
+    times its peak are flagged invalid (A set to 0 there) rather than
+    divided out.
     """
     on = np.asarray(on, dtype=float)
     off = np.asarray(off, dtype=float)
     if on.shape != off.shape:
         raise ValueError("spectra must have matching shapes")
-    valid = off > floor * np.max(off)
+    valid = off > _ABSORPTION_FLOOR * np.max(off)
     a = np.zeros_like(off)
     a[valid] = 1.0 - on[valid] / off[valid]
     return a, valid

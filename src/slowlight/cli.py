@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from . import analysis, fdprop, io, medium as med, tdprop
-from .config import SimulationConfig, load_config
+from .config import _NON_NEGATIVE, _POSITIVE, _SAMPLE_COUNT, SimulationConfig, _read, load_config
 from .errors import ConfigError, SlowLightError
 from .kramers_kronig import (
     Susceptibility,
@@ -55,8 +55,6 @@ def cmd_analytic(args):
             f"no transparency window: gamma_invps = {m.gamma_invps} >= "
             f"delta_invps = {m.delta_invps}"
         )
-    if args.d0_max < 0 or args.d0_step <= 0:
-        raise ConfigError("d0 sweep needs d0-max >= 0 and d0-step > 0")
     started = time.monotonic()
     count = int(round(args.d0_max / args.d0_step)) + 1
     d0_values = np.arange(count) * args.d0_step
@@ -106,9 +104,7 @@ def cmd_kk(args):
         "grid.n": args.n,
         "grid.span_invps": args.span_invps,
         "kk.peak_depth": float(np.max(depth.depth)),
-        "kk.reconstructed_delay_ps": group_delay_from_susceptibility(
-            chi, k0, args.length_mm, 0.0
-        ),
+        "kk.reconstructed_delay_ps": group_delay_from_susceptibility(chi, k0, args.length_mm),
     }
     return summary, None
 
@@ -119,14 +115,9 @@ def _set_up(config: SimulationConfig):
     return grid, config.signal.build(grid), config.medium.build()
 
 
-def _model_transfer(the_medium, fgrid):
-    chi = fdprop.susceptibility_from_medium(the_medium, fgrid)
-    return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
-
-
 def _transfer_for_run(args, the_medium, fgrid):
     if not args.chi_csv:
-        return _model_transfer(the_medium, fgrid)
+        return fdprop._model_transfer(the_medium, fgrid)
     detunings, values = io.read_susceptibility_csv(args.chi_csv)
     real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
     imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
@@ -204,7 +195,7 @@ def cmd_sweep(args):
         points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse, config.solver.build())
     else:
         fgrid = grid.frequency_grid()
-        transfers = (_model_transfer(base_medium.with_control_intensity(i), fgrid) for i in intensities)
+        transfers = (fdprop._model_transfer(base_medium.with_control_intensity(i), fgrid) for i in intensities)
         points = [
             tdprop.ScanPoint(float(i), *analysis.delay_and_loss(pulse, fdprop.propagate(pulse, h)))
             for i, h in zip(intensities, transfers)
@@ -217,6 +208,8 @@ def cmd_sweep(args):
         summary["linearity.slope_ps_per_intensity"] = slope
         summary["linearity.residual_ratio"] = residual
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
+    warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
+    summary["warnings"] = "; ".join(warnings) or "none"
     return summary, config
 
 
@@ -251,6 +244,19 @@ def cmd_xcorr(args):
     return summary, None
 
 
+def _flag(rule):
+    """argparse type that reads a flag by a config key's rule, so a bad value
+    exits 2 with a message naming the flag."""
+
+    def read(text):
+        try:
+            return _read(text, *rule)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowlight",
@@ -265,17 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", parents=[common], help="closed-form delay/loss/DBP sweep")
     p.add_argument("--config", required=True)
-    p.add_argument("--d0-max", type=float, default=5.0)
-    p.add_argument("--d0-step", type=float, default=0.1)
+    p.add_argument("--d0-max", type=_flag(_NON_NEGATIVE), default=5.0)
+    p.add_argument("--d0-step", type=_flag(_POSITIVE), default=0.1)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("kk", parents=[common], help="Kramers-Kronig reconstruction")
     p.add_argument("--absorption-csv", required=True)
-    p.add_argument("--center-nm", type=float, required=True)
-    p.add_argument("--lambda0-nm", type=float, required=True)
-    p.add_argument("--length-mm", type=float, required=True)
-    p.add_argument("--n", type=int, default=2**14)
-    p.add_argument("--span-invps", type=float, default=272.0)
+    p.add_argument("--center-nm", type=_flag(_POSITIVE), required=True)
+    p.add_argument("--lambda0-nm", type=_flag(_POSITIVE), required=True)
+    p.add_argument("--length-mm", type=_flag(_POSITIVE), required=True)
+    p.add_argument("--n", type=_flag(_SAMPLE_COUNT), default=2**14)
+    p.add_argument("--span-invps", type=_flag(_POSITIVE), default=272.0)
     p.add_argument("--force-taper", action="store_true")
     p.set_defaults(func=cmd_kk)
 
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("xcorr", parents=[common], help="cross-correlation metrics")
     p.add_argument("--signal-csv", required=True)
     p.add_argument("--off-csv")
-    p.add_argument("--ref-duration-ps", type=float, default=0.160)
+    p.add_argument("--ref-duration-ps", type=_flag(_POSITIVE), default=0.160)
     p.set_defaults(func=cmd_xcorr)
 
     return parser

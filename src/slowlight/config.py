@@ -23,7 +23,8 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .medium import RamanMedium, symmetric_doublet
-from .spectral import FLAT_TOP_TBP, GAUSSIAN_TBP, PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
+from .spectral import PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
+from .spectral import _MIN_SAMPLES_PER_FWHM, _is_sample_count, _transform_limited_duration
 from .tdprop import ControlField, SolverSettings, _max_beat_dt
 
 
@@ -38,18 +39,26 @@ def _finite_list(raw: str) -> list[float]:
     return [_finite(item.strip()) for item in raw.split(",")]
 
 
-def _key(parse, requirement=None, check=None, **default):
-    """Declare one key: ``parse`` reads its INI text, ``check`` accepts or
-    rejects the parsed value and ``requirement`` says what it asks for."""
-    return field(metadata={"parse": parse, "check": check, "requirement": requirement}, **default)
+def _read(raw: str, parse, requirement=None, check=None):
+    """``raw`` read by one rule: ``parse`` converts it, and ``check``, if
+    given, accepts the value or a ValueError says it must be ``requirement``."""
+    value = parse(raw)
+    if check is not None and not check(value):
+        raise ValueError(f"must be {requirement}, got {raw!r}")
+    return value
 
 
-def _positive(**default):
-    return _key(_finite, "positive", lambda value: value > 0, **default)
+# (parse, requirement, check) rules shared by config keys and CLI flags
+_POSITIVE = (_finite, "positive", lambda value: value > 0)
+_NON_NEGATIVE = (_finite, "non-negative", lambda value: value >= 0)
+_SAMPLE_COUNT = (int, "a power of two >= 8", _is_sample_count)
+
+_SPAN_DURATIONS = 16.0  # a derived grid spans at least this many pulse durations
 
 
-def _non_negative(**default):
-    return _key(_finite, "non-negative", lambda value: value >= 0, **default)
+def _key(*rule, **default):
+    """Declare one key read by ``rule``, the arguments of _read after the text."""
+    return field(metadata={"rule": rule}, **default)
 
 
 def _one_of(options, **default):
@@ -58,12 +67,12 @@ def _one_of(options, **default):
 
 @dataclass(kw_only=True)
 class MediumConfig:
-    gamma_invps: float = _positive()
-    delta_invps: float = _positive()
-    d0: float | None = _non_negative(default=None)
-    g_per_intensity: float | None = _non_negative(default=None)
-    length_mm: float = _positive()
-    lambda0_nm: float = _positive()
+    gamma_invps: float = _key(*_POSITIVE)
+    delta_invps: float = _key(*_POSITIVE)
+    d0: float | None = _key(*_NON_NEGATIVE, default=None)
+    g_per_intensity: float | None = _key(*_NON_NEGATIVE, default=None)
+    length_mm: float = _key(*_POSITIVE)
+    lambda0_nm: float = _key(*_POSITIVE)
 
     def __post_init__(self):
         if (self.d0 is None) == (self.g_per_intensity is None):
@@ -87,8 +96,8 @@ class MediumConfig:
 @dataclass(kw_only=True)
 class SignalConfig:
     shape: str = _one_of(PULSE_SHAPES)
-    bandwidth_invps: float | None = _positive(default=None)
-    duration_ps: float | None = _positive(default=None)
+    bandwidth_invps: float | None = _key(*_POSITIVE, default=None)
+    duration_ps: float | None = _key(*_POSITIVE, default=None)
     gdd_ps2: float = _key(_finite, default=0.0)
 
     def __post_init__(self):
@@ -96,10 +105,7 @@ class SignalConfig:
             raise ConfigError("section [signal] needs exactly one of bandwidth_invps or duration_ps")
 
     def transform_limited_duration(self) -> float:
-        if self.duration_ps is not None:
-            return self.duration_ps
-        tbp = GAUSSIAN_TBP if self.shape == "gaussian" else FLAT_TOP_TBP
-        return tbp / self.bandwidth_invps
+        return _transform_limited_duration(self.shape, self.bandwidth_invps, self.duration_ps)
 
     def build(self, grid: TimeGrid) -> ComplexEnvelope:
         return synthesize_pulse(
@@ -117,8 +123,8 @@ class ControlConfig:
     intensity_list: list[float] = _key(
         _finite_list, "non-negative", lambda values: min(values) >= 0, default_factory=list
     )
-    intensity: float | None = _non_negative(default=None)
-    fwhm_ps: float | None = _positive(default=None)
+    intensity: float | None = _key(*_NON_NEGATIVE, default=None)
+    fwhm_ps: float | None = _key(*_POSITIVE, default=None)
 
     def __post_init__(self):
         if self.kind != "constant" and self.fwhm_ps is None:
@@ -137,21 +143,21 @@ class ControlConfig:
 
 @dataclass(kw_only=True)
 class GridConfig:
-    n: int = _key(int, "a power of two >= 8", lambda n: n >= 8 and n & (n - 1) == 0, default=2**14)
-    dt_ps: float | None = _positive(default=None)
+    n: int = _key(*_SAMPLE_COUNT, default=2**14)
+    dt_ps: float | None = _key(*_POSITIVE, default=None)
 
     def resolve_dt(self, signal: SignalConfig, medium: MediumConfig) -> float:
         """The given dt_ps, else a step resolving the two-photon beat and the
-        pulse, with span at least 16x the transform-limited duration."""
+        pulse, with span at least _SPAN_DURATIONS transform-limited durations."""
         if self.dt_ps is not None:
             return self.dt_ps
         duration = signal.transform_limited_duration()
         dt_beat = _max_beat_dt(medium.delta_invps)
-        dt_pulse = duration / 16.0
-        dt = max(min(0.5 * dt_beat, dt_pulse), 16.0 * duration / self.n)
+        dt_pulse = duration / _MIN_SAMPLES_PER_FWHM
+        dt = max(min(0.5 * dt_beat, dt_pulse), _SPAN_DURATIONS * duration / self.n)
         if dt > min(dt_beat, dt_pulse):
             raise ConfigError(
-                f"no time step with n = {self.n} both spans 16x the pulse and resolves "
+                f"no time step with n = {self.n} both spans {_SPAN_DURATIONS:g}x the pulse and resolves "
                 f"the beat; increase grid n"
             )
         return dt
@@ -217,15 +223,10 @@ def _load_section(cls, name: str, given):
             if key.default is MISSING and key.default_factory is MISSING:
                 raise ConfigError(f"missing required key {qualified}")
             continue
-        raw = given[key.name]
         try:
-            value = key.metadata["parse"](raw)
+            values[key.name] = _read(given[key.name], *key.metadata["rule"])
         except ValueError as exc:
             raise ConfigError(f"key {qualified}: {exc}") from exc
-        check = key.metadata["check"]
-        if check is not None and not check(value):
-            raise ConfigError(f"key {qualified} must be {key.metadata['requirement']}, got {raw!r}")
-        values[key.name] = value
     return cls(**values)
 
 

@@ -2,8 +2,8 @@
 
 With a control field of fixed intensity the medium acts as the transfer
 function H(w) = exp(i * k0 * L * chi(w) / 2); the vacuum transit phase
-exp(i * w * L / c) is a pure common delay and is excluded by default so
-every reported delay is a control-on/off difference.
+exp(i * w * L / c) is a pure common delay and is excluded, so every
+reported delay is a control-on/off difference.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 from .kramers_kronig import Susceptibility
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import (
-    C_MM_PER_PS,
     ComplexEnvelope,
     FrequencyGrid,
     TimeGrid,
@@ -45,18 +44,15 @@ def susceptibility_from_medium(medium: RamanMedium, grid: FrequencyGrid) -> Susc
     return Susceptibility(grid=grid, values=medium_chi(medium, grid.omegas))
 
 
-def transfer_function(
-    chi: Susceptibility,
-    k0: float,
-    length_mm: float,
-    include_vacuum_transit: bool = False,
-) -> TransferFunction:
+def transfer_function(chi: Susceptibility, k0: float, length_mm: float) -> TransferFunction:
     if k0 <= 0 or length_mm <= 0:
         raise ValueError(f"k0 and length must be positive, got ({k0}, {length_mm})")
-    phase = 0.5j * k0 * length_mm * chi.values
-    if include_vacuum_transit:
-        phase = phase + 1j * chi.grid.omegas * length_mm / C_MM_PER_PS
-    return TransferFunction(grid=chi.grid, values=np.exp(phase))
+    return TransferFunction(grid=chi.grid, values=np.exp(0.5j * k0 * length_mm * chi.values))
+
+
+def _model_transfer(medium: RamanMedium, grid: FrequencyGrid) -> TransferFunction:
+    """The fixed-intensity transfer of the two-line model on ``grid``."""
+    return transfer_function(susceptibility_from_medium(medium, grid), medium.k0, medium.length_mm)
 
 
 def propagate(env: ComplexEnvelope, H: TransferFunction) -> ComplexEnvelope:
@@ -76,9 +72,8 @@ def propagate_causal(env: ComplexEnvelope, medium: RamanMedium) -> ComplexEnvelo
     time-domain march from the window start computes."""
     grid = env.grid
     padded = TimeGrid(t_start=grid.t_start, dt=grid.dt, n=2 * grid.n)
-    chi = susceptibility_from_medium(medium, padded.frequency_grid())
     samples = np.concatenate((env.samples, np.zeros(grid.n, dtype=complex)))
-    transfer = transfer_function(chi, medium.k0, medium.length_mm)
+    transfer = _model_transfer(medium, padded.frequency_grid())
     out = propagate(ComplexEnvelope(grid=padded, samples=samples), transfer)
     return ComplexEnvelope(grid=grid, samples=out.samples[: grid.n])
 

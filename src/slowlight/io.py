@@ -91,7 +91,7 @@ def write_correlation_csv(path, curve):
 
 
 def write_scan_csv(path, points):
-    cols = list(zip(*points)) if points else ([], [], [])
+    cols = [[p.intensity for p in points], [p.delay_ps for p in points], [p.loss_db for p in points]]
     atomic_write_text(path, _table_text(SCAN_HEADER, cols))
 
 

@@ -164,17 +164,9 @@ def kk_real_from_imag(depth: OpticalDepthSpectrum, k0: float, length_mm: float) 
     return Susceptibility(grid=depth.grid, values=re + 1j * im)
 
 
-def group_delay_from_susceptibility(
-    chi: Susceptibility, k0: float, length_mm: float, omega_eval: float
-) -> float:
-    """Group delay (k0*L/2) * d Re(chi)/dw at ``omega_eval`` by central differences."""
-    w = chi.grid.omegas
-    if not (w[0] < omega_eval < w[-1]):
-        raise ValueError(
-            f"evaluation detuning {omega_eval} is outside the open grid interval "
-            f"({w[0]}, {w[-1]})"
-        )
-    idx = int(np.argmin(np.abs(w - omega_eval)))
-    idx = min(max(idx, 1), chi.grid.n - 2)
+def group_delay_from_susceptibility(chi: Susceptibility, k0: float, length_mm: float) -> float:
+    """Group delay (k0*L/2) * d Re(chi)/dw at zero detuning, the centre of the
+    transparency window, by central differences."""
+    idx = chi.grid.zero_index
     slope = (chi.values[idx + 1].real - chi.values[idx - 1].real) / (2.0 * chi.grid.domega)
     return 0.5 * k0 * length_mm * float(slope)

@@ -34,14 +34,16 @@ SINC_HALF_POWER_X = 1.3915573782515105
 GAUSSIAN_TBP = 4.0 * np.log(2.0)            # 2.772589
 FLAT_TOP_TBP = 4.0 * SINC_HALF_POWER_X      # 5.566230
 
-PULSE_SHAPES = ("gaussian", "flat_top_spectrum")
+_TBP = {"gaussian": GAUSSIAN_TBP, "flat_top_spectrum": FLAT_TOP_TBP}
+PULSE_SHAPES = tuple(_TBP)
 
 _MIN_SAMPLES_PER_FWHM = 16
 _MAX_RESAMPLED_N = 2**20  # resample_to_resolve stops doubling at this many samples
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_sample_count(n: int) -> bool:
+    """Whether ``n`` is a valid TimeGrid size: a power of two >= 8."""
+    return n >= 8 and (n & (n - 1)) == 0
 
 
 def _grid_array(grid, values, dtype) -> np.ndarray:
@@ -63,7 +65,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.n < 8 or not _is_power_of_two(self.n):
+        if not _is_sample_count(self.n):
             raise ValueError(f"sample count must be a power of two >= 8, got {self.n}")
 
     @classmethod
@@ -203,7 +205,6 @@ def synthesize_pulse(
     if (bandwidth is None) == (duration is None):
         raise ValueError("specify exactly one of bandwidth or duration")
 
-    tbp = GAUSSIAN_TBP if shape == "gaussian" else FLAT_TOP_TBP
     if bandwidth is not None:
         if bandwidth <= 0:
             raise ValueError(f"bandwidth must be positive, got {bandwidth}")
@@ -211,9 +212,9 @@ def synthesize_pulse(
     else:
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        width = tbp / float(duration)
+        width = _TBP[shape] / float(duration)
 
-    tl_duration = tbp / width
+    tl_duration = _transform_limited_duration(shape, bandwidth, duration)
     if tl_duration < _MIN_SAMPLES_PER_FWHM * grid.dt:
         raise GridResolutionError(
             f"grid too coarse: pulse FWHM {tl_duration:.4g} ps needs dt <= "
@@ -235,6 +236,14 @@ def synthesize_pulse(
         raise GridResolutionError("synthesized pulse has no energy on this grid")
     env.samples = env.samples / np.sqrt(energy)
     return env
+
+
+def _transform_limited_duration(shape: str, bandwidth: float | None, duration: float | None) -> float:
+    """Intensity FWHM (ps) of the transform-limited pulse: ``duration`` as
+    given, else the shape's time-bandwidth product over ``bandwidth``."""
+    if duration is not None:
+        return float(duration)
+    return _TBP[shape] / float(bandwidth)
 
 
 def resample_to_resolve(env: ComplexEnvelope, fwhm_ps: float) -> tuple[ComplexEnvelope, int]:

@@ -126,11 +126,13 @@ class SolveResult:
 
 
 class ScanPoint(NamedTuple):
-    """One row of a delay-versus-control-intensity scan."""
+    """One row of a delay-versus-control-intensity scan, with the warnings
+    of the solve behind it."""
 
     intensity: float
     delay_ps: float
     loss_db: float
+    warnings: tuple[str, ...] = ()
 
 
 def _scan_weights(gamma: complex, dt: float, n: int):
@@ -331,9 +333,10 @@ def delay_vs_control_scan(
 
     Each point is an independent ``solve_converged``, measured against the
     input by ``analysis.delay_and_loss``: the intensity-centroid shift and
-    the energy ratio in dB.
+    the energy ratio in dB.  Each point keeps the warnings of its solve.
     """
-    return [
-        ScanPoint(float(i), *delay_and_loss(pulse, solve_converged(medium, ControlField.constant(i), pulse, settings).output))
-        for i in control_intensities
-    ]
+    points = []
+    for i in control_intensities:
+        result = solve_converged(medium, ControlField.constant(i), pulse, settings)
+        points.append(ScanPoint(float(i), *delay_and_loss(pulse, result.output), tuple(result.warnings)))
+    return points

@@ -60,18 +60,18 @@ class TestCrossCorrelate:
         curve = sl.cross_correlate(
             sl.ComplexEnvelope(grid=small, samples=np.sqrt(sig).astype(complex)),
             sl.ComplexEnvelope(grid=small, samples=np.sqrt(ref).astype(complex)),
-            normalize=False,
         )
-        full = np.correlate(sig, ref, "full") * small.dt  # full[j]: lag j - (n - 1)
+        full = np.correlate(sig, ref, "full")  # full[j]: lag j - (n - 1)
+        full = full / np.max(full)  # the curve is normalized to unit peak
         lags = np.arange(n) - n // 2
         assert np.array_equal(curve.delays, lags * small.dt)
-        assert np.allclose(curve.intensity, full[lags + n - 1], rtol=0, atol=1e-13 * np.max(full))
+        assert np.allclose(curve.intensity, full[lags + n - 1], rtol=0, atol=1e-13)
         peak = np.argmax(full)
         assert curve.delays[np.argmax(curve.intensity)] == (peak - (n - 1)) * small.dt
 
     def test_symmetric_inputs_give_symmetric_curve(self, grid):
         sig = gaussian_pulse(grid, 0.8)
-        curve = sl.cross_correlate(sig, sig, normalize=True)
+        curve = sl.cross_correlate(sig, sig)
         i = curve.intensity
         assert np.max(np.abs(i[1:] - i[1:][::-1])) < 1e-9
 
@@ -95,15 +95,6 @@ class TestFirstMomentDelay:
         sig = sl.cross_correlate(gaussian_pulse(grid, 0.5), gaussian_pulse(grid, 0.2))
         with pytest.raises(ValueError, match="centroid"):
             sl.first_moment_delay(sig, zero)
-
-    def test_windowed_moment_excludes_baseline(self, grid):
-        sig = gaussian_pulse(grid, 0.4, center=0.5)
-        ref = gaussian_pulse(grid, 0.2)
-        curve = sl.cross_correlate(sig, ref, normalize=True)
-        # a flat baseline pulls the full-grid moment toward zero
-        biased = CorrelationCurve(delays=curve.delays, intensity=curve.intensity + 0.01)
-        assert abs(biased.first_moment() - 0.5) > 0.1
-        assert biased.first_moment(window=(-1.5, 2.5)) == pytest.approx(0.5, abs=0.02)
 
     def test_moment_mixture_linearity(self, grid):
         c1 = sl.cross_correlate(gaussian_pulse(grid, 0.5, 0.3), gaussian_pulse(grid, 0.2))

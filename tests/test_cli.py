@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -90,6 +91,40 @@ def test_missing_input_file_exits_2(tmp_path, argv):
     assert "Traceback" not in cp.stderr
     lines = cp.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {missing}")
+
+
+# the arguments each subcommand requires besides the flag under test
+_REQUIRED = {
+    "analytic": ["--config", "{config}"],
+    "kk": ["--absorption-csv", "{ktp}", "--center-nm", "765.85", "--lambda0-nm", "765", "--length-mm", "30"],
+    "xcorr": ["--signal-csv", "{missing}"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("kk", "--lambda0-nm", "0"),
+        ("kk", "--span-invps", "0"),
+        ("analytic", "--d0-max", "inf"),
+        ("kk", "--lambda0-nm", "nan"),
+        ("kk", "--n", "1000"),
+        ("kk", "--length-mm", "0"),
+        ("xcorr", "--ref-duration-ps", "0"),
+        ("analytic", "--d0-max", "nan"),
+        ("analytic", "--d0-step", "inf"),
+        ("xcorr", "--ref-duration-ps", "nan"),
+    ],
+)
+def test_bad_number_flag_exits_2(tmp_path, capsys, command, flag, value):
+    fill = {"config": write_config(tmp_path), "ktp": ktp_absorption_path(), "missing": tmp_path / "missing.csv"}
+    args = [arg.format(**fill) for arg in _REQUIRED[command]]
+    with pytest.raises(SystemExit) as exited:
+        main([command, *args, flag, value, "--out-dir", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
 
 
 class TestAnalytic:
@@ -319,6 +354,15 @@ class TestSweep:
         assert body.shape == (1, 3)
         assert np.allclose(body[0], 0.0, atol=1e-12)
 
+    def test_td_sweep_reports_solver_warnings(self, tmp_path):
+        # at an nz ceiling of 16 no point gets a z error estimate; each says so
+        text = CONFIG.replace("intensity = 1.0", "intensity_list = 0.5, 1.0").replace("nz = 256", "nz = 16")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]
+        assert main(argv) == 0
+        warnings = read_summary(out / "summary.txt")["warnings"]
+        assert re.findall(r"intensity (\S+): [^;]* at the nz ceiling 16;", warnings + ";") == ["0.5", "1.0"]
+
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
         cp = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out")
@@ -466,7 +510,7 @@ SUMMARY_KEYS = {
     ],
     "sweep_fd": [
         "run.command", "sweep.points", "linearity.slope_ps_per_intensity", "linearity.residual_ratio",
-        "metrics.max_delay_ps", *_config_keys("config.control.intensity_list"),
+        "metrics.max_delay_ps", "warnings", *_config_keys("config.control.intensity_list"),
     ],
     "xcorr": [
         "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
-from slowlight.config import load_config
+from slowlight.config import GridConfig, MediumConfig, SignalConfig, load_config
 from slowlight.errors import ConfigError
+from slowlight.spectral import PULSE_SHAPES
+from slowlight.tdprop import _max_beat_dt
 
 GOOD = """\
 [medium]
@@ -111,6 +114,34 @@ def test_default_dt_respects_beat_and_span(tmp_path):
     duration = config.signal.transform_limited_duration()
     assert grid.span >= 16 * duration
     assert grid.dt <= duration / 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from(PULSE_SHAPES),
+    width=st.floats(0.05, 20.0),
+    by_duration=st.booleans(),
+    delta=st.floats(0.5, 50.0),
+    log2_n=st.integers(3, 16),
+)
+# 2.77/(2.77/0.48) falls an ulp below 0.48, so a pulse that recomputed its
+# duration from the bandwidth refused dt = 0.48/16
+@example(shape="gaussian", width=0.48, by_duration=True, delta=6.8, log2_n=14)
+def test_derived_dt_is_accepted_by_pulse_and_solver(shape, width, by_duration, delta, log2_n):
+    """Whenever the config derives a step, the pulse it names can be
+    synthesized on that grid and the step resolves the two-photon beat."""
+    given_width = {"duration_ps": width} if by_duration else {"bandwidth_invps": width}
+    signal = SignalConfig(shape=shape, **given_width)
+    medium = MediumConfig(gamma_invps=1.0, delta_invps=delta, d0=2.5, length_mm=30.0, lambda0_nm=765.0)
+    n = 2**log2_n
+    try:
+        dt = GridConfig(n=n).resolve_dt(signal, medium)
+    except ConfigError:
+        return  # no step both spans and resolves the pulse at this n
+    assert dt <= _max_beat_dt(delta)
+    sl.synthesize_pulse(
+        shape, sl.TimeGrid.centered(n, dt), bandwidth=signal.bandwidth_invps, duration=signal.duration_ps
+    )
 
 
 def test_resolved_ini_round_trips(tmp_path):

@@ -53,15 +53,6 @@ class TestTransferFunction:
             H = sl.transfer_function(chi, K0, LENGTH)
             assert np.max(np.abs(H.values)) <= 1.0 + 1e-12
 
-    def test_vacuum_transit_flag_adds_common_delay(self, signal_grid):
-        pulse = sl.synthesize_pulse("gaussian", signal_grid, duration=2.0)
-        fgrid = signal_grid.frequency_grid()
-        chi = sl.Susceptibility(grid=fgrid, values=np.zeros(fgrid.n, dtype=complex))
-        H = sl.transfer_function(chi, K0, LENGTH, include_vacuum_transit=True)
-        out = sl.propagate(pulse, H)
-        transit = LENGTH / sl.C_MM_PER_PS
-        assert out.centroid() - pulse.centroid() == pytest.approx(transit, abs=1e-4)
-
 
 class TestPropagate:
     def test_identity(self, flattop_signal):
