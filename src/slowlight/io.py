@@ -66,8 +66,11 @@ def write_envelope_csv(path, env: ComplexEnvelope):
 
 def read_envelope_csv(path) -> ComplexEnvelope:
     _, (t, re, im) = _read_table(path, ENVELOPE_HEADER)
-    dt = _uniform_step(t, "time")
-    grid = TimeGrid(t_start=float(t[0]), dt=dt, n=t.size)
+    dt = _uniform_step(t, f"time axis of {path}")
+    try:
+        grid = TimeGrid(t_start=float(t[0]), dt=dt, n=t.size)
+    except ValueError as exc:
+        raise ConfigError(f"envelope CSV {path}: {exc}") from None
     return ComplexEnvelope(grid=grid, samples=re + 1j * im)
 
 
@@ -82,7 +85,7 @@ def write_susceptibility_csv(path, grid: FrequencyGrid, chi: np.ndarray):
 def read_susceptibility_csv(path):
     """Returns (detunings, chi) arrays; the caller resamples as needed."""
     _, (w, re, im) = _read_table(path, SUSCEPTIBILITY_HEADER)
-    _uniform_step(w, "detuning")
+    _uniform_step(w, f"detuning axis of {path}")
     return w, re + 1j * im
 
 
@@ -134,16 +137,21 @@ def _read_table(path, *headers: str):
         if header not in headers:
             expected = " or ".join(map(repr, headers))
             raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
-        body = np.loadtxt(handle, delimiter=",", ndmin=2)
+        try:
+            body = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed CSV {path}: {exc}") from None
     if body.shape[1] != len(header.split(",")):
         raise ConfigError(f"malformed CSV {path}: expected {header!r} columns")
+    if not np.all(np.isfinite(body)):
+        raise ConfigError(f"malformed CSV {path}: a value is nan or infinite")
     return header, tuple(body.T)
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:
     if x.size < 2:
-        raise ConfigError(f"{what} axis needs at least 2 samples")
+        raise ConfigError(f"{what} needs at least 2 samples")
     dt = float(x[-1] - x[0]) / (x.size - 1)
     if dt <= 0 or np.max(np.abs(np.diff(x) - dt)) > 1e-9 * abs(dt):
-        raise ConfigError(f"{what} axis must be uniformly increasing")
+        raise ConfigError(f"{what} must be uniformly increasing")
     return dt

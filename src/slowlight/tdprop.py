@@ -13,16 +13,19 @@ with k_nu * b_nu = g_nu / 2, so a fixed-intensity control reproduces the
 frequency-domain transfer function exp(i k0 L chi / 2) exactly and the
 Gamma3 line absorbs at detuning +Delta/2 on the signal grid.
 
-The z-march is explicit midpoint (second order).  Each source evaluation
-solves the stiff coherence ODEs over the whole tau grid with an
-exponential integrator on the rotated variables R = Q e^{-+i Delta tau/2},
-whose decay constant Gamma +- i*Delta/2 absorbs both the damping and the
-two-photon beat exactly; only the slowly-varying drive Ec* E is linearly
-interpolated.  The recurrence R_k = e R_{k-1} + x_k runs as a doubling scan
-(Hillis & Steele 1986) on work arrays allocated once per solve.
+With fixed populations and an undepleted control, dE/dz = A E for one
+linear A that does not depend on z.  Each application of A solves the
+stiff coherence ODEs over the whole tau grid with an exponential
+integrator on the rotated variables R = Q e^{-+i Delta tau/2}, whose decay
+constant Gamma +- i*Delta/2 absorbs both the damping and the two-photon
+beat exactly; only the slowly-varying drive Ec* E is linearly interpolated.
+The recurrence R_k = e R_{k-1} + x_k runs as a doubling scan (Hillis &
+Steele 1986) on work arrays allocated once per solve.
 
-``solve`` marches a given number of z steps; ``solve_converged`` chooses
-it from a Richardson estimate of the z error.
+Both solves take equal z steps of the Taylor series of exp(dz A) (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33 (2011) 488): ``solve`` nz steps of degree 2,
+which on such an A is exactly explicit midpoint; ``solve_converged`` sums
+each substep until a term is negligible, exact in z to rounding.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import delay_and_loss, relative_l2_error
+from .analysis import delay_and_loss
 from .errors import AmbiguousWidthError, GridResolutionError
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
@@ -43,7 +46,9 @@ _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
 _SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
 _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
-_Z_TOLERANCE = 1e-5  # relative L2 z error that solve_converged aims below
+_MAX_SUBSTEP_PHASE = 2.0  # per-substep phase of solve_converged, so its series terms cancel little
+_TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
+_MAX_TERMS = 60  # bounds the sum; at a phase of 2 a term is below 1e-15 by the 23rd
 
 
 @dataclass
@@ -96,7 +101,7 @@ class ControlField:
 
 @dataclass
 class SolverSettings:
-    nz: int = 256  # the step count of solve, the ceiling of solve_converged
+    nz: int = 256  # the step count of solve; solve_converged refuses one below nz_needed
 
     def __post_init__(self):
         if self.nz < 16:
@@ -113,9 +118,10 @@ class CoherenceState:
 
 @dataclass
 class SolveResult:
-    """``nz`` is the step count used and ``nz_needed`` the fewest the
-    step-phase limit allows; ``z_error_estimate`` is the Richardson estimate
-    of the relative L2 z error of ``output`` (nan from a single solve)."""
+    """``nz`` is the z step count used (the substeps of ``solve_converged``)
+    and ``nz_needed`` the fewest midpoint steps the step-phase limit allows;
+    ``z_error_estimate`` is the largest last Taylor term that
+    ``solve_converged`` added, relative to ||E|| (nan from ``solve``)."""
 
     output: ComplexEnvelope
     coherences: CoherenceState
@@ -174,11 +180,6 @@ def _max_beat_dt(splitting: float) -> float:
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _max_chi_magnitude(medium: RamanMedium, grid: TimeGrid) -> float:
-    w = grid.frequency_grid().omegas
-    return float(np.max(np.abs(medium_chi(medium, w))))
-
-
 def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: SolverSettings):
     """The fewest z steps the per-step phase limit allows; GridResolutionError
     if dt misses the beat or settings.nz lies below that."""
@@ -189,7 +190,7 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
             f"time step {dt:.4g} ps does not resolve the two-photon beat; "
             f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
         )
-    chi_max = _max_chi_magnitude(medium, pulse.grid)
+    chi_max = float(np.max(np.abs(medium_chi(medium, pulse.grid.frequency_grid().omegas))))
     nz_needed = math.ceil(medium.k0 * chi_max * medium.length_mm / (2.0 * _MAX_STEP_PHASE))
     step_phase = medium.k0 * chi_max * medium.length_mm / (2.0 * settings.nz)
     if step_phase >= _MAX_STEP_PHASE:
@@ -200,25 +201,20 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
     return nz_needed
 
 
-def solve(
-    medium: RamanMedium,
-    control: ControlField,
-    pulse: ComplexEnvelope,
-    settings: SolverSettings | None = None,
+def _march(
+    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings, exact: bool
 ) -> SolveResult:
-    """March the signal envelope from z = 0 to z = L.
-
-    The control field propagates undepleted; both Raman populations stay
-    fixed (weak-signal regime).  A warning is attached if the coherence
-    amplitudes grow beyond 0.1 in the field units of the input.
-    """
-    settings = settings or SolverSettings()
+    """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A):
+    settings.nz steps of degree 2 (explicit midpoint) or, if ``exact``, as
+    many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE, each summed
+    until a term falls to _TERM_TOLERANCE of ||E||."""
     medium = medium.with_control_intensity(control.intensity)
     nz_needed = _validate_resolution(medium, pulse, settings)
+    steps = max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE)) if exact else settings.nz
+    degree = _MAX_TERMS if exact else 2
 
     grid = pulse.grid
     n, dt = grid.n, grid.dt
-    tau = grid.times
 
     ec = control.amplitude(n)
     line_lo, line_hi = medium.lines
@@ -232,36 +228,42 @@ def solve(
     weights_hi = _scan_weights(line_hi.linewidth + 0.5j * medium.splitting, dt, n)
     weights_lo = _scan_weights(line_lo.linewidth - 0.5j * medium.splitting, dt, n)
 
-    # work arrays, updated in place by every source evaluation
-    r31, r21, drive, shifted, slope, trial = (np.empty(n, dtype=complex) for _ in range(6))
+    # work arrays, updated in place by every application of A
+    r31, r21, drive, shifted, term = (np.empty(n, dtype=complex) for _ in range(5))
     magnitude = np.empty(n)
-    max_coherence = 0.0
 
-    def source(e_field: np.ndarray):
-        """dE/dz into slope; the coherences stay in r31 and r21."""
-        nonlocal max_coherence
+    def apply(e_field: np.ndarray, out: np.ndarray) -> float:
+        """A e_field into out, which may be e_field; the coherences stay in r31
+        and r21, and their peak magnitude is returned."""
         for r, drive_coeff, weights in ((r31, drive_hi, weights_hi), (r21, drive_lo, weights_lo)):
             _coherence_scan(np.multiply(drive_coeff, e_field, out=drive), weights, r, shifted)
-            max_coherence = max(max_coherence, float(np.max(np.abs(r, out=magnitude))))
-        np.add(np.multiply(emit_hi, r31, out=slope), np.multiply(emit_lo, r21, out=drive), out=slope)
+        np.add(np.multiply(emit_hi, r31, out=out), np.multiply(emit_lo, r21, out=drive), out=out)
+        return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21))
 
-    dz = medium.length_mm / settings.nz
+    dz = medium.length_mm / steps
     e_field = pulse.samples.copy()
-    for _ in range(settings.nz):
-        source(e_field)
-        source(np.add(e_field, np.multiply(0.5 * dz, slope, out=trial), out=trial))
-        e_field += np.multiply(dz, slope, out=trial)
+    max_coherence = z_error_estimate = 0.0
+    for _ in range(steps):
+        np.copyto(term, e_field)
+        for m in range(1, degree + 1):
+            peak = apply(term, term)
+            if m == 1:  # the weak-signal check reads the field's coherences only
+                max_coherence = max(max_coherence, peak)
+            term *= dz / m
+            e_field += term
+            if exact and np.linalg.norm(term) <= _TERM_TOLERANCE * np.linalg.norm(e_field):
+                break
+        if exact:
+            z_error_estimate = max(z_error_estimate, float(np.linalg.norm(term) / np.linalg.norm(e_field)))
 
-    source(e_field)
-    rot = np.exp(0.5j * medium.splitting * tau)  # e^{+i Delta tau / 2}
-    q31 = r31 * rot
-    q21 = r21 * np.conj(rot)
+    max_coherence = max(max_coherence, apply(e_field, term))
+    rot = np.exp(0.5j * medium.splitting * grid.times)  # e^{+i Delta tau / 2}
 
     warnings = []
     if max_coherence > _WEAK_SIGNAL_COHERENCE_LIMIT:
         warnings.append(
             f"coherence amplitude reached {max_coherence:.3g} (> "
-            f"{_WEAK_SIGNAL_COHERENCE_LIMIT}); the weak-signal assumption may not hold "
+            f"{_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal assumption may not hold "
             "in these field units"
         )
     if control.envelope is not None:
@@ -269,11 +271,27 @@ def solve(
 
     return SolveResult(
         output=ComplexEnvelope(grid=grid, samples=e_field),
-        coherences=CoherenceState(q21=q21, q31=q31),
+        coherences=CoherenceState(q21=r21 * np.conj(rot), q31=r31 * rot),
         warnings=warnings,
-        nz=settings.nz,
+        nz=steps,
         nz_needed=nz_needed,
+        z_error_estimate=z_error_estimate if exact else math.nan,
     )
+
+
+def solve(
+    medium: RamanMedium,
+    control: ControlField,
+    pulse: ComplexEnvelope,
+    settings: SolverSettings | None = None,
+) -> SolveResult:
+    """March the signal envelope from z = 0 to z = L in settings.nz midpoint steps.
+
+    The control field propagates undepleted; both Raman populations stay
+    fixed (weak-signal regime).  A warning is attached if the coherence
+    amplitudes grow beyond 0.1 in the field units of the input.
+    """
+    return _march(medium, control, pulse, settings or SolverSettings(), exact=False)
 
 
 def solve_converged(
@@ -282,31 +300,11 @@ def solve_converged(
     pulse: ComplexEnvelope,
     settings: SolverSettings | None = None,
 ) -> SolveResult:
-    """``solve`` at the first nz whose Richardson error estimate (Hairer,
-    Norsett & Wanner, "Solving ODEs I", sec. II.4) is below _Z_TOLERANCE.
-
-    nz starts at the smallest power of two >= max(16, nz_needed) and
-    doubles up to the ceiling ``settings.nz``; the midpoint march is second
-    order, so at step ratio r the finer solve's error is about
-    ||E_fine - E_coarse|| / ((r^2 - 1) ||E_fine||).  Reaching the ceiling
-    above the tolerance adds a warning."""
-    settings = settings or SolverSettings()
-    ceiling = settings.nz
-    nz_needed = _validate_resolution(medium.with_control_intensity(control.intensity), pulse, settings)
-    nz = min(ceiling, 1 << (max(16, nz_needed) - 1).bit_length())
-    fine = solve(medium, control, pulse, SolverSettings(nz))
-    while nz < ceiling:
-        coarse, nz = fine, min(2 * nz, ceiling)
-        fine = solve(medium, control, pulse, SolverSettings(nz))
-        ratio = nz / coarse.nz
-        fine.z_error_estimate = relative_l2_error(coarse.output, fine.output) / (ratio**2 - 1.0)
-        if fine.z_error_estimate < _Z_TOLERANCE:
-            return fine
-    fine.warnings.append(
-        f"z error estimate {fine.z_error_estimate:.3g} is not below {_Z_TOLERANCE} "
-        f"at the nz ceiling {ceiling}; raise [solver] nz"
-    )
-    return fine
+    """``solve`` made exact in z: the Taylor series of exp(L A) E, summed
+    over as many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE.
+    ``settings.nz`` below nz_needed is refused as in ``solve``; above it,
+    it changes nothing."""
+    return _march(medium, control, pulse, settings or SolverSettings(), exact=True)
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -318,7 +316,7 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
     if ctrl_fwhm < 4.0 * sig_fwhm:
         return [
             f"control intensity FWHM {ctrl_fwhm:.3g} ps is not long compared to the "
-            f"signal ({sig_fwhm:.3g} ps); the fixed-intensity picture may not apply"
+            f"signal ({sig_fwhm:.3g} ps), so the fixed-intensity picture may not apply"
         ]
     return []
 

@@ -1,4 +1,3 @@
-import re
 import subprocess
 import sys
 
@@ -91,6 +90,35 @@ def test_missing_input_file_exits_2(tmp_path, argv):
     assert "Traceback" not in cp.stderr
     lines = cp.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: cannot read {missing}")
+
+
+def _csv(header, rows=16, bad=None):
+    """A CSV under ``header`` with a uniform first column; ``bad`` replaces one cell."""
+    lines = [",".join([str(760.0 + k)] + ["0.5"] * header.count(",")) for k in range(rows)]
+    if bad is not None:
+        lines[5] = lines[5].rsplit(",", 1)[0] + "," + bad
+    return "\n".join([header, *lines]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["kk", "--absorption-csv", "{csv}", "--center-nm", "765.85", "--lambda0-nm", "765", "--length-mm", "30"],
+         _csv("wavelength_nm,absorption", bad="inf")),
+        (["propagate", "--config", "{config}", "--chi-csv", "{csv}"], _csv("detuning_invps,chi_re,chi_im", bad="nan")),
+        (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im", bad="abc")),
+        (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im", rows=100)),
+        (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im").replace("\n765.0,", "\n765.5,")),
+    ],
+    ids=["kk-inf", "chi-nan", "non-numeric", "rows-not-power-of-two", "non-uniform-axis"],
+)
+def test_bad_csv_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    fill = {"csv": path, "config": write_config(tmp_path)}
+    assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
 
 
 # the arguments each subcommand requires besides the flag under test
@@ -254,6 +282,14 @@ class TestPropagate:
         assert "metrics.td_fd_l2_error" not in summary
         assert float(summary["metrics.first_moment_delay_ps"]) > 0.1
 
+    def test_td_short_control_warning_is_one_entry(self, tmp_path):
+        text = CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 5.0")
+        out = tmp_path / "out"
+        argv = ["propagate", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]
+        assert main(argv) == 0
+        entries = read_summary(out / "summary.txt")["warnings"].split("; ")
+        assert len(entries) == 1 and entries[0].startswith("control intensity FWHM")
+
     def test_center_transmission_only_for_fixed_intensity(self, tmp_path):
         gaussian = CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")
         runs = {"fd": (CONFIG, "fd"), "td": (CONFIG, "td"), "td_gaussian": (gaussian, "td")}
@@ -297,11 +333,11 @@ class TestPropagate:
         cfg = write_config(tmp_path, CONFIG.replace("d0 = 2.5", "d0 = 80.0").replace("nz = 256", "nz = 16"))
         cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / "out", "--domain", "td")
         assert cp.returncode == 3
-        assert "nz >=" in cp.stderr  # [solver] nz is the ceiling, and it lies below nz_needed
+        assert "nz >=" in cp.stderr  # [solver] nz lies below nz_needed
 
     @pytest.mark.parametrize("command", ["propagate", "sweep"])
     def test_td_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):
-        # the z-step search depends only on the inputs and the nz ceiling
+        # the substep count depends only on the inputs
         text = CONFIG.replace("n = 16384", "n = 4096")
         if command == "sweep":
             text = text.replace("intensity = 1.0", "intensity_list = 0.5, 1.0, 2.0")
@@ -313,7 +349,7 @@ class TestPropagate:
         assert names == sorted(path.name for path in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        assert "nz = 256\n" in (first / "resolved_config.ini").read_text()  # the ceiling, not nz used
+        assert "nz = 256\n" in (first / "resolved_config.ini").read_text()  # configured, not substeps used
 
 
 class TestSweep:
@@ -355,13 +391,13 @@ class TestSweep:
         assert np.allclose(body[0], 0.0, atol=1e-12)
 
     def test_td_sweep_reports_solver_warnings(self, tmp_path):
-        # at an nz ceiling of 16 no point gets a z error estimate; each says so
-        text = CONFIG.replace("intensity = 1.0", "intensity_list = 0.5, 1.0").replace("nz = 256", "nz = 16")
+        # at I = 16 the coherences pass the weak-signal limit; the entry splits back out whole
+        text = CONFIG.replace("intensity = 1.0", "intensity_list = 1.0, 16.0")
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]
         assert main(argv) == 0
-        warnings = read_summary(out / "summary.txt")["warnings"]
-        assert re.findall(r"intensity (\S+): [^;]* at the nz ceiling 16;", warnings + ";") == ["0.5", "1.0"]
+        entries = read_summary(out / "summary.txt")["warnings"].split("; ")
+        assert len(entries) == 1 and entries[0].startswith("intensity 16.0: coherence amplitude reached")
 
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
