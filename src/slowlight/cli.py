@@ -151,6 +151,7 @@ def cmd_propagate(args):
             "solver.nz": result.nz,
             "solver.nz_needed": result.nz_needed,
             "solver.z_error_estimate": result.z_error_estimate,
+            "solver.peak_coherence": result.peak_coherence,
         }
         spec_on = forward_transform(out).samples
         if config.control.kind == "constant":

@@ -25,7 +25,9 @@ Steele 1986) on work arrays allocated once per solve.
 Both solves take equal z steps of the Taylor series of exp(dz A) (Al-Mohy &
 Higham, SIAM J. Sci. Comput. 33 (2011) 488): ``solve`` nz steps of degree 2,
 which on such an A is exactly explicit midpoint; ``solve_converged`` sums
-each substep until a term is negligible, exact in z to rounding.
+each substep until a term is negligible, exact in z to rounding.  Under a
+constant control A is proportional to the intensity, so
+``delay_vs_control_scan`` sums one series for all its one-substep points.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -46,9 +49,9 @@ _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
 _SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
 _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
-_MAX_SUBSTEP_PHASE = 2.0  # per-substep phase of solve_converged, so its series terms cancel little
+_MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve_converged, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
-_MAX_TERMS = 60  # bounds the sum; at a phase of 2 a term is below 1e-15 by the 23rd
+_MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
 
 
 @dataclass
@@ -88,10 +91,11 @@ class ControlField:
         amp = np.exp(-np.log(2.0) * (2.0 * t / fwhm_ps) ** (2 * order))
         return cls(intensity=intensity, envelope=amp.astype(complex))
 
-    def amplitude(self, n: int) -> np.ndarray:
+    def amplitude(self, n: int) -> float | np.ndarray:
+        """The amplitude on n samples: a scalar for constant control."""
         amp = math.sqrt(self.intensity)
         if self.envelope is None:
-            return np.full(n, amp, dtype=complex)
+            return amp
         if self.envelope.shape != (n,):
             raise ValueError(
                 f"control envelope has {self.envelope.shape} samples, grid has {n}"
@@ -121,7 +125,9 @@ class SolveResult:
     """``nz`` is the z step count used (the substeps of ``solve_converged``)
     and ``nz_needed`` the fewest midpoint steps the step-phase limit allows;
     ``z_error_estimate`` is the largest last Taylor term that
-    ``solve_converged`` added, relative to ||E|| (nan from ``solve``)."""
+    ``solve_converged`` added, relative to ||E|| (nan from ``solve``), and
+    ``peak_coherence`` the largest coherence magnitude the weak-signal
+    check read."""
 
     output: ComplexEnvelope
     coherences: CoherenceState
@@ -129,6 +135,7 @@ class SolveResult:
     nz: int = 0
     nz_needed: int = 0
     z_error_estimate: float = math.nan
+    peak_coherence: float = 0.0
 
 
 class ScanPoint(NamedTuple):
@@ -201,16 +208,27 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
     return nz_needed
 
 
+def _substeps(nz_needed: int) -> int:
+    """Substeps of ``solve_converged``: each one's phase at most _MAX_SUBSTEP_PHASE."""
+    return max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
+
+
 def _march(
-    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings, exact: bool
-) -> SolveResult:
+    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings, exact: bool,
+    scales=(1.0,),
+):
     """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A):
     settings.nz steps of degree 2 (explicit midpoint) or, if ``exact``, as
     many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE, each summed
-    until a term falls to _TERM_TOLERANCE of ||E||."""
+    until a term falls to _TERM_TOLERANCE of ||E||.  Yields one SolveResult
+    for each operator s A, s in ``scales``.  Several scales (a constant
+    control in one substep) share one series: term m of A adds s^m times
+    itself to each field until that field's own sum ends.  Each result comes
+    after its own closing application of A, so one set of coherences is
+    alive at a time; its nz and nz_needed are those of A."""
     medium = medium.with_control_intensity(control.intensity)
     nz_needed = _validate_resolution(medium, pulse, settings)
-    steps = max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE)) if exact else settings.nz
+    steps = _substeps(nz_needed) if exact else settings.nz
     degree = _MAX_TERMS if exact else 2
 
     grid = pulse.grid
@@ -241,42 +259,45 @@ def _march(
         return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21))
 
     dz = medium.length_mm / steps
-    e_field = pulse.samples.copy()
-    max_coherence = z_error_estimate = 0.0
+    fields = [pulse.samples.copy() for _ in scales]
+    roots = [math.sqrt(s) for s in scales]  # the coherences scale with the control amplitude
+    peaks, errors, last = ([0.0] * len(scales) for _ in range(3))
     for _ in range(steps):
-        np.copyto(term, e_field)
+        np.copyto(term, fields[0])  # several scales take one step, all from E(0)
+        live = range(len(scales))
         for m in range(1, degree + 1):
             peak = apply(term, term)
-            if m == 1:  # the weak-signal check reads the field's coherences only
-                max_coherence = max(max_coherence, peak)
+            if m == 1:  # the weak-signal check reads the fields' coherences only
+                peaks = [max(p, root * peak) for p, root in zip(peaks, roots)]
             term *= dz / m
-            e_field += term
-            if exact and np.linalg.norm(term) <= _TERM_TOLERANCE * np.linalg.norm(e_field):
+            size = np.linalg.norm(term) if exact else 0.0
+            for j in live:
+                fields[j] += np.multiply(scales[j] ** m, term, out=drive)
+                if exact:  # an all-zero field has an exactly zero series
+                    norm = np.linalg.norm(fields[j])
+                    last[j] = float(scales[j] ** m * size / norm) if norm else 0.0
+            if exact and not (live := [j for j in live if last[j] > _TERM_TOLERANCE]):
                 break
-        if exact:
-            z_error_estimate = max(z_error_estimate, float(np.linalg.norm(term) / np.linalg.norm(e_field)))
+        errors = [max(e, l) for e, l in zip(errors, last)]
 
-    max_coherence = max(max_coherence, apply(e_field, term))
     rot = np.exp(0.5j * medium.splitting * grid.times)  # e^{+i Delta tau / 2}
-
-    warnings = []
-    if max_coherence > _WEAK_SIGNAL_COHERENCE_LIMIT:
-        warnings.append(
-            f"coherence amplitude reached {max_coherence:.3g} (> "
+    shape_warnings = _control_duration_warning(control, pulse) if control.envelope is not None else []
+    for e_field, root, peak, error in zip(fields, roots, peaks, errors):
+        peak = max(peak, root * apply(e_field, term))
+        warnings = [
+            f"coherence amplitude reached {peak:.3g} (> "
             f"{_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal assumption may not hold "
             "in these field units"
+        ] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
+        yield SolveResult(
+            output=ComplexEnvelope(grid=grid, samples=e_field),
+            coherences=CoherenceState(q21=r21 * (root * np.conj(rot)), q31=r31 * (root * rot)),
+            warnings=warnings + shape_warnings,
+            nz=steps,
+            nz_needed=nz_needed,
+            z_error_estimate=error if exact else math.nan,
+            peak_coherence=peak,
         )
-    if control.envelope is not None:
-        warnings.extend(_control_duration_warning(control, pulse))
-
-    return SolveResult(
-        output=ComplexEnvelope(grid=grid, samples=e_field),
-        coherences=CoherenceState(q21=r21 * np.conj(rot), q31=r31 * rot),
-        warnings=warnings,
-        nz=steps,
-        nz_needed=nz_needed,
-        z_error_estimate=z_error_estimate if exact else math.nan,
-    )
 
 
 def solve(
@@ -291,7 +312,7 @@ def solve(
     fixed (weak-signal regime).  A warning is attached if the coherence
     amplitudes grow beyond 0.1 in the field units of the input.
     """
-    return _march(medium, control, pulse, settings or SolverSettings(), exact=False)
+    return next(_march(medium, control, pulse, settings or SolverSettings(), exact=False))
 
 
 def solve_converged(
@@ -304,7 +325,7 @@ def solve_converged(
     over as many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE.
     ``settings.nz`` below nz_needed is refused as in ``solve``; above it,
     it changes nothing."""
-    return _march(medium, control, pulse, settings or SolverSettings(), exact=True)
+    return next(_march(medium, control, pulse, settings or SolverSettings(), exact=True))
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -329,12 +350,27 @@ def delay_vs_control_scan(
 ) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    Each point is an independent ``solve_converged``, measured against the
-    input by ``analysis.delay_and_loss``: the intensity-centroid shift and
-    the energy ratio in dB.  Each point keeps the warnings of its solve.
+    The operator at intensity I is I times the one at unit intensity, so the
+    points that ``solve_converged`` takes in one substep share one Taylor
+    series, built once at the largest of them; the others are solved one at
+    a time.  Each point is refused, warned about and truncated as its own
+    ``solve_converged`` would be, and measured against the input by
+    ``analysis.delay_and_loss``: the intensity-centroid shift and the
+    energy ratio in dB.
     """
-    points = []
-    for i in control_intensities:
-        result = solve_converged(medium, ControlField.constant(i), pulse, settings)
-        points.append(ScanPoint(float(i), *delay_and_loss(pulse, result.output), tuple(result.warnings)))
-    return points
+    settings = settings or SolverSettings()
+    intensities = [float(i) for i in control_intensities]
+    shared = []
+    for i in intensities:  # refused in order, as each point's own solve would be
+        loaded = medium.with_control_intensity(ControlField.constant(i).intensity)
+        if _substeps(_validate_resolution(loaded, pulse, settings)) == 1:
+            shared.append(i)
+    top = max(shared, default=0.0)
+    scales = [i / (top or 1.0) for i in shared]
+    alone = (i for i in intensities if i not in shared)
+    results = chain(
+        zip(shared, _march(medium, ControlField.constant(top), pulse, settings, True, scales)),
+        ((i, solve_converged(medium, ControlField.constant(i), pulse, settings)) for i in alone),
+    )
+    rows = {i: ScanPoint(i, *delay_and_loss(pulse, r.output), tuple(r.warnings)) for i, r in results}
+    return [rows[i] for i in intensities]

@@ -518,9 +518,10 @@ _PROPAGATE_KEYS = [
     "figures.delay_bandwidth_product",
 ]
 
-# a TD run also reports the z steps it needed and its z error estimate
+# a TD run also reports the z steps it needed, its z error estimate and its peak coherence
 _TD_PROPAGATE_KEYS = [
     *_PROPAGATE_KEYS[: _PROPAGATE_KEYS.index("solver.nz") + 1], "solver.nz_needed", "solver.z_error_estimate",
+    "solver.peak_coherence",
     *_PROPAGATE_KEYS[_PROPAGATE_KEYS.index("solver.nz") + 1 :],
 ]
 

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import GridResolutionError
-from slowlight.tdprop import _coherence_scan, _scan_weights, solve_converged
+from slowlight import tdprop
+from slowlight.analysis import delay_and_loss
+from slowlight.tdprop import _coherence_scan, _march, _scan_weights, solve_converged
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
 
@@ -162,6 +164,7 @@ class TestSolveConverged:
         result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
         assert (result.nz, result.nz_needed) == (1, 13)
         assert result.z_error_estimate < 1e-14
+        assert 0.0 < result.peak_coherence < 0.1
         assert result.warnings == []
 
     def test_matches_causal_frequency_domain_reference(self, std_medium, flattop_signal):
@@ -169,6 +172,24 @@ class TestSolveConverged:
         result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
         reference = sl.fdprop.propagate_causal(flattop_signal, std_medium.with_control_intensity(1.0))
         assert rel_l2(result.output.samples, reference.samples) < 2e-4
+
+    def test_one_substep_up_to_phase_four(self, std_medium, flattop_signal, monkeypatch):
+        # I = 3 puts the whole-length phase at 3.9; two substeps of 1.95 each agree to rounding
+        control = sl.ControlField.constant(3.0)
+        one = solve_converged(std_medium, control, flattop_signal)
+        monkeypatch.setattr(tdprop, "_MAX_SUBSTEP_PHASE", 2.0)
+        two = solve_converged(std_medium, control, flattop_signal)
+        assert (one.nz, one.nz_needed, two.nz) == (1, 39, 2)
+        assert rel_l2(one.output.samples, two.output.samples) < 1e-14
+
+    def test_all_zero_pulse_has_zero_error(self, std_medium, signal_grid):
+        zero = sl.ComplexEnvelope(grid=signal_grid, samples=np.zeros(signal_grid.n, dtype=complex))
+        with np.errstate(all="raise"):
+            results = [solve_converged(std_medium, sl.ControlField.constant(1.0), zero)]
+            results += _march(std_medium, sl.ControlField.constant(2.0), zero, sl.SolverSettings(), True, [0.0, 0.5, 1.0])
+        for result in results:
+            assert not np.any(result.output.samples)
+            assert (result.z_error_estimate, result.peak_coherence, result.warnings) == (0.0, 0.0, [])
 
     def test_ceiling_below_nz_needed_refused(self):
         medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
@@ -220,7 +241,63 @@ class TestSolveProperties:
         assert result.output.energy() <= pulse.energy() * (1.0 + 1e-12)
 
 
+def per_point_rows(medium, intensities, pulse):
+    rows = []
+    for i in intensities:
+        result = solve_converged(medium, sl.ControlField.constant(i), pulse)
+        rows.append((i, *delay_and_loss(pulse, result.output), tuple(result.warnings)))
+    return rows
+
+
+def assert_rows_match(points, rows):
+    for point, (intensity, delay, loss, warnings) in zip(points, rows, strict=True):
+        assert point.intensity == intensity and point.warnings == warnings
+        assert point.delay_ps == pytest.approx(delay, rel=1e-12, abs=0.0)
+        assert point.loss_db == pytest.approx(loss, rel=1e-12, abs=0.0)
+
+
 class TestControlScan:
+    @settings(max_examples=3, deadline=None)
+    @given(
+        d0=st.floats(2.0, 3.0),
+        bandwidth=st.floats(1.5, 2.1),
+        intensities=st.lists(st.floats(0.0, 2.0), min_size=8, max_size=8).map(lambda xs: sorted([0.0, *xs])),
+    )
+    @example(d0=3.0, bandwidth=1.5, intensities=[0.0, *np.linspace(0.25, 2.0, 8).tolist()])  # the largest phase, 3.2
+    def test_shared_series_matches_per_point_solves(self, d0, bandwidth, intensities):
+        # the benchmark's seed box, where every point takes one substep; 2^12 samples keep it fast
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=bandwidth)
+        medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
+        points = sl.delay_vs_control_scan(medium, intensities, pulse)
+        assert_rows_match(points, per_point_rows(medium, intensities, pulse))
+
+    def test_shared_points_keep_their_weak_signal_warnings(self, std_medium):
+        # ten times the amplitude: the coherences of 0.25 and 1.0 pass 0.1, those of 0.01 do not
+        grid = sl.TimeGrid.centered(2**12, 0.06)
+        loud = sl.ComplexEnvelope(grid=grid, samples=10.0 * sl.synthesize_pulse("flat_top_spectrum", grid, 1.8).samples)
+        points = sl.delay_vs_control_scan(std_medium, [0.01, 0.25, 1.0], loud)
+        assert [len(p.warnings) for p in points] == [0, 1, 1]
+        assert_rows_match(points, per_point_rows(std_medium, [0.01, 0.25, 1.0], loud))
+
+    def test_insufficient_z_steps_refused(self, flattop_signal):
+        medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
+        with pytest.raises(GridResolutionError, match="nz >="):
+            sl.delay_vs_control_scan(medium, [0.0, 1.0], flattop_signal, sl.SolverSettings(nz=16))
+
+    def test_points_past_one_substep_are_solved_alone(self, std_medium, monkeypatch):
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
+        alone = []
+
+        def spy(medium, control, pulse, settings=None):
+            alone.append(control.intensity)
+            return solve_converged(medium, control, pulse, settings)
+
+        monkeypatch.setattr(tdprop, "solve_converged", spy)
+        points = sl.delay_vs_control_scan(std_medium, [0.5, 1.0, 16.0], pulse)
+        assert alone == [16.0]
+        assert_rows_match(points, per_point_rows(std_medium, [0.5, 1.0, 16.0], pulse))
+        assert points[-1].warnings[0].startswith("coherence amplitude reached")
+
     def test_empty_scan(self, std_medium, flattop_signal):
         assert sl.delay_vs_control_scan(std_medium, [], flattop_signal) == []
 
