@@ -62,7 +62,8 @@ def delay_and_loss(reference: ComplexEnvelope, output: ComplexEnvelope) -> tuple
     intensity-centroid shift and -10 log10 of the energy ratio."""
     delay = output.centroid() - reference.centroid()
     loss = -10.0 * np.log10(output.energy() / reference.energy())
-    return float(delay), float(loss)
+    # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
+    return float(delay), float(loss) + 0.0
 
 
 def relative_l2_error(envelope: ComplexEnvelope, reference: ComplexEnvelope) -> float:

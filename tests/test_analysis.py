@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import slowlight as sl
-from slowlight.analysis import CorrelationCurve
+from slowlight.analysis import CorrelationCurve, delay_and_loss
 from slowlight.errors import AmbiguousWidthError
 
 
@@ -107,6 +109,22 @@ class TestFirstMomentDelay:
         w2 = (1 - p) * np.sum(c2.intensity)
         expected = (w1 * c1.first_moment() + w2 * c2.first_moment()) / (w1 + w2)
         assert mix.first_moment() == pytest.approx(expected, abs=1e-10)
+
+
+class TestDelayAndLoss:
+    def test_lossless_output_reads_positive_zero(self, grid):
+        # -10 log10(1.0) is -0.0, which a CSV would print as "-0"
+        pulse = gaussian_pulse(grid, 1.0)
+        delay, loss = delay_and_loss(pulse, pulse)
+        assert (delay, loss) == (0.0, 0.0)
+        assert math.copysign(1.0, loss) == 1.0
+
+    def test_lossy_output_reads_minus_ten_log_of_energy_ratio(self, grid):
+        pulse = gaussian_pulse(grid, 1.0)
+        out = sl.ComplexEnvelope(grid=grid, samples=0.3 * spectral_shift(pulse, 0.5).samples)
+        delay, loss = delay_and_loss(pulse, out)
+        assert delay == pytest.approx(0.5, abs=1e-9)
+        assert loss == -10.0 * np.log10(out.energy() / pulse.energy())
 
 
 class TestWidths:
