@@ -26,7 +26,8 @@ import time
 import numpy as np
 
 from . import analysis, fdprop, io, medium as med, tdprop
-from .config import _NON_NEGATIVE, _POSITIVE, _SAMPLE_COUNT, SimulationConfig, _read, load_config
+from .config import _NON_NEGATIVE, _POSITIVE, _SAMPLE_COUNT, _WAVELENGTH, SimulationConfig, _read, load_config
+from .config import wavenumber
 from .errors import ConfigError, SlowLightError
 from .kramers_kronig import (
     Susceptibility,
@@ -50,11 +51,6 @@ def _medium_figures(the_medium):
 def cmd_analytic(args):
     config = load_config(args.config)
     m = config.medium
-    if m.gamma_invps >= m.delta_invps:
-        raise ConfigError(
-            f"no transparency window: gamma_invps = {m.gamma_invps} >= "
-            f"delta_invps = {m.delta_invps}"
-        )
     started = time.monotonic()
     count = int(round(args.d0_max / args.d0_step)) + 1
     d0_values = np.arange(count) * args.d0_step
@@ -64,8 +60,6 @@ def cmd_analytic(args):
         return med.figures_of_merit(point)
 
     rows = [(f.group_delay_ps, f.loss_db, f.delay_bandwidth_product) for f in map(figures, d0_values)]
-    io.write_analytic_csv(_out_path(args, "analytic_sweep.csv"), d0_values, *zip(*rows))
-
     unit = figures(1.0)
     d0_unity = 1.0 / unit.delay_bandwidth_product
     summary = {
@@ -77,12 +71,13 @@ def cmd_analytic(args):
         "figures.loss_db_at_unit_dbp": d0_unity * unit.loss_db,
         "run.seconds": time.monotonic() - started,
     }
+    io.write_analytic_csv(_out_path(args, "analytic_sweep.csv"), d0_values, *zip(*rows))
     return summary, config
 
 
 def cmd_kk(args):
     wavelengths, values, kind = io.read_absorption_csv(args.absorption_csv)
-    k0 = 2.0 * np.pi / (args.lambda0_nm * 1e-6)
+    k0 = wavenumber(args.lambda0_nm)
     grid = TimeGrid(t_start=0.0, dt=2.0 * np.pi / args.span_invps, n=args.n).frequency_grid()
     depth = ingest_absorption(
         (wavelengths, values),
@@ -93,7 +88,6 @@ def cmd_kk(args):
         absorption=(kind == "absorption"),
     )
     chi = kk_real_from_imag(depth, k0, args.length_mm)
-    io.write_susceptibility_csv(_out_path(args, "susceptibility.csv"), grid, chi.values)
     summary = {
         "run.command": "kk",
         "input.absorption_csv": args.absorption_csv,
@@ -106,6 +100,7 @@ def cmd_kk(args):
         "kk.peak_depth": float(np.max(depth.depth)),
         "kk.reconstructed_delay_ps": group_delay_from_susceptibility(chi, k0, args.length_mm),
     }
+    io.write_susceptibility_csv(_out_path(args, "susceptibility.csv"), grid, chi.values)
     return summary, None
 
 
@@ -145,7 +140,7 @@ def cmd_propagate(args):
         spec_on = spec_in.samples * transfer.values
     else:
         control = config.control.build(grid, intensity)
-        result = tdprop.solve_converged(the_medium, control, pulse, config.solver.build())
+        result = tdprop.solve(the_medium, control, pulse, config.solver.build())
         out, warnings = result.output, result.warnings
         solver = {
             "solver.nz": result.nz,
@@ -157,11 +152,6 @@ def cmd_propagate(args):
         if config.control.kind == "constant":
             reference = fdprop.propagate_causal(pulse, the_medium)
             checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, reference)
-    io.write_envelope_csv(_out_path(args, "input_envelope.csv"), pulse)
-    io.write_envelope_csv(_out_path(args, "output_envelope.csv"), out)
-    io.write_spectrum_csv(_out_path(args, "spectrum_off.csv"), fgrid, spec_in.samples)
-    io.write_spectrum_csv(_out_path(args, "spectrum_on.csv"), fgrid, spec_on)
-
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",
@@ -180,6 +170,10 @@ def cmd_propagate(args):
         summary.update(_medium_figures(the_medium))
     summary.update(checks)
     summary["warnings"] = "; ".join(warnings) or "none"
+    io.write_envelope_csv(_out_path(args, "input_envelope.csv"), pulse)
+    io.write_envelope_csv(_out_path(args, "output_envelope.csv"), out)
+    io.write_spectrum_csv(_out_path(args, "spectrum_off.csv"), fgrid, spec_in.samples)
+    io.write_spectrum_csv(_out_path(args, "spectrum_on.csv"), fgrid, spec_on)
     return summary, config
 
 
@@ -201,8 +195,6 @@ def cmd_sweep(args):
             tdprop.ScanPoint(float(i), *analysis.delay_and_loss(pulse, fdprop.propagate(pulse, h)))
             for i, h in zip(intensities, transfers)
         ]
-    io.write_scan_csv(_out_path(args, "intensity_scan.csv"), points)
-
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3:
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
@@ -211,6 +203,7 @@ def cmd_sweep(args):
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
     summary["warnings"] = "; ".join(warnings) or "none"
+    io.write_scan_csv(_out_path(args, "intensity_scan.csv"), points)
     return summary, config
 
 
@@ -221,8 +214,6 @@ def cmd_xcorr(args):
     signal, upsample = resample_to_resolve(signal, args.ref_duration_ps)
     reference = synthesize_pulse("gaussian", signal.grid, duration=args.ref_duration_ps)
     curve_on = analysis.cross_correlate(signal, reference)
-    io.write_correlation_csv(_out_path(args, "xcorr_on.csv"), curve_on)
-
     summary = {
         "run.command": "xcorr",
         "input.signal_csv": args.signal_csv,
@@ -238,10 +229,12 @@ def cmd_xcorr(args):
             raise ConfigError("on and off envelope CSVs must share a time grid")
         off_env, _ = resample_to_resolve(off_env, args.ref_duration_ps)
         curve_off = analysis.cross_correlate(off_env, reference)
-        io.write_correlation_csv(_out_path(args, "xcorr_off.csv"), curve_off)
         summary["metrics.first_moment_delay_ps"] = analysis.first_moment_delay(curve_on, curve_off)
     if upsample > 1:
         summary["xcorr.upsample"] = upsample
+    io.write_correlation_csv(_out_path(args, "xcorr_on.csv"), curve_on)
+    if args.off_csv:
+        io.write_correlation_csv(_out_path(args, "xcorr_off.csv"), curve_off)
     return summary, None
 
 
@@ -279,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kk", parents=[common], help="Kramers-Kronig reconstruction")
     p.add_argument("--absorption-csv", required=True)
     p.add_argument("--center-nm", type=_flag(_POSITIVE), required=True)
-    p.add_argument("--lambda0-nm", type=_flag(_POSITIVE), required=True)
+    p.add_argument("--lambda0-nm", type=_flag(_WAVELENGTH), required=True)
     p.add_argument("--length-mm", type=_flag(_POSITIVE), required=True)
     p.add_argument("--n", type=_flag(_SAMPLE_COUNT), default=2**14)
     p.add_argument("--span-invps", type=_flag(_POSITIVE), default=272.0)

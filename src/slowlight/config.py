@@ -48,8 +48,17 @@ def _read(raw: str, parse, requirement=None, check=None):
     return value
 
 
+def wavenumber(lambda0_nm: float) -> float:
+    """The carrier wavevector k0 = 2 pi / lambda0 in rad/mm; inf where
+    lambda0 in mm underflows to zero."""
+    lambda0_mm = lambda0_nm * 1e-6
+    return 2.0 * math.pi / lambda0_mm if lambda0_mm else math.inf
+
+
 # (parse, requirement, check) rules shared by config keys and CLI flags
 _POSITIVE = (_finite, "positive", lambda value: value > 0)
+_WAVELENGTH = (_finite, "positive with a finite k0 = 2*pi/lambda0",
+               lambda value: value > 0 and math.isfinite(wavenumber(value)))
 _NON_NEGATIVE = (_finite, "non-negative", lambda value: value >= 0)
 _SAMPLE_COUNT = (int, "a power of two >= 8", _is_sample_count)
 
@@ -72,15 +81,20 @@ class MediumConfig:
     d0: float | None = _key(*_NON_NEGATIVE, default=None)
     g_per_intensity: float | None = _key(*_NON_NEGATIVE, default=None)
     length_mm: float = _key(*_POSITIVE)
-    lambda0_nm: float = _key(*_POSITIVE)
+    lambda0_nm: float = _key(*_WAVELENGTH)
 
     def __post_init__(self):
         if (self.d0 is None) == (self.g_per_intensity is None):
             raise ConfigError("section [medium] needs exactly one of d0 or g_per_intensity")
+        if self.gamma_invps >= self.delta_invps:
+            raise ConfigError(
+                f"no transparency window: gamma_invps = {self.gamma_invps} >= "
+                f"delta_invps = {self.delta_invps}"
+            )
 
     @property
     def k0(self) -> float:
-        return 2.0 * math.pi / (self.lambda0_nm * 1e-6)  # rad/mm
+        return wavenumber(self.lambda0_nm)
 
     def strength_per_intensity(self) -> float:
         if self.g_per_intensity is not None:
@@ -260,4 +274,5 @@ def load_config(path) -> SimulationConfig:
         config.solver.build()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    config.grid.resolve_dt(config.signal, config.medium)  # refused here, not after a run's first output
     return config

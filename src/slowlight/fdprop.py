@@ -69,7 +69,7 @@ def propagate_causal(env: ComplexEnvelope, medium: RamanMedium) -> ComplexEnvelo
     zero-pad it to 2n samples on the same dt, propagate through the model
     transfer on that grid and crop back to the window (Oppenheim & Schafer,
     "Discrete-Time Signal Processing", ch. 8).  This is what a causal
-    time-domain march from the window start computes."""
+    time-domain solve from the window start computes."""
     grid = env.grid
     padded = TimeGrid(t_start=grid.t_start, dt=grid.dt, n=2 * grid.n)
     samples = np.concatenate((env.samples, np.zeros(grid.n, dtype=complex)))

@@ -22,12 +22,12 @@ beat exactly; only the slowly-varying drive Ec* E is linearly interpolated.
 The recurrence R_k = e R_{k-1} + x_k runs as a doubling scan (Hillis &
 Steele 1986) on work arrays allocated once per solve.
 
-Both solves take equal z steps of the Taylor series of exp(dz A) (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33 (2011) 488): ``solve`` nz steps of degree 2,
-which on such an A is exactly explicit midpoint; ``solve_converged`` sums
-each substep until a term is negligible, exact in z to rounding.  Under a
-constant control A is proportional to the intensity, so
-``delay_vs_control_scan`` sums one series for all its one-substep points.
+``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33 (2011) 488) over as few equal substeps as keep each one's
+phase to 4, each until a term is negligible, so it is exact in z to
+rounding.  Under a constant control A is proportional to the intensity,
+so ``delay_vs_control_scan`` sums one series for all its one-substep
+points.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
 _SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
 _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
-_MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve_converged, so its series terms cancel little
+_MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
 _MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
 
@@ -105,7 +105,9 @@ class ControlField:
 
 @dataclass
 class SolverSettings:
-    nz: int = 256  # the step count of solve; solve_converged refuses one below nz_needed
+    """``nz`` only gates a refusal: ``solve`` refuses one below nz_needed."""
+
+    nz: int = 256
 
     def __post_init__(self):
         if self.nz < 16:
@@ -122,10 +124,9 @@ class CoherenceState:
 
 @dataclass
 class SolveResult:
-    """``nz`` is the z step count used (the substeps of ``solve_converged``)
-    and ``nz_needed`` the fewest midpoint steps the step-phase limit allows;
-    ``z_error_estimate`` is the largest last Taylor term that
-    ``solve_converged`` added, relative to ||E|| (nan from ``solve``), and
+    """``nz`` is the substep count of the solve and ``nz_needed`` the fewest
+    midpoint steps the step-phase limit allows; ``z_error_estimate`` is the
+    largest last Taylor term the solve added, relative to ||E||, and
     ``peak_coherence`` the largest coherence magnitude the weak-signal
     check read."""
 
@@ -209,27 +210,26 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
 
 
 def _substeps(nz_needed: int) -> int:
-    """Substeps of ``solve_converged``: each one's phase at most _MAX_SUBSTEP_PHASE."""
+    """Substeps of ``solve``: each one's phase at most _MAX_SUBSTEP_PHASE."""
     return max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
 
 
 def _march(
-    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings, exact: bool,
-    scales=(1.0,),
+    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings,
+    scales=(1.0,), midpoint: bool = False,
 ):
-    """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A):
-    settings.nz steps of degree 2 (explicit midpoint) or, if ``exact``, as
-    many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE, each summed
-    until a term falls to _TERM_TOLERANCE of ||E||.  Yields one SolveResult
-    for each operator s A, s in ``scales``.  Several scales (a constant
-    control in one substep) share one series: term m of A adds s^m times
-    itself to each field until that field's own sum ends.  Each result comes
-    after its own closing application of A, so one set of coherences is
-    alive at a time; its nz and nz_needed are those of A."""
+    """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A)
+    until a term falls to _TERM_TOLERANCE of ||E||: as many substeps as hold
+    each one's phase to _MAX_SUBSTEP_PHASE or, if ``midpoint``, settings.nz
+    steps of degree 2 (explicit midpoint, the z reference of the tests).
+    Yields one SolveResult for each operator s A, s in ``scales``.  Several
+    scales (a constant control in one substep) share one series: term m of
+    A adds s^m times itself to each field until that field's own sum ends.
+    Each result comes after its own closing application of A, so one set of
+    coherences is alive at a time; its nz and nz_needed are those of A."""
     medium = medium.with_control_intensity(control.intensity)
     nz_needed = _validate_resolution(medium, pulse, settings)
-    steps = _substeps(nz_needed) if exact else settings.nz
-    degree = _MAX_TERMS if exact else 2
+    steps, degree = (settings.nz, 2) if midpoint else (_substeps(nz_needed), _MAX_TERMS)
 
     grid = pulse.grid
     n, dt = grid.n, grid.dt
@@ -270,13 +270,12 @@ def _march(
             if m == 1:  # the weak-signal check reads the fields' coherences only
                 peaks = [max(p, root * peak) for p, root in zip(peaks, roots)]
             term *= dz / m
-            size = np.linalg.norm(term) if exact else 0.0
+            size = np.linalg.norm(term)
             for j in live:
                 fields[j] += np.multiply(scales[j] ** m, term, out=drive)
-                if exact:  # an all-zero field has an exactly zero series
-                    norm = np.linalg.norm(fields[j])
-                    last[j] = float(scales[j] ** m * size / norm) if norm else 0.0
-            if exact and not (live := [j for j in live if last[j] > _TERM_TOLERANCE]):
+                norm = np.linalg.norm(fields[j])  # an all-zero field has an exactly zero series
+                last[j] = float(scales[j] ** m * size / norm) if norm else 0.0
+            if not (live := [j for j in live if last[j] > _TERM_TOLERANCE]):
                 break
         errors = [max(e, l) for e, l in zip(errors, last)]
 
@@ -295,7 +294,7 @@ def _march(
             warnings=warnings + shape_warnings,
             nz=steps,
             nz_needed=nz_needed,
-            z_error_estimate=error if exact else math.nan,
+            z_error_estimate=error,
             peak_coherence=peak,
         )
 
@@ -306,26 +305,15 @@ def solve(
     pulse: ComplexEnvelope,
     settings: SolverSettings | None = None,
 ) -> SolveResult:
-    """March the signal envelope from z = 0 to z = L in settings.nz midpoint steps.
+    """Propagate the signal envelope from z = 0 to z = L, exactly in z: the
+    Taylor series of exp(L A) E over substeps of phase at most 4.
 
     The control field propagates undepleted; both Raman populations stay
     fixed (weak-signal regime).  A warning is attached if the coherence
     amplitudes grow beyond 0.1 in the field units of the input.
+    ``settings.nz`` below nz_needed is refused; above it, it changes nothing.
     """
-    return next(_march(medium, control, pulse, settings or SolverSettings(), exact=False))
-
-
-def solve_converged(
-    medium: RamanMedium,
-    control: ControlField,
-    pulse: ComplexEnvelope,
-    settings: SolverSettings | None = None,
-) -> SolveResult:
-    """``solve`` made exact in z: the Taylor series of exp(L A) E, summed
-    over as many substeps as hold each one's phase to _MAX_SUBSTEP_PHASE.
-    ``settings.nz`` below nz_needed is refused as in ``solve``; above it,
-    it changes nothing."""
-    return next(_march(medium, control, pulse, settings or SolverSettings(), exact=True))
+    return next(_march(medium, control, pulse, settings or SolverSettings()))
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -351,10 +339,10 @@ def delay_vs_control_scan(
     """First-moment delay and loss versus (constant) control intensity.
 
     The operator at intensity I is I times the one at unit intensity, so the
-    points that ``solve_converged`` takes in one substep share one Taylor
-    series, built once at the largest of them; the others are solved one at
-    a time.  Each point is refused, warned about and truncated as its own
-    ``solve_converged`` would be, and measured against the input by
+    points that ``solve`` takes in one substep share one Taylor series,
+    built once at the largest of them; the others are solved one at a time.
+    Each point is refused, warned about and truncated as its own ``solve``
+    would be, and measured against the input by
     ``analysis.delay_and_loss``: the intensity-centroid shift and the
     energy ratio in dB.
     """
@@ -369,8 +357,8 @@ def delay_vs_control_scan(
     scales = [i / (top or 1.0) for i in shared]
     alone = (i for i in intensities if i not in shared)
     results = chain(
-        zip(shared, _march(medium, ControlField.constant(top), pulse, settings, True, scales)),
-        ((i, solve_converged(medium, ControlField.constant(i), pulse, settings)) for i in alone),
+        zip(shared, _march(medium, ControlField.constant(top), pulse, settings, scales)),
+        ((i, solve(medium, ControlField.constant(i), pulse, settings)) for i in alone),
     )
     rows = {i: ScanPoint(i, *delay_and_loss(pulse, r.output), tuple(r.warnings)) for i, r in results}
     return [rows[i] for i in intensities]

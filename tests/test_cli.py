@@ -136,6 +136,8 @@ _REQUIRED = {
         ("kk", "--span-invps", "0"),
         ("analytic", "--d0-max", "inf"),
         ("kk", "--lambda0-nm", "nan"),
+        ("kk", "--lambda0-nm", "1e-320"),  # k0 = 2*pi/lambda0 divides by zero
+        ("kk", "--lambda0-nm", "1e-316"),  # k0 overflows
         ("kk", "--n", "1000"),
         ("kk", "--length-mm", "0"),
         ("xcorr", "--ref-duration-ps", "0"),
@@ -153,6 +155,35 @@ def test_bad_number_flag_exits_2(tmp_path, capsys, command, flag, value):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+NO_WINDOW = [("gamma_invps = 1.0", "gamma_invps = 7.0")]
+AS_LIST = [("intensity = 1.0", "intensity_list = 0.5, 1.0")]
+
+
+@pytest.mark.parametrize(
+    "argv, edits, code",
+    [
+        (["analytic"], NO_WINDOW, 2),
+        (["propagate", "--domain", "fd"], NO_WINDOW, 2),
+        (["propagate", "--domain", "td"], NO_WINDOW, 2),
+        (["sweep", "--domain", "fd"], NO_WINDOW + AS_LIST, 2),
+        (["analytic"], [("dt_ps = 0.06\n", ""), ("n = 16384", "n = 8")], 2),  # no grid step fits
+        (["propagate", "--domain", "fd"], [("intensity = 1.0", "intensity = 1e300")], 3),
+        (["sweep", "--domain", "td"], [("intensity = 1.0", "intensity_list = 0.0, 0.0, 0.0")], 3),
+    ],
+    ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
+         "fd-centroid", "sweep-all-zero"],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
+    text = CONFIG
+    for old, new in edits:
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 class TestAnalytic:

@@ -94,6 +94,12 @@ def test_bad_number_reported_with_key(tmp_path):
         load_config(write(tmp_path, text))
 
 
+def test_no_transparency_window_rejected(tmp_path):
+    text = GOOD.replace("gamma_invps = 1.0", "gamma_invps = 6.8")
+    with pytest.raises(ConfigError, match="no transparency window"):
+        load_config(write(tmp_path, text))
+
+
 def test_shaped_control_requires_fwhm(tmp_path):
     text = GOOD.replace("kind = constant", "kind = flat_top")
     with pytest.raises(ConfigError, match="fwhm"):
@@ -132,7 +138,8 @@ def test_derived_dt_is_accepted_by_pulse_and_solver(shape, width, by_duration, d
     synthesized on that grid and the step resolves the two-photon beat."""
     given_width = {"duration_ps": width} if by_duration else {"bandwidth_invps": width}
     signal = SignalConfig(shape=shape, **given_width)
-    medium = MediumConfig(gamma_invps=1.0, delta_invps=delta, d0=2.5, length_mm=30.0, lambda0_nm=765.0)
+    # gamma at the example's ratio to delta: a medium needs gamma < delta
+    medium = MediumConfig(gamma_invps=delta / 6.8, delta_invps=delta, d0=2.5, length_mm=30.0, lambda0_nm=765.0)
     n = 2**log2_n
     try:
         dt = GridConfig(n=n).resolve_dt(signal, medium)
@@ -160,14 +167,19 @@ def test_missing_file_is_config_error(tmp_path):
 
 NON_FINITE_SITES = {
     "medium.gamma_invps": ("gamma_invps = 1.0", "gamma_invps = {}"),
+    "medium.lambda0_nm": ("lambda0_nm = 765.0", "lambda0_nm = {}"),
     "grid.dt_ps": ("dt_ps = 0.06", "dt_ps = {}"),
     "control.intensity": ("intensity = 1.0", "intensity = {}"),
     "control.intensity_list": ("intensity = 1.0", "intensity_list = 0.5, {}"),
 }
+NON_FINITE_CASES = [(key, value) for value in ("nan", "inf", "-inf") for key in NON_FINITE_SITES] + [
+    # a wavelength so short that k0 = 2*pi/lambda0 divides by zero or overflows
+    ("medium.lambda0_nm", "1e-320"),
+    ("medium.lambda0_nm", "1e-316"),
+]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("key", list(NON_FINITE_SITES))
+@pytest.mark.parametrize("key, value", NON_FINITE_CASES)
 def test_non_finite_number_rejected(tmp_path, key, value):
     old, new = NON_FINITE_SITES[key]
     with pytest.raises(ConfigError, match=re.escape(key)):

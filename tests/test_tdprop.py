@@ -8,7 +8,7 @@ import slowlight as sl
 from slowlight.errors import GridResolutionError
 from slowlight import tdprop
 from slowlight.analysis import delay_and_loss
-from slowlight.tdprop import _coherence_scan, _march, _scan_weights, solve_converged
+from slowlight.tdprop import _coherence_scan, _march, _scan_weights
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
 
@@ -17,6 +17,11 @@ def fd_reference(medium, pulse):
     chi = sl.susceptibility_from_medium(medium, pulse.grid.frequency_grid())
     H = sl.transfer_function(chi, medium.k0, medium.length_mm)
     return sl.propagate(pulse, H)
+
+
+def midpoint(medium, control, pulse, nz):
+    """The z reference: nz explicit midpoint steps, degree-2 Taylor sums."""
+    return next(_march(medium, control, pulse, sl.SolverSettings(nz), midpoint=True)).output.samples
 
 
 class TestCoherenceScan:
@@ -105,11 +110,8 @@ class TestSolve:
         grid = sl.TimeGrid.centered(2**13, 0.03)
         pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
         control = sl.ControlField.constant(1.0)
-        reference = sl.solve(std_medium, control, pulse, sl.SolverSettings(nz=2048)).output
-        errors = {}
-        for nz in (16, 32, 64):
-            out = sl.solve(std_medium, control, pulse, sl.SolverSettings(nz=nz)).output
-            errors[nz] = rel_l2(out.samples, reference.samples)
+        reference = sl.solve(std_medium, control, pulse).output
+        errors = {nz: rel_l2(midpoint(std_medium, control, pulse, nz), reference.samples) for nz in (16, 32, 64)}
         for coarse, fine in ((16, 32), (32, 64)):
             ratio = errors[coarse] / errors[fine]
             assert 2.8 < ratio < 5.2  # second order: factor 4 +- 30%
@@ -158,10 +160,8 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-negative"):
             sl.ControlField.constant(-1.0)
 
-
-class TestSolveConverged:
     def test_example_point_takes_one_substep(self, std_medium, flattop_signal):
-        result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
+        result = sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal)
         assert (result.nz, result.nz_needed) == (1, 13)
         assert result.z_error_estimate < 1e-14
         assert 0.0 < result.peak_coherence < 0.1
@@ -169,34 +169,27 @@ class TestSolveConverged:
 
     def test_matches_causal_frequency_domain_reference(self, std_medium, flattop_signal):
         # the periodic FD reference differs by 5e-4 through wrap-around alone
-        result = solve_converged(std_medium, sl.ControlField.constant(1.0), flattop_signal)
+        result = sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal)
         reference = sl.fdprop.propagate_causal(flattop_signal, std_medium.with_control_intensity(1.0))
         assert rel_l2(result.output.samples, reference.samples) < 2e-4
 
     def test_one_substep_up_to_phase_four(self, std_medium, flattop_signal, monkeypatch):
         # I = 3 puts the whole-length phase at 3.9; two substeps of 1.95 each agree to rounding
         control = sl.ControlField.constant(3.0)
-        one = solve_converged(std_medium, control, flattop_signal)
+        one = sl.solve(std_medium, control, flattop_signal)
         monkeypatch.setattr(tdprop, "_MAX_SUBSTEP_PHASE", 2.0)
-        two = solve_converged(std_medium, control, flattop_signal)
+        two = sl.solve(std_medium, control, flattop_signal)
         assert (one.nz, one.nz_needed, two.nz) == (1, 39, 2)
         assert rel_l2(one.output.samples, two.output.samples) < 1e-14
 
     def test_all_zero_pulse_has_zero_error(self, std_medium, signal_grid):
         zero = sl.ComplexEnvelope(grid=signal_grid, samples=np.zeros(signal_grid.n, dtype=complex))
         with np.errstate(all="raise"):
-            results = [solve_converged(std_medium, sl.ControlField.constant(1.0), zero)]
-            results += _march(std_medium, sl.ControlField.constant(2.0), zero, sl.SolverSettings(), True, [0.0, 0.5, 1.0])
+            results = [sl.solve(std_medium, sl.ControlField.constant(1.0), zero)]
+            results += _march(std_medium, sl.ControlField.constant(2.0), zero, sl.SolverSettings(), [0.0, 0.5, 1.0])
         for result in results:
             assert not np.any(result.output.samples)
             assert (result.z_error_estimate, result.peak_coherence, result.warnings) == (0.0, 0.0, [])
-
-    def test_ceiling_below_nz_needed_refused(self):
-        medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
-        grid = sl.TimeGrid.centered(2**12, 0.05)
-        pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
-        with pytest.raises(GridResolutionError, match="nz >="):
-            solve_converged(medium, sl.ControlField.constant(1.0), pulse, sl.SolverSettings(nz=16))
 
 
 class TestSolveProperties:
@@ -212,7 +205,7 @@ class TestSolveProperties:
     def test_converged_solve_matches_causal_reference(self, signal_grid, d0, bandwidth):
         pulse = sl.synthesize_pulse("flat_top_spectrum", signal_grid, bandwidth=bandwidth)
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
-        result = solve_converged(medium, sl.ControlField.constant(1.0), pulse)
+        result = sl.solve(medium, sl.ControlField.constant(1.0), pulse)
         reference = sl.fdprop.propagate_causal(pulse, medium.with_control_intensity(1.0))
         assert rel_l2(result.output.samples, reference.samples) < 2e-4
 
@@ -227,9 +220,9 @@ class TestSolveProperties:
         pulse = sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=bandwidth)
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
         control = sl.ControlField.constant(1.0) if fwhm is None else sl.ControlField.gaussian(grid, fwhm, 1.0)
-        coarse, fine = (sl.solve(medium, control, pulse, sl.SolverSettings(nz)).output.samples for nz in (256, 512))
+        coarse, fine = (midpoint(medium, control, pulse, nz) for nz in (256, 512))
         extrapolated = fine + (fine - coarse) / 3.0
-        result = solve_converged(medium, control, pulse)
+        result = sl.solve(medium, control, pulse)
         assert rel_l2(result.output.samples, extrapolated) < 1e-9
 
     @settings(max_examples=6, deadline=None)
@@ -237,14 +230,14 @@ class TestSolveProperties:
     def test_energy_never_grows(self, signal_grid, d0, bandwidth):
         pulse = sl.synthesize_pulse("flat_top_spectrum", signal_grid, bandwidth=bandwidth)
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
-        result = solve_converged(medium, sl.ControlField.constant(1.0), pulse)
+        result = sl.solve(medium, sl.ControlField.constant(1.0), pulse)
         assert result.output.energy() <= pulse.energy() * (1.0 + 1e-12)
 
 
 def per_point_rows(medium, intensities, pulse):
     rows = []
     for i in intensities:
-        result = solve_converged(medium, sl.ControlField.constant(i), pulse)
+        result = sl.solve(medium, sl.ControlField.constant(i), pulse)
         rows.append((i, *delay_and_loss(pulse, result.output), tuple(result.warnings)))
     return rows
 
@@ -290,9 +283,9 @@ class TestControlScan:
 
         def spy(medium, control, pulse, settings=None):
             alone.append(control.intensity)
-            return solve_converged(medium, control, pulse, settings)
+            return sl.solve(medium, control, pulse, settings)
 
-        monkeypatch.setattr(tdprop, "solve_converged", spy)
+        monkeypatch.setattr(tdprop, "solve", spy)
         points = sl.delay_vs_control_scan(std_medium, [0.5, 1.0, 16.0], pulse)
         assert alone == [16.0]
         assert_rows_match(points, per_point_rows(std_medium, [0.5, 1.0, 16.0], pulse))
