@@ -9,10 +9,10 @@ sweep      delay and loss versus control intensity, with linearity check
 xcorr      cross-correlation metrics for envelope CSVs
 
 Exit codes: 0 success, 2 configuration or validation failure, 3 numerical
-failure or resolution refusal.  All outputs are plot-ready CSVs plus a
-flat ``key = value`` summary; the config-driven runs (analytic, propagate,
-sweep) also write the fully-resolved configuration for bit-identical
-re-runs.
+failure, resolution refusal or an input too large to compute.  All outputs
+are plot-ready CSVs plus a flat ``key = value`` summary; the config-driven
+runs (analytic, propagate, sweep) also write the fully-resolved
+configuration for bit-identical re-runs.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def cmd_kk(args):
 
 def _set_up(config: SimulationConfig):
     """The time grid, the signal pulse and the control-free medium of a run."""
-    grid = config.grid.build(config.signal, config.medium)
+    grid = config.grid.build()
     return grid, config.signal.build(grid), config.medium.build()
 
 
@@ -129,8 +129,7 @@ def cmd_propagate(args):
 
     grid, pulse, base_medium = _set_up(config)
     fgrid = grid.frequency_grid()
-    intensity = config.control.intensity
-    the_medium = base_medium.with_control_intensity(intensity)
+    the_medium = base_medium.with_control_intensity(config.control.intensity)
     transfer = _transfer_for_run(args, the_medium, fgrid)
 
     spec_in = forward_transform(pulse)
@@ -139,7 +138,7 @@ def cmd_propagate(args):
         out = fdprop.propagate(pulse, transfer)
         spec_on = spec_in.samples * transfer.values
     else:
-        control = config.control.build(grid, intensity)
+        control = config.control.build(grid)
         result = tdprop.solve(the_medium, control, pulse, config.solver.build())
         out, warnings = result.output, result.warnings
         solver = {
@@ -313,7 +312,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SlowLightError, ValueError) as exc:
+    except (SlowLightError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -8,9 +8,12 @@ resolved INI and the ``config.*`` summary keys are all driven by these
 declarations; rules that tie keys of one section together live in that
 section's ``__post_init__``.
 
-Unknown sections or keys abort before any computation; every run writes
-back the fully-resolved configuration so results can be reproduced
-bit-for-bit.
+Values are resolved and checked once, when the config is built: a given d0
+becomes the coupling g_per_intensity, and a missing grid step dt_ps becomes
+the step the grid uses.  A loaded config therefore holds exactly what
+``resolved_config.ini`` writes.  Unknown sections or keys abort before any
+computation; every run writes back that resolved configuration so results
+can be reproduced bit-for-bit.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import configparser
 import itertools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError
 from .medium import RamanMedium, symmetric_doublet
@@ -91,20 +94,18 @@ class MediumConfig:
                 f"no transparency window: gamma_invps = {self.gamma_invps} >= "
                 f"delta_invps = {self.delta_invps}"
             )
+        if self.d0 is not None:  # held as the coupling it sets, as resolved_config.ini writes it
+            g = self.d0 * self.gamma_invps / self.length_mm
+            if not math.isfinite(g):
+                raise ConfigError(f"key medium.d0: coupling d0 * gamma_invps / length_mm = {g!r} is not finite")
+            self.d0, self.g_per_intensity = None, g
 
     @property
     def k0(self) -> float:
         return wavenumber(self.lambda0_nm)
 
-    def strength_per_intensity(self) -> float:
-        if self.g_per_intensity is not None:
-            return self.g_per_intensity
-        return self.d0 * self.gamma_invps / self.length_mm
-
     def build(self) -> RamanMedium:
-        return symmetric_doublet(
-            self.strength_per_intensity(), self.gamma_invps, self.delta_invps, self.k0, self.length_mm
-        )
+        return symmetric_doublet(self.g_per_intensity, self.gamma_invps, self.delta_invps, self.k0, self.length_mm)
 
 
 @dataclass(kw_only=True)
@@ -146,13 +147,12 @@ class ControlConfig:
         if self.intensity is None and not self.intensity_list:
             self.intensity = 1.0
 
-    def build(self, grid: TimeGrid, intensity: float | None = None) -> ControlField:
-        level = self.intensity if intensity is None else intensity
+    def build(self, grid: TimeGrid) -> ControlField:
         if self.kind == "constant":
-            return ControlField.constant(level)
+            return ControlField.constant(self.intensity)
         if self.kind == "gaussian":
-            return ControlField.gaussian(grid, self.fwhm_ps, level)
-        return ControlField.flat_top(grid, self.fwhm_ps, level)
+            return ControlField.gaussian(grid, self.fwhm_ps, self.intensity)
+        return ControlField.flat_top(grid, self.fwhm_ps, self.intensity)
 
 
 @dataclass(kw_only=True)
@@ -176,8 +176,8 @@ class GridConfig:
             )
         return dt
 
-    def build(self, signal: SignalConfig, medium: MediumConfig) -> TimeGrid:
-        return TimeGrid.centered(self.n, self.resolve_dt(signal, medium))
+    def build(self) -> TimeGrid:
+        return TimeGrid.centered(self.n, self.dt_ps)
 
 
 @dataclass(kw_only=True)
@@ -196,16 +196,14 @@ class SimulationConfig:
     grid: GridConfig
     solver: SolverConfig
 
+    def __post_init__(self):
+        # refused here, not after a run's first output
+        self.grid.dt_ps = self.grid.resolve_dt(self.signal, self.medium)
+
     def _resolved_items(self):
-        """(section, key, text) for every resolved key, in file order: d0 is
-        written as g_per_intensity and dt_ps as the step the grid uses."""
-        resolved = replace(
-            self,
-            medium=replace(self.medium, d0=None, g_per_intensity=self.medium.strength_per_intensity()),
-            grid=replace(self.grid, dt_ps=self.grid.resolve_dt(self.signal, self.medium)),
-        )
-        for section in fields(resolved):
-            block = getattr(resolved, section.name)
+        """(section, key, text) for every key set, in file order."""
+        for section in fields(self):
+            block = getattr(self, section.name)
             for key in fields(block):
                 value = getattr(block, key.name)
                 if value is None or value == []:
@@ -270,9 +268,7 @@ def load_config(path) -> SimulationConfig:
         for name, cls in sections.items()
     })
     try:
-        config.medium.build()
         config.solver.build()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    config.grid.resolve_dt(config.signal, config.medium)  # refused here, not after a run's first output
     return config

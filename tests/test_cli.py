@@ -159,6 +159,7 @@ def test_bad_number_flag_exits_2(tmp_path, capsys, command, flag, value):
 
 NO_WINDOW = [("gamma_invps = 1.0", "gamma_invps = 7.0")]
 AS_LIST = [("intensity = 1.0", "intensity_list = 0.5, 1.0")]
+INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e-10")]
 
 
 @pytest.mark.parametrize(
@@ -171,9 +172,16 @@ AS_LIST = [("intensity = 1.0", "intensity_list = 0.5, 1.0")]
         (["analytic"], [("dt_ps = 0.06\n", ""), ("n = 16384", "n = 8")], 2),  # no grid step fits
         (["propagate", "--domain", "fd"], [("intensity = 1.0", "intensity = 1e300")], 3),
         (["sweep", "--domain", "td"], [("intensity = 1.0", "intensity_list = 0.0, 0.0, 0.0")], 3),
+        (["analytic"], INF_COUPLING, 2),
+        (["propagate", "--domain", "fd"], INF_COUPLING, 2),
+        # each allocation below is larger than any address space, so it fails at once
+        (["analytic", "--d0-max", "1e300", "--d0-step", "1e-10"], [], 3),  # the point count overflows
+        (["analytic", "--d0-max", "1e18", "--d0-step", "1"], [], 3),  # 6.94 EiB of d0 values
+        (["propagate", "--domain", "fd"], [("n = 16384", "n = 1125899906842624")], 3),  # 8 PiB per array
     ],
     ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
-         "fd-centroid", "sweep-all-zero"],
+         "fd-centroid", "sweep-all-zero", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
+         "analytic-count-memory", "fd-grid-memory"],
 )
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     text = CONFIG

@@ -48,7 +48,7 @@ def test_good_config_builds_everything(tmp_path):
     medium = config.medium.build()
     assert sl.peak_optical_depth(medium) == pytest.approx(2.5, rel=1e-12)
     assert medium.k0 == pytest.approx(2 * np.pi / 765e-6, rel=1e-12)
-    grid = config.grid.build(config.signal, config.medium)
+    grid = config.grid.build()
     assert grid.n == 16384 and grid.dt == 0.06
     pulse = config.signal.build(grid)
     assert pulse.energy() == pytest.approx(1.0, rel=1e-9)
@@ -115,7 +115,7 @@ def test_intensity_list_parsing(tmp_path):
 def test_default_dt_respects_beat_and_span(tmp_path):
     text = GOOD.replace("dt_ps = 0.06\n", "")
     config = load_config(write(tmp_path, text))
-    grid = config.grid.build(config.signal, config.medium)
+    grid = config.grid.build()
     assert grid.dt <= 2 * np.pi / (8 * 6.8)
     duration = config.signal.transform_limited_duration()
     assert grid.span >= 16 * duration
@@ -157,7 +157,7 @@ def test_resolved_ini_round_trips(tmp_path):
     resolved.write_text(config.resolved_ini())
     again = load_config(resolved)
     assert again.resolved_ini() == config.resolved_ini()
-    assert again.medium.strength_per_intensity() == config.medium.strength_per_intensity()
+    assert again.medium.g_per_intensity == config.medium.g_per_intensity
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -223,6 +223,19 @@ def test_resolved_config_bytes_pinned(tmp_path, name):
     assert config.resolved_ini() == pinned["resolved_ini"]
     assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
     assert load_config(write(tmp_path, pinned["resolved_ini"])).resolved_ini() == pinned["resolved_ini"]
+
+
+@pytest.mark.parametrize("name", list(RESOLVED_VARIANTS))
+def test_loaded_config_is_the_resolved_config(tmp_path, name):
+    """A loaded config already holds what its resolved_config.ini writes, so
+    loading that file gives an equal config."""
+    text = EXAMPLE
+    for old, new in RESOLVED_VARIANTS[name]:
+        text = text.replace(old, new)
+    config = load_config(write(tmp_path, text))
+    resolved = tmp_path / "resolved.ini"
+    resolved.write_text(config.resolved_ini())
+    assert load_config(resolved) == config
 
 
 def test_legacy_solver_scheme(tmp_path):

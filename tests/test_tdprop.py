@@ -225,6 +225,17 @@ class TestSolveProperties:
         result = sl.solve(medium, control, pulse)
         assert rel_l2(result.output.samples, extrapolated) < 1e-9
 
+    @settings(max_examples=4, deadline=None)
+    @given(d0=st.floats(2.0, 3.0), bandwidth=st.floats(1.5, 2.1), intensity=st.floats(0.1, 2.0))
+    def test_envelope_of_ones_is_constant_control(self, signal_grid, d0, bandwidth, intensity):
+        # the array drive and emit path against the scalar one
+        pulse = sl.synthesize_pulse("flat_top_spectrum", signal_grid, bandwidth=bandwidth)
+        medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
+        shaped = sl.solve(medium, sl.ControlField(intensity=intensity, envelope=np.ones(signal_grid.n)), pulse)
+        constant = sl.solve(medium, sl.ControlField.constant(intensity), pulse)
+        scale = np.max(np.abs(constant.output.samples))
+        assert np.max(np.abs(shaped.output.samples - constant.output.samples)) <= 1e-15 * scale
+
     @settings(max_examples=6, deadline=None)
     @given(d0=st.floats(0.0, 3.0), bandwidth=st.floats(1.5, 2.1))
     def test_energy_never_grows(self, signal_grid, d0, bandwidth):
