@@ -8,8 +8,10 @@ The PV integral
 
 is evaluated as a discrete Hilbert transform: multiply the conjugate-
 domain transform by i*sign and transform back, on a zero-padded grid so
-the circular convolution never wraps into the data.  A direct PV sum with
-singular-point exclusion lives in the tests as the slow oracle.
+the circular convolution never wraps into the data.  That operator is
+applied as a short convolution with its closed-form kernel.  A direct PV
+sum with singular-point exclusion lives in the tests as the slow oracle,
+and the padded transform pair as the oracle of the kernel.
 """
 
 from __future__ import annotations
@@ -124,24 +126,42 @@ def ingest_absorption(
     return OpticalDepthSpectrum(grid=target_grid, depth=d, center_wavelength_nm=center_wavelength_nm)
 
 
+def _sine_sum(count: int, k: np.ndarray, m: int) -> np.ndarray:
+    """sum_{j=1..count} sin(2*pi*j*k/m) for integer lags ``k`` (no k = 0 mod m),
+    by the closed form sin(count*t/2) sin((count+1)*t/2) / sin(t/2) at
+    t = 2*pi*k/m.  Each sine is taken of an angle reduced in integers to
+    [0, pi/2], so it keeps full relative precision next to a multiple of pi."""
+
+    def sin_turns(numerator):  # sin(pi * numerator / m)
+        r = numerator % (2 * m)
+        sign = np.where(r < m, 1.0, -1.0)
+        r = r % m
+        return sign * np.sin(np.pi / m * np.minimum(r, m - r))
+
+    return sin_turns(count * k) * sin_turns((count + 1) * k) / sin_turns(k)
+
+
 def hilbert_transform(f: np.ndarray, pad_factor: int = _PAD_FACTOR) -> np.ndarray:
     """Discrete principal-value Hilbert transform on a uniform grid,
 
         g(w) = (1/pi) PV int f(w') / (w' - w) dw'
 
-    computed by conjugate-domain multiplication with i*sign on a grid
-    zero-padded by ``pad_factor``.
+    defined by conjugate-domain multiplication with i*sign on a grid
+    zero-padded to m = ``pad_factor`` * n samples.  That operator is a
+    circular convolution with the real kernel h = Re ifft(i*sign), and
+    since f is zero outside its n samples only the lags |k| < n reach the
+    output, so it is computed as one linear convolution of length 2n with h
+    in closed form: h[k] = -(S(m//2 - 1) + S(m - 1 - m//2)) / m with S the
+    sine sum of :func:`_sine_sum` (for even m, -(2/m) cot(pi k/m) at odd k
+    and 0 at even k).
     """
     f = np.asarray(f, dtype=float)
     n = f.size
     m = pad_factor * n
-    padded = np.zeros(m)
-    padded[:n] = f
-    kernel = np.zeros(m, dtype=complex)
-    kernel[1 : m // 2] = 1j
-    kernel[m // 2 + 1 :] = -1j
-    g = np.fft.ifft(np.fft.fft(padded) * kernel).real
-    return g[:n]
+    lags = np.arange(1, n)
+    h = -(_sine_sum(m // 2 - 1, lags, m) + _sine_sum(m - 1 - m // 2, lags, m)) / m
+    kernel = np.concatenate(([0.0], h, [0.0], -h[::-1]))  # h is odd in k
+    return np.fft.irfft(np.fft.rfft(f, 2 * n) * np.fft.rfft(kernel), 2 * n)[:n]
 
 
 def kk_real_from_imag(depth: OpticalDepthSpectrum, k0: float, length_mm: float) -> Susceptibility:

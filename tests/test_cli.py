@@ -1,3 +1,5 @@
+import gc
+import runpy
 import subprocess
 import sys
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 import slowlight as sl
+from slowlight import cli
 from slowlight.cli import main
 from slowlight.data import ktp_absorption_path
 
@@ -62,6 +65,35 @@ def test_import_leaves_scipy_out():
     code = "import sys, slowlight; assert 'scipy' not in sys.modules, 'scipy imported'"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert cp.returncode == 0, cp.stderr
+
+
+def test_module_entry_freezes_the_import_heap_and_exits_with_the_run_code(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv=None: 3)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("slowlight", run_name="__main__")
+        assert exc.value.code == 3
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_in_process_main_does_not_freeze(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["analytic", "--config", str(write_config(tmp_path)), "--out-dir", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_profiled_run_prints_its_stats_and_writes_its_outputs(tmp_path):
+    # the CLI ends the interpreter by a normal exit, so a profiler wrapped
+    # around it still reports
+    out = tmp_path / "out"
+    cmd = [sys.executable, "-m", "cProfile", "-m", "slowlight", "analytic", "--config", str(write_config(tmp_path)),
+           "--out-dir", str(out)]
+    cp = subprocess.run(cmd, capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert "function calls" in cp.stdout and "Ordered by" in cp.stdout
+    assert (out / "analytic_sweep.csv").is_file()
 
 
 def test_help():
@@ -215,6 +247,26 @@ class TestAnalytic:
         mask = d0 > 0
         ratio = delay[mask] / loss[mask]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-9 * abs(ratio[0])
+
+    @pytest.mark.parametrize("flags", [[], ["--d0-max", "100", "--d0-step", "0.001"]], ids=["default", "1e5-rows"])
+    def test_rows_match_the_closed_forms(self, tmp_path, flags):
+        out = tmp_path / "out"
+        assert main(["analytic", "--config", str(write_config(tmp_path)), "--out-dir", str(out), *flags]) == 0
+        _, body = read_csv(out / "analytic_sweep.csv")
+        d0, delay, loss, dbp = body.T
+        gamma, delta = 1.0, 6.8
+        q = delta**2 / 4.0
+        tau_g = d0 * gamma * (q - gamma**2) / (q + gamma**2) ** 2
+        eta = d0 * (10.0 / np.log(10.0)) * 2.0 * gamma**2 / (q + gamma**2)
+        oracles = [np.column_stack((tau_g, eta, tau_g * (delta - gamma)))]
+        if not flags:
+            # and the figures of one medium per row, as the library builds it
+            media = (sl.from_target_depth(x, gamma, delta, 2 * np.pi / 765e-6, 30.0) for x in d0)
+            figures = [sl.figures_of_merit(m) for m in media]
+            oracles.append(np.array([(f.group_delay_ps, f.loss_db, f.delay_bandwidth_product) for f in figures]))
+        assert d0.size == (100_001 if flags else 51)
+        for expected in oracles:
+            assert np.all(np.abs(body[:, 1:] - expected) <= 1e-15 * np.abs(expected))
 
     def test_zero_only_sweep(self, tmp_path):
         cfg = write_config(tmp_path)

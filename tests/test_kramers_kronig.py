@@ -27,6 +27,20 @@ def pv_sum_oracle(f, omegas):
     return out
 
 
+def padded_fft_oracle(f, pad_factor):
+    """The i*sign product on the grid zero-padded to pad_factor*n samples,
+    by two complex FFTs of that length: the operator ``hilbert_transform``
+    computes."""
+    n = f.size
+    m = pad_factor * n
+    padded = np.zeros(m)
+    padded[:n] = f
+    kernel = np.zeros(m, dtype=complex)
+    kernel[1 : m // 2] = 1j
+    kernel[m // 2 + 1 :] = -1j
+    return np.fft.ifft(np.fft.fft(padded) * kernel).real[:n]
+
+
 def doublet_depth(grid, d0=2.5, gamma=GAMMA, delta=DELTA):
     medium = sl.from_target_depth(d0, gamma, delta, K0, LENGTH)
     depth = K0 * LENGTH * sl.chi(medium, grid.omegas).imag
@@ -52,6 +66,17 @@ class TestHilbertTransform:
         slow = pv_sum_oracle(f, w)
         scale = np.max(np.abs(fast))
         assert np.max(np.abs(fast - slow)) < 0.01 * scale
+
+    @pytest.mark.parametrize("pad_factor", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("n", [8, 9, 100, 1024, 16384])
+    def test_matches_padded_fft_oracle(self, n, pad_factor):
+        # odd n and odd pad factors give odd padded lengths, whose i*sign
+        # multiplier has one more negative than positive entry
+        rng = np.random.default_rng(n * 31 + pad_factor)
+        for f in (rng.standard_normal(n), 1.0 / (1.0 + ((np.arange(n) - n / 2) / (n / 20 + 1)) ** 2)):
+            expected = padded_fft_oracle(f, pad_factor)
+            result = hilbert_transform(f, pad_factor)
+            assert np.max(np.abs(result - expected)) <= 4e-15 * np.max(np.abs(expected))
 
 
 class TestReconstruction:
