@@ -60,10 +60,20 @@ def first_moment_delay(on: CorrelationCurve, off: CorrelationCurve) -> float:
 def delay_and_loss(reference: ComplexEnvelope, output: ComplexEnvelope) -> tuple[float, float]:
     """Delay (ps) and loss (dB) of ``output`` against ``reference``: the
     intensity-centroid shift and -10 log10 of the energy ratio."""
-    delay = output.centroid() - reference.centroid()
-    loss = -10.0 * np.log10(output.energy() / reference.energy())
-    # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
-    return float(delay), float(loss) + 0.0
+    return delays_and_losses(reference, [output])[0]
+
+
+def delays_and_losses(reference: ComplexEnvelope, outputs) -> list[tuple[float, float]]:
+    """``delay_and_loss`` of each of ``outputs`` (any iterable, read once),
+    with the reference's centroid and energy taken once."""
+    centroid, energy = reference.centroid(), reference.energy()
+    rows = []
+    for output in outputs:
+        delay = output.centroid() - centroid
+        loss = -10.0 * np.log10(output.energy() / energy)
+        # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
+        rows.append((float(delay), float(loss) + 0.0))
+    return rows
 
 
 def relative_l2_error(envelope: ComplexEnvelope, reference: ComplexEnvelope) -> float:

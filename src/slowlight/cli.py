@@ -192,11 +192,13 @@ def cmd_sweep(args):
         points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse, config.solver.build())
     else:
         spec_in = forward_transform(pulse)  # one transform for every point
-        points = []
-        for i in intensities:
-            h = fdprop._model_transfer(base_medium.with_control_intensity(i), spec_in.grid)
-            out = inverse_transform(SpectralEnvelope(grid=h.grid, samples=spec_in.samples * h.values))
-            points.append(tdprop.ScanPoint(float(i), *analysis.delay_and_loss(pulse, out)))
+
+        def output(intensity):
+            h = fdprop._model_transfer(base_medium.with_control_intensity(intensity), spec_in.grid)
+            return inverse_transform(SpectralEnvelope(grid=h.grid, samples=spec_in.samples * h.values))
+
+        measured = analysis.delays_and_losses(pulse, map(output, intensities))
+        points = [tdprop.ScanPoint(float(i), *row) for i, row in zip(intensities, measured)]
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3:
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])

@@ -14,15 +14,16 @@ bit.  Headers are fixed per format:
 
 Files are written atomically (temp file + rename).
 
-Tables are encoded by numpy, a block of rows at a time.  For each cell it
-estimates ``e10 = floor(log10|x|)`` and forms ``|x| 10**(16 - e10)`` as an
-exact double-double (Dekker's split product with a double-double power
-of ten), so the 17-digit integer and its fraction are known to within
-2**-47.  It rounds to nearest, moves a carry to the next decade, and lays
-out the digits, sign, ``0.000`` prefix, ``.`` and ``e+dd`` suffix as
-``%.17g`` does.  Cells it cannot prove take their text from ``%``, once
-per distinct value: zeros, nan, inf, ``|x|`` outside (1e-280, 1e280), and
-fractions within 2**-30 of one half (possible ties).
+A table of fewer than ``_BLOCK_ROWS`` rows is formatted by ``%``, row by
+row.  Larger tables are encoded by numpy, a block of rows at a time.  For
+each cell it estimates ``e10 = floor(log10|x|)`` and forms
+``|x| 10**(16 - e10)`` as an exact double-double (Dekker's split product
+with a double-double power of ten), so the 17-digit integer and its
+fraction are known to within 2**-47.  It rounds to nearest, moves a carry
+to the next decade, and lays out the digits, sign, ``0.000`` prefix, ``.``
+and ``e+dd`` suffix as ``%.17g`` does.  Cells it cannot prove take their
+text from ``%``, once per distinct value: zeros, nan, inf, ``|x|`` outside
+(1e-280, 1e280), and fractions within 2**-30 of one half (possible ties).
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def atomic_write_text(path, text: str):
 
 def _table_text(header: str, columns) -> str:
     rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    if len(rows) < _BLOCK_ROWS:  # below one block, building the encoder's tables costs more than %
+        line = ",".join([_FMT] * rows.shape[1]) + "\n"
+        return header + "\n" + "".join(line % tuple(row) for row in rows.tolist())
+    return _encoded_text(header, rows)
+
+
+def _encoded_text(header: str, rows: np.ndarray) -> str:
+    """The CSV text of a 2-d float array of rows, by the encoder."""
     pieces = [header + "\n"]
     # a few thousand rows at a time keep the encoder's work arrays small
     for block in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):

@@ -25,9 +25,11 @@ Steele 1986) on work arrays allocated once per solve.
 ``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham, SIAM J.
 Sci. Comput. 33 (2011) 488) over as few equal substeps as keep each one's
 phase to 4, each until a term is negligible, so it is exact in z to
-rounding.  Under a constant control A is proportional to the intensity,
-so ``delay_vs_control_scan`` sums one series for all its one-substep
-points.
+rounding.  Under a constant control A and chi are proportional to the
+intensity, so ``delay_vs_control_scan`` samples chi once and sums one
+series for all its one-substep points: the largest is summed and truncated
+as its own ``solve``, and the others add its terms in chunks, each chunk by
+one matrix product with their powers of the intensity ratio.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import delay_and_loss
+from .analysis import delays_and_losses
 from .errors import AmbiguousWidthError, GridResolutionError
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
@@ -52,6 +54,7 @@ _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
 _MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
 _MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
+_CHUNK = 8  # series terms that one matrix product adds to a shared scan's lower fields
 
 
 @dataclass
@@ -128,10 +131,10 @@ class SolveResult:
     midpoint steps the step-phase limit allows; ``z_error_estimate`` is the
     largest last Taylor term the solve added, relative to ||E||, and
     ``peak_coherence`` the largest coherence magnitude the weak-signal
-    check read."""
+    check read.  ``coherences`` is None for the points of a shared scan."""
 
     output: ComplexEnvelope
-    coherences: CoherenceState
+    coherences: CoherenceState | None
     warnings: list = field(default_factory=list)
     nz: int = 0
     nz_needed: int = 0
@@ -188,9 +191,17 @@ def _max_beat_dt(splitting: float) -> float:
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: SolverSettings):
+def _chi_max(medium: RamanMedium, grid: TimeGrid) -> float:
+    """The largest |chi| over the grid's detunings."""
+    return float(np.max(np.abs(medium_chi(medium, grid.frequency_grid().omegas))))
+
+
+def _validate_resolution(
+    medium: RamanMedium, pulse: ComplexEnvelope, settings: SolverSettings, chi_max: float | None = None,
+):
     """The fewest z steps the per-step phase limit allows; GridResolutionError
-    if dt misses the beat or settings.nz lies below that."""
+    if dt misses the beat or settings.nz lies below that.  ``chi_max`` is
+    the medium's largest |chi| on the grid, sampled here if not given."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -198,7 +209,8 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, settings: 
             f"time step {dt:.4g} ps does not resolve the two-photon beat; "
             f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
         )
-    chi_max = float(np.max(np.abs(medium_chi(medium, pulse.grid.frequency_grid().omegas))))
+    if chi_max is None:
+        chi_max = _chi_max(medium, pulse.grid)
     nz_needed = math.ceil(medium.k0 * chi_max * medium.length_mm / (2.0 * _MAX_STEP_PHASE))
     step_phase = medium.k0 * chi_max * medium.length_mm / (2.0 * settings.nz)
     if step_phase >= _MAX_STEP_PHASE:
@@ -216,19 +228,25 @@ def _substeps(nz_needed: int) -> int:
 
 def _march(
     medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings,
-    scales=(1.0,), midpoint: bool = False,
+    scales=(1.0,), midpoint: bool = False, chi_max: float | None = None,
 ):
     """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A)
     until a term falls to _TERM_TOLERANCE of ||E||: as many substeps as hold
     each one's phase to _MAX_SUBSTEP_PHASE or, if ``midpoint``, settings.nz
     steps of degree 2 (explicit midpoint, the z reference of the tests).
-    Yields one SolveResult for each operator s A, s in ``scales``.  Several
-    scales (a constant control in one substep) share one series: term m of
-    A adds s^m times itself to each field until that field's own sum ends.
-    Each result comes after its own closing application of A, so one set of
-    coherences is alive at a time; its nz and nz_needed are those of A."""
+    Yields one SolveResult for each operator s A, s in ``scales``, in order.
+
+    Several scales (a constant control in one substep) share one series.
+    The lead field, the first of the largest scale, adds term m of A times
+    s^m one term at a time, as ``solve`` does, and its rule ends the sum.
+    The others take the same terms, _CHUNK at a time, by one real matrix
+    product with V[j, i] = s_j^m_i.  A shared series' results carry no
+    coherences.  Each result comes after its own closing application of A,
+    so one set of coherences is alive at a time; its nz and nz_needed are
+    those of A, checked against ``chi_max`` if given (see
+    _validate_resolution)."""
     medium = medium.with_control_intensity(control.intensity)
-    nz_needed = _validate_resolution(medium, pulse, settings)
+    nz_needed = _validate_resolution(medium, pulse, settings, chi_max)
     steps, degree = (settings.nz, 2) if midpoint else (_substeps(nz_needed), _MAX_TERMS)
 
     grid = pulse.grid
@@ -247,42 +265,56 @@ def _march(
     weights_lo = _scan_weights(line_lo.linewidth - 0.5j * medium.splitting, dt, n)
 
     # work arrays, updated in place by every application of A
-    r31, r21, drive, shifted, term = (np.empty(n, dtype=complex) for _ in range(5))
+    r31, r21, drive, shifted = (np.empty(n, dtype=complex) for _ in range(4))
     magnitude = np.empty(n)
 
-    def apply(e_field: np.ndarray, out: np.ndarray) -> float:
+    def apply(e_field: np.ndarray, out: np.ndarray, peak: bool = False):
         """A e_field into out, which may be e_field; the coherences stay in r31
-        and r21, and their peak magnitude is returned."""
+        and r21, and if ``peak`` their peak magnitude is returned."""
         for r, drive_coeff, weights in ((r31, drive_hi, weights_hi), (r21, drive_lo, weights_lo)):
             _coherence_scan(np.multiply(drive_coeff, e_field, out=drive), weights, r, shifted)
         np.add(np.multiply(emit_hi, r31, out=out), np.multiply(emit_lo, r21, out=drive), out=out)
-        return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21))
+        return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21)) if peak else None
 
+    # row k of fields holds scale order[k]: the lead in row 0, swapped with
+    # scale 0, so the same swap maps rows back; terms holds the newest
+    # terms of the series, each written over the oldest
+    lead = scales.index(max(scales))
+    order = list(range(len(scales)))
+    order[0], order[lead] = lead, 0
+    lower = np.array([scales[j] for j in order[1:]])
+    fields = np.empty((len(scales), n), dtype=complex)
+    fields[:] = pulse.samples
+    others = fields[1:].view(float)
+    terms = np.empty((_CHUNK if lower.size else 1, n), dtype=complex)
+    roots = [math.sqrt(scales[j]) for j in order]  # the coherences scale with the control amplitude
+    peaks, errors = [0.0] * len(scales), [0.0] * len(scales)
     dz = medium.length_mm / steps
-    fields = [pulse.samples.copy() for _ in scales]
-    roots = [math.sqrt(s) for s in scales]  # the coherences scale with the control amplitude
-    peaks, errors, last = ([0.0] * len(scales) for _ in range(3))
     for _ in range(steps):
-        np.copyto(term, fields[0])  # several scales take one step, all from E(0)
-        live = range(len(scales))
+        term = fields[0]  # several scales take one step, all from E(0)
         for m in range(1, degree + 1):
-            peak = apply(term, term)
+            source, term = term, terms[(m - 1) % len(terms)]
+            peak = apply(source, term, peak=m == 1)
             if m == 1:  # the weak-signal check reads the fields' coherences only
                 peaks = [max(p, root * peak) for p, root in zip(peaks, roots)]
             term *= dz / m
             size = np.linalg.norm(term)
-            for j in live:
-                fields[j] += np.multiply(scales[j] ** m, term, out=drive)
-                norm = np.linalg.norm(fields[j])  # an all-zero field has an exactly zero series
-                last[j] = float(scales[j] ** m * size / norm) if norm else 0.0
-            if not (live := [j for j in live if last[j] > _TERM_TOLERANCE]):
+            fields[0] += np.multiply(scales[lead] ** m, term, out=drive)
+            last = _relative(scales[lead] ** m * size, fields[0])
+            done = not last > _TERM_TOLERANCE
+            if lower.size and (done or m == degree or m % len(terms) == 0):
+                first = m - (m - 1) % len(terms)
+                others += np.power.outer(lower, np.arange(first, m + 1)) @ terms[: m + 1 - first].view(float)
+            if done:
                 break
-        errors = [max(e, l) for e, l in zip(errors, last)]
+        lasts = [last, *(_relative(s**m * size, f) for s, f in zip(lower, fields[1:]))]
+        errors = [max(e, l) for e, l in zip(errors, lasts)]
 
-    rot = np.exp(0.5j * medium.splitting * grid.times)  # e^{+i Delta tau / 2}
+    rot = None if lower.size else np.exp(0.5j * medium.splitting * grid.times)  # e^{+i Delta tau / 2}
     shape_warnings = _control_duration_warning(control, pulse) if control.envelope is not None else []
-    for e_field, root, peak, error in zip(fields, roots, peaks, errors):
-        peak = max(peak, root * apply(e_field, term))
+    for row in order:
+        e_field, root = fields[row], roots[row]
+        peak = max(peaks[row], root * apply(e_field, terms[0], peak=True))
         warnings = [
             f"coherence amplitude reached {peak:.3g} (> "
             f"{_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal assumption may not hold "
@@ -290,13 +322,21 @@ def _march(
         ] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
         yield SolveResult(
             output=ComplexEnvelope(grid=grid, samples=e_field),
-            coherences=CoherenceState(q21=r21 * (root * np.conj(rot)), q31=r31 * (root * rot)),
+            coherences=None if rot is None else CoherenceState(
+                q21=r21 * (root * np.conj(rot)), q31=r31 * (root * rot)
+            ),
             warnings=warnings + shape_warnings,
             nz=steps,
             nz_needed=nz_needed,
-            z_error_estimate=error,
+            z_error_estimate=errors[row],
             peak_coherence=peak,
         )
+
+
+def _relative(size: float, e_field: np.ndarray) -> float:
+    """size / ||e_field||, or 0 for an all-zero field, whose series is exactly zero."""
+    norm = np.linalg.norm(e_field)
+    return float(size / norm) if norm else 0.0
 
 
 def solve(
@@ -338,27 +378,33 @@ def delay_vs_control_scan(
 ) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    The operator at intensity I is I times the one at unit intensity, so the
-    points that ``solve`` takes in one substep share one Taylor series,
-    built once at the largest of them; the others are solved one at a time.
-    Each point is refused, warned about and truncated as its own ``solve``
-    would be, and measured against the input by
-    ``analysis.delay_and_loss``: the intensity-centroid shift and the
-    energy ratio in dB.
+    The operator and chi at intensity I are I times those at unit intensity.
+    So chi is sampled once, and each point is checked against I times its
+    peak and refused and warned about as its own ``solve`` would be.  The
+    points that ``solve`` takes in one substep share one Taylor series, built
+    at the largest of them: that point is summed and truncated exactly as
+    its own ``solve``, and the others take every term it takes, which moves
+    them by about 1e-15 relative.  The other points are solved one at a
+    time.  ``analysis.delays_and_losses`` measures each point against the
+    input: the intensity-centroid shift and the energy ratio in dB.
     """
     settings = settings or SolverSettings()
     intensities = [float(i) for i in control_intensities]
+    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid) if intensities else 0.0
     shared = []
     for i in intensities:  # refused in order, as each point's own solve would be
-        loaded = medium.with_control_intensity(ControlField.constant(i).intensity)
-        if _substeps(_validate_resolution(loaded, pulse, settings)) == 1:
+        ControlField.constant(i)  # a negative intensity is refused first
+        if _substeps(_validate_resolution(medium, pulse, settings, i * unit_chi_max)) == 1:
             shared.append(i)
     top = max(shared, default=0.0)
     scales = [i / (top or 1.0) for i in shared]
     alone = (i for i in intensities if i not in shared)
+    march = _march(medium, ControlField.constant(top), pulse, settings, scales, chi_max=top * unit_chi_max)
     results = chain(
-        zip(shared, _march(medium, ControlField.constant(top), pulse, settings, scales)),
+        zip(shared, march),
         ((i, solve(medium, ControlField.constant(i), pulse, settings)) for i in alone),
     )
-    rows = {i: ScanPoint(i, *delay_and_loss(pulse, r.output), tuple(r.warnings)) for i, r in results}
+    solved = [(i, r.output, tuple(r.warnings)) for i, r in results]
+    measured = delays_and_losses(pulse, (output for _, output, _ in solved))
+    rows = {i: ScanPoint(i, *metrics, warnings) for (i, _, warnings), metrics in zip(solved, measured)}
     return [rows[i] for i in intensities]

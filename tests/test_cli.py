@@ -482,9 +482,10 @@ class TestSweep:
         assert np.allclose(body[0], 0.0, atol=1e-12)
 
     def test_td_zero_intensity_row_has_no_negative_zero(self, tmp_path):
-        # the lossless point used to print its loss as "-0"; the row at 1.0
-        # still matches the propagate run to the last printed digit
-        text = CONFIG.replace("intensity = 1.0", "intensity_list = 0.0, 1.0")
+        # the lossless point used to print its loss as "-0"; the row at 1.0,
+        # the lead of the shared series, still matches the propagate run to
+        # the last printed digit beside points that take its terms in chunks
+        text = CONFIG.replace("intensity = 1.0", "intensity_list = 0.0, 0.25, 0.5, 1.0")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]) == 0
         rows = (out / "intensity_scan.csv").read_text().splitlines()[1:]
@@ -492,7 +493,7 @@ class TestSweep:
         cfg = write_config(tmp_path, CONFIG, name="single.ini")
         assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(tmp_path / "single")]) == 0
         summary = read_summary(tmp_path / "single" / "summary.txt")
-        assert rows[1].split(",")[1:] == [summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]]
+        assert rows[3].split(",")[1:] == [summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]]
 
     def test_td_sweep_reports_solver_warnings(self, tmp_path):
         # at I = 16 the coherences pass the weak-signal limit; the entry splits back out whole

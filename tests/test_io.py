@@ -118,8 +118,10 @@ def _percent_table(header, columns):
 
 
 def _assert_encodes_as_percent(columns):
+    # the encoder itself: _table_text hands it only tables of _BLOCK_ROWS rows or more
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    assert io._table_text(header, columns) == _percent_table(header, columns)
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    assert io._encoded_text(header, rows) == _percent_table(header, columns)
 
 
 class _CountingFormat(str):
@@ -199,7 +201,7 @@ def test_percent_only_for_cells_the_fast_path_cannot_prove(monkeypatch):
     io._table_text("x", [values])
     assert _CountingFormat.calls == len({v for v in values.tolist() if _is_tie(v)}) == 1
     _CountingFormat.calls = 0
-    io._table_text("x", [np.array([0.0, 0.0, -0.0, 1e-300, np.nan, 0.0])])
+    io._encoded_text("x", np.array([[0.0], [0.0], [-0.0], [1e-300], [np.nan], [0.0]]))
     assert _CountingFormat.calls == 4  # once per distinct bit pattern
 
 
@@ -217,4 +219,20 @@ def test_encoder_matches_percent_on_cli_columns(flattop_signal, std_transfer):
 def test_empty_and_one_row_tables(rows):
     columns = [np.arange(rows) * 0.1, np.arange(rows) - 0.5, np.full(rows, -0.0)]
     _assert_encodes_as_percent(columns)
+    assert io._table_text("a,b,c", columns) == _percent_table("a,b,c", columns)
     assert io._table_text("a,b,c", columns).count("\n") == rows + 1
+
+
+@pytest.mark.parametrize("rows", [io._BLOCK_ROWS - 1, io._BLOCK_ROWS])
+def test_tables_either_side_of_one_block_match_percent(rows):
+    # below one block % formats the table, from one block on the encoder does
+    rng = np.random.default_rng(rows)
+    columns = [np.arange(rows) * 0.06, rng.standard_normal(rows), -rng.exponential(size=rows) * 1e-9]
+    assert io._table_text("a,b,c", columns) == _percent_table("a,b,c", columns)
+
+
+def test_small_scan_csv_builds_no_encoder_tables(tmp_path):
+    io._encoder_tables.cache_clear()
+    points = [sl.ScanPoint(0.25 * i, 0.0171 * i, 0.3 * i) for i in range(10)]
+    io.write_scan_csv(tmp_path / "scan.csv", points)
+    assert io._encoder_tables.cache_info().currsize == 0

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,30 @@ class TestControlScan:
         assert alone == [16.0]
         assert_rows_match(points, per_point_rows(std_medium, [0.5, 1.0, 16.0], pulse))
         assert points[-1].warnings[0].startswith("coherence amplitude reached")
+
+    def test_all_shared_scan_samples_chi_once(self, std_medium, monkeypatch):
+        # chi is linear in the intensity: one sample at unit intensity checks every point
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
+        sampled = []
+
+        def spy(medium, omega, chi=tdprop.medium_chi):
+            sampled.append(medium.control_intensity)
+            return chi(medium, omega)
+
+        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        points = sl.delay_vs_control_scan(std_medium, np.linspace(0.0, 2.0, 9), pulse)
+        assert len(points) == 9 and sampled == [1.0]
+
+    def test_nine_point_scan_memory(self, std_medium, flattop_signal):
+        # the scan's fields, buffered terms and product at n = 16384 stay below 10 MB
+        intensities = np.linspace(0.25, 2.0, 9)
+        tracemalloc.start()
+        try:
+            sl.delay_vs_control_scan(std_medium, intensities, flattop_signal)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     def test_empty_scan(self, std_medium, flattop_signal):
         assert sl.delay_vs_control_scan(std_medium, [], flattop_signal) == []
