@@ -46,7 +46,6 @@ from .spectral import (
 
 
 def _out_path(args, name):
-    os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
 
 
@@ -133,13 +132,14 @@ def cmd_propagate(args):
     grid, pulse, base_medium = _set_up(config)
     fgrid = grid.frequency_grid()
     the_medium = base_medium.with_control_intensity(config.control.intensity)
-    transfer = _transfer_for_run(args, the_medium, fgrid)
 
     spec_in = forward_transform(pulse)
-    warnings, solver, checks = [], {"solver.nz": config.solver.nz}, {}
+    warnings, solver, checks, center = [], {"solver.nz": config.solver.nz}, {}, {}
     if args.domain == "fd":
+        transfer = _transfer_for_run(args, the_medium, fgrid)
         spec_on = spec_in.samples * transfer.values
         out = inverse_transform(SpectralEnvelope(grid=fgrid, samples=spec_on))
+        center["metrics.center_transmission"] = transfer.center_transmission()
     else:
         control = config.control.build(grid)
         result = tdprop.solve(the_medium, control, pulse, config.solver.build())
@@ -151,7 +151,9 @@ def cmd_propagate(args):
             "solver.peak_coherence": result.peak_coherence,
         }
         spec_on = forward_transform(out).samples
-        if config.control.kind == "constant":
+        if config.control.kind == "constant":  # a shaped control has no fixed-intensity transfer
+            transfer = fdprop._model_transfer(the_medium, fgrid)
+            center["metrics.center_transmission"] = transfer.center_transmission()
             reference = fdprop.propagate_causal(pulse, the_medium)
             checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, reference)
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
@@ -161,13 +163,11 @@ def cmd_propagate(args):
         "metrics.first_moment_delay_ps": delay,
         "metrics.loss_db": loss_db_total,
         "metrics.output_fwhm_ps": out.intensity_fwhm(),
-        "metrics.center_transmission": transfer.center_transmission(),
+        **center,
         "grid.n": grid.n,
         "grid.dt_ps": grid.dt,
         **solver,
     }
-    if args.domain == "td" and config.control.kind != "constant":
-        del summary["metrics.center_transmission"]  # a fixed-intensity FD value
     if not args.chi_csv:
         summary.update(_medium_figures(the_medium))
     summary.update(checks)
@@ -307,6 +307,11 @@ def main(argv=None) -> int:
     """Run one subcommand, then write its summary and, for config-driven
     runs, the resolved configuration."""
     args = build_parser().parse_args(argv)
+    try:  # before any work, so a bad --out-dir costs no solve
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return 2
     try:
         summary, config = args.func(args)
         if config is not None:

@@ -12,13 +12,14 @@ bit.  Headers are fixed per format:
     intensity scan  control_intensity,delay_ps,loss_db
     analytic sweep  d0,delay_ps,loss_db,dbp
 
-Files are written atomically (temp file + rename).
+Each file is streamed as bytes into a temp file beside it, a block of
+``_BLOCK_ROWS`` rows at a time, and then renamed over it, so writing needs
+memory for one block and a failed write leaves neither file behind.
 
-A table of fewer than ``_BLOCK_ROWS`` rows is formatted by ``%``, row by
-row.  Larger tables are encoded by numpy, a block of rows at a time.  For
-each cell it estimates ``e10 = floor(log10|x|)`` and forms
-``|x| 10**(16 - e10)`` as an exact double-double (Dekker's split product
-with a double-double power of ten), so the 17-digit integer and its
+Tables under one block are formatted by ``%``; numpy encodes larger ones
+a block at a time.  For each cell it estimates ``e10 = floor(log10|x|)``
+and forms ``|x| 10**(16 - e10)`` as an exact double-double (Dekker's split
+product with a double-double power of ten), so the 17-digit integer and its
 fraction are known to within 2**-47.  It rounds to nearest, moves a carry
 to the next decade, and lays out the digits, sign, ``0.000`` prefix, ``.``
 and ``e+dd`` suffix as ``%.17g`` does.  Cells it cannot prove take their
@@ -48,13 +49,12 @@ ANALYTIC_HEADER = "d0,delay_ps,loss_db,dbp"
 ABSORPTION_HEADERS = ("wavelength_nm,absorption", "wavelength_nm,optical_depth")
 
 
-def atomic_write_text(path, text: str):
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _atomic_write(path, chunks):
+    """Write the byte strings ``chunks`` to ``path`` by a temp file and a rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -62,24 +62,24 @@ def atomic_write_text(path, text: str):
         raise
 
 
-def _table_text(header: str, columns) -> str:
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    if len(rows) < _BLOCK_ROWS:  # below one block, building the encoder's tables costs more than %
-        line = ",".join([_FMT] * rows.shape[1]) + "\n"
-        return header + "\n" + "".join(line % tuple(row) for row in rows.tolist())
-    return _encoded_text(header, rows)
+def atomic_write_text(path, text: str):
+    _atomic_write(path, [text.encode("utf-8")])
 
 
-def _encoded_text(header: str, rows: np.ndarray) -> str:
-    """The CSV text of a 2-d float array of rows, by the encoder."""
-    pieces = [header + "\n"]
-    # a few thousand rows at a time keep the encoder's work arrays small
-    for block in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
-        cells = _encode_cells(block.ravel())
-        cells[:, -1] = ord(",")
-        cells[block.shape[1] - 1 :: block.shape[1], -1] = ord("\n")
-        pieces.append(cells.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+def _table_chunks(header: str, columns):
+    """The CSV of ``columns`` as bytes: the header line, then each block of rows."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    rows, width = len(columns[0]), len(columns)
+    yield (header + "\n").encode("ascii")
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = np.column_stack([c[start : start + _BLOCK_ROWS] for c in columns])
+        if rows < _BLOCK_ROWS:  # below one block, building the encoder's tables costs more than %
+            yield (((",".join([_FMT] * width) + "\n") * rows) % tuple(block.ravel().tolist())).encode("ascii")
+        else:
+            cells = _encode_cells(block.ravel())
+            cells[:, -1] = ord(",")
+            cells[width - 1 :: width, -1] = ord("\n")
+            yield cells.tobytes().translate(None, b"\0")
 
 
 # A cell is laid out in six 8-byte words, and the zero bytes are dropped:
@@ -242,7 +242,7 @@ def _encode_cells(x) -> np.ndarray:
 
 def _write_complex_csv(path, header: str, axis: np.ndarray, values: np.ndarray):
     values = np.asarray(values, dtype=complex)
-    atomic_write_text(path, _table_text(header, [axis, values.real, values.imag]))
+    _atomic_write(path, _table_chunks(header, [axis, values.real, values.imag]))
 
 
 def write_envelope_csv(path, env: ComplexEnvelope):
@@ -275,16 +275,16 @@ def read_susceptibility_csv(path):
 
 
 def write_correlation_csv(path, curve):
-    atomic_write_text(path, _table_text(CORRELATION_HEADER, [curve.delays, curve.intensity]))
+    _atomic_write(path, _table_chunks(CORRELATION_HEADER, [curve.delays, curve.intensity]))
 
 
 def write_scan_csv(path, points):
     cols = [[p.intensity for p in points], [p.delay_ps for p in points], [p.loss_db for p in points]]
-    atomic_write_text(path, _table_text(SCAN_HEADER, cols))
+    _atomic_write(path, _table_chunks(SCAN_HEADER, cols))
 
 
 def write_analytic_csv(path, d0, delay, loss, dbp):
-    atomic_write_text(path, _table_text(ANALYTIC_HEADER, [d0, delay, loss, dbp]))
+    _atomic_write(path, _table_chunks(ANALYTIC_HEADER, [d0, delay, loss, dbp]))
 
 
 def read_absorption_csv(path):

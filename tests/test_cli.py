@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import slowlight as sl
-from slowlight import cli
+from slowlight import cli, fdprop, tdprop
 from slowlight.cli import main
 from slowlight.data import ktp_absorption_path
 
@@ -151,6 +151,20 @@ def test_bad_csv_exits_2(tmp_path, capsys, argv, text):
     assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_bad_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, under):
+    def refuse(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(tdprop, "solve", refuse)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv = ["propagate", "--config", str(write_config(tmp_path)), "--domain", "td"]
+    assert main([*argv, "--out-dir", str(a_file / under)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --out-dir")
 
 
 # the arguments each subcommand requires besides the flag under test
@@ -392,6 +406,14 @@ class TestPropagate:
         assert "metrics.center_transmission" not in read_summary(tmp_path / "td_gaussian" / "summary.txt")
         fd = read_summary(tmp_path / "fd" / "summary.txt")["metrics.center_transmission"]
         assert read_summary(tmp_path / "td" / "summary.txt")["metrics.center_transmission"] == fd
+
+    def test_td_shaped_control_samples_no_transfer(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the transfer was sampled")
+
+        monkeypatch.setattr(fdprop, "_model_transfer", refuse)
+        cfg = write_config(tmp_path, CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0"))
+        assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_td_with_csv_chi_rejected(self, tmp_path):
         from slowlight import io as sio

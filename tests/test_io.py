@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -117,11 +118,16 @@ def _percent_table(header, columns):
     return header + "\n" + (row * rows.shape[0]) % tuple(rows.ravel().tolist())
 
 
+def _table_bytes(header, columns):
+    return b"".join(io._table_chunks(header, columns))
+
+
 def _assert_encodes_as_percent(columns):
-    # the encoder itself: _table_text hands it only tables of _BLOCK_ROWS rows or more
+    # the encoder itself: _table_chunks hands it only tables of _BLOCK_ROWS rows
+    # or more, so shorter columns are repeated up to one block
     header = ",".join(f"c{i}" for i in range(len(columns)))
-    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    assert io._encoded_text(header, rows) == _percent_table(header, columns)
+    columns = [np.resize(np.asarray(c, dtype=float), max(len(c), io._BLOCK_ROWS)) for c in columns]
+    assert _table_bytes(header, columns) == _percent_table(header, columns).encode("ascii")
 
 
 class _CountingFormat(str):
@@ -198,10 +204,10 @@ def test_percent_only_for_cells_the_fast_path_cannot_prove(monkeypatch):
     powers = 10.0 ** np.arange(-279, 280)
     values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers])
     _CountingFormat.calls = 0
-    io._table_text("x", [values])
+    _table_bytes("x", [values])
     assert _CountingFormat.calls == len({v for v in values.tolist() if _is_tie(v)}) == 1
     _CountingFormat.calls = 0
-    io._encoded_text("x", np.array([[0.0], [0.0], [-0.0], [1e-300], [np.nan], [0.0]]))
+    io._encode_cells(np.array([0.0, 0.0, -0.0, 1e-300, np.nan, 0.0]))
     assert _CountingFormat.calls == 4  # once per distinct bit pattern
 
 
@@ -219,16 +225,17 @@ def test_encoder_matches_percent_on_cli_columns(flattop_signal, std_transfer):
 def test_empty_and_one_row_tables(rows):
     columns = [np.arange(rows) * 0.1, np.arange(rows) - 0.5, np.full(rows, -0.0)]
     _assert_encodes_as_percent(columns)
-    assert io._table_text("a,b,c", columns) == _percent_table("a,b,c", columns)
-    assert io._table_text("a,b,c", columns).count("\n") == rows + 1
+    assert _table_bytes("a,b,c", columns) == _percent_table("a,b,c", columns).encode("ascii")
+    assert _table_bytes("a,b,c", columns).count(b"\n") == rows + 1
 
 
-@pytest.mark.parametrize("rows", [io._BLOCK_ROWS - 1, io._BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [io._BLOCK_ROWS - 1, io._BLOCK_ROWS, 2 * io._BLOCK_ROWS + 1])
 def test_tables_either_side_of_one_block_match_percent(rows):
-    # below one block % formats the table, from one block on the encoder does
+    # below one block % formats the table, from one block on the encoder
+    # does, a block at a time, the last block short
     rng = np.random.default_rng(rows)
     columns = [np.arange(rows) * 0.06, rng.standard_normal(rows), -rng.exponential(size=rows) * 1e-9]
-    assert io._table_text("a,b,c", columns) == _percent_table("a,b,c", columns)
+    assert _table_bytes("a,b,c", columns) == _percent_table("a,b,c", columns).encode("ascii")
 
 
 def test_small_scan_csv_builds_no_encoder_tables(tmp_path):
@@ -236,3 +243,35 @@ def test_small_scan_csv_builds_no_encoder_tables(tmp_path):
     points = [sl.ScanPoint(0.25 * i, 0.0171 * i, 0.3 * i) for i in range(10)]
     io.write_scan_csv(tmp_path / "scan.csv", points)
     assert io._encoder_tables.cache_info().currsize == 0
+
+
+def test_large_table_is_written_in_one_block_of_memory(tmp_path):
+    rows = 200_000
+    columns = [np.arange(rows) * 0.001, *np.random.default_rng(1).standard_normal((3, rows))]
+    io._encoder_tables()
+    tracemalloc.start()
+    try:
+        io.write_analytic_csv(tmp_path / "analytic.csv", *columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6  # the file is 15 MB
+    _, body = io._read_table(tmp_path / "analytic.csv", io.ANALYTIC_HEADER)
+    assert all(np.array_equal(read, written) for read, written in zip(body, columns))
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    encode = io._encode_cells
+    blocks = []
+
+    def fail_on_second_block(x):
+        blocks.append(x.size)
+        if len(blocks) == 2:
+            raise MemoryError("second block")
+        return encode(x)
+
+    monkeypatch.setattr(io, "_encode_cells", fail_on_second_block)
+    rows = 2 * io._BLOCK_ROWS
+    with pytest.raises(MemoryError):
+        io.write_analytic_csv(tmp_path / "analytic.csv", *np.ones((4, rows)))
+    assert len(blocks) == 2 and list(tmp_path.iterdir()) == []
