@@ -69,8 +69,11 @@ def delays_and_losses(reference: ComplexEnvelope, outputs) -> list[tuple[float, 
     centroid, energy = reference.centroid(), reference.energy()
     rows = []
     for output in outputs:
+        output_energy = output.energy()
+        if output_energy == 0:
+            raise ValueError("the output has no energy: the whole pulse was absorbed")
         delay = output.centroid() - centroid
-        loss = -10.0 * np.log10(output.energy() / energy)
+        loss = -10.0 * np.log10(output_energy / energy)
         # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
         rows.append((float(delay), float(loss) + 0.0))
     return rows

@@ -81,14 +81,17 @@ def cmd_kk(args):
     wavelengths, values, kind = io.read_absorption_csv(args.absorption_csv)
     k0 = wavenumber(args.lambda0_nm)
     grid = TimeGrid(t_start=0.0, dt=2.0 * np.pi / args.span_invps, n=args.n).frequency_grid()
-    depth = ingest_absorption(
-        (wavelengths, values),
-        center_wavelength_nm=args.center_nm,
-        length_mm=args.length_mm,
-        target_grid=grid,
-        force_taper=args.force_taper,
-        absorption=(kind == "absorption"),
-    )
+    try:
+        depth = ingest_absorption(
+            (wavelengths, values),
+            center_wavelength_nm=args.center_nm,
+            length_mm=args.length_mm,
+            target_grid=grid,
+            force_taper=args.force_taper,
+            absorption=(kind == "absorption"),
+        )
+    except ValueError as exc:  # records kk cannot use; a TruncationRiskError is not one
+        raise ConfigError(f"absorption CSV {args.absorption_csv}: {exc}") from None
     chi = kk_real_from_imag(depth, k0, args.length_mm)
     summary = {
         "run.command": "kk",
@@ -134,7 +137,7 @@ def cmd_propagate(args):
     the_medium = base_medium.with_control_intensity(config.control.intensity)
 
     spec_in = forward_transform(pulse)
-    warnings, solver, checks, center = [], {"solver.nz": config.solver.nz}, {}, {}
+    warnings, solver, checks, center = [], {}, {}, {}
     if args.domain == "fd":
         transfer = _transfer_for_run(args, the_medium, fgrid)
         spec_on = spec_in.samples * transfer.values
@@ -142,7 +145,7 @@ def cmd_propagate(args):
         center["metrics.center_transmission"] = transfer.center_transmission()
     else:
         control = config.control.build(grid)
-        result = tdprop.solve(the_medium, control, pulse, config.solver.build())
+        result = tdprop.solve(the_medium, control, pulse)
         out, warnings = result.output, result.warnings
         solver = {
             "solver.nz": result.nz,
@@ -189,7 +192,7 @@ def cmd_sweep(args):
 
     _, pulse, base_medium = _set_up(config)
     if args.domain == "td":
-        points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse, config.solver.build())
+        points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse)
     else:
         spec_in = forward_transform(pulse)  # one transform for every point
 

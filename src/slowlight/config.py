@@ -1,5 +1,5 @@
 """Run configuration: strict INI-style blocks for the medium, signal,
-control, grid and solver, with units embedded in the key names.
+control and grid, with units embedded in the key names.
 
 One field declaration per key: each section dataclass lists its keys in
 the order ``resolved_config.ini`` writes them, and the key's parser, check
@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .medium import RamanMedium, symmetric_doublet
 from .spectral import PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
 from .spectral import _MIN_SAMPLES_PER_FWHM, _is_sample_count, _transform_limited_duration
-from .tdprop import ControlField, SolverSettings, _max_beat_dt
+from .tdprop import ControlField, _max_beat_dt
 
 
 def _finite(raw: str) -> float:
@@ -180,21 +180,12 @@ class GridConfig:
         return TimeGrid.centered(self.n, self.dt_ps)
 
 
-@dataclass(kw_only=True)
-class SolverConfig:
-    nz: int = _key(int, default=256)
-
-    def build(self) -> SolverSettings:
-        return SolverSettings(nz=self.nz)
-
-
 @dataclass
 class SimulationConfig:
     medium: MediumConfig
     signal: SignalConfig
     control: ControlConfig
     grid: GridConfig
-    solver: SolverConfig
 
     def __post_init__(self):
         # refused here, not after a run's first output
@@ -252,9 +243,16 @@ def load_config(path) -> SimulationConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    # resolved_config.ini files once carried the solver's only scheme
-    if parser.get("solver", "scheme", fallback=None) == "midpoint":
-        parser.remove_option("solver", "scheme")
+    # older resolved_config.ini files carry [solver] nz = <int> and scheme = midpoint, which no run reads
+    for key, text in parser.items("solver") if parser.has_section("solver") else ():
+        if key == "nz":
+            try:
+                int(text)
+            except ValueError as exc:
+                raise ConfigError(f"key solver.nz: {exc}") from exc
+        elif (key, text) != ("scheme", "midpoint"):
+            raise ConfigError(f"unknown key {key!r} in section [solver]")
+    parser.remove_section("solver")
     sections = typing.get_type_hints(SimulationConfig)
     for name in parser.sections():
         if name not in sections:
@@ -263,12 +261,7 @@ def load_config(path) -> SimulationConfig:
         if unknown:
             raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in section [{name}]")
 
-    config = SimulationConfig(**{
+    return SimulationConfig(**{
         name: _load_section(cls, name, parser[name] if name in parser else {})
         for name, cls in sections.items()
     })
-    try:
-        config.solver.build()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return config

@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -323,9 +324,13 @@ def _read_table(path, *headers: str):
             expected = " or ".join(map(repr, headers))
             raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
         try:
-            body = np.loadtxt(handle, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
+                body = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"malformed CSV {path}: {exc}") from None
+    if body.size == 0:
+        raise ConfigError(f"malformed CSV {path}: no data rows")
     if body.shape[1] != len(header.split(",")):
         raise ConfigError(f"malformed CSV {path}: expected {header!r} columns")
     if not np.all(np.isfinite(body)):

@@ -58,6 +58,8 @@ def _records_to_depth(wavelengths_nm, values, absorption: bool):
     val = np.asarray(values, dtype=float)
     if lam.ndim != 1 or lam.shape != val.shape or lam.size < 2:
         raise ValueError("need matching 1-d wavelength/value arrays with >= 2 records")
+    if np.any(lam <= 0):
+        raise ValueError("wavelengths must be positive")
     dl = np.diff(lam)
     if not (np.all(dl > 0) or np.all(dl < 0)):
         raise ValueError("wavelengths must be strictly monotonic")

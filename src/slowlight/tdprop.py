@@ -55,6 +55,7 @@ _MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms canc
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
 _MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
 _CHUNK = 8  # series terms that one matrix product adds to a shared scan's lower fields
+_MAX_SUBSTEPS = 10**9  # refused: at 0.7 ms a substep on 8 samples, over a week of solving
 
 
 @dataclass
@@ -108,7 +109,7 @@ class ControlField:
 
 @dataclass
 class SolverSettings:
-    """``nz`` only gates a refusal: ``solve`` refuses one below nz_needed."""
+    """Given these, ``solve`` and its scan refuse an nz below nz_needed."""
 
     nz: int = 256
 
@@ -197,11 +198,13 @@ def _chi_max(medium: RamanMedium, grid: TimeGrid) -> float:
 
 
 def _validate_resolution(
-    medium: RamanMedium, pulse: ComplexEnvelope, settings: SolverSettings, chi_max: float | None = None,
+    medium: RamanMedium, pulse: ComplexEnvelope, chi_max: float | None = None,
+    settings: SolverSettings | None = None,
 ):
-    """The fewest z steps the per-step phase limit allows; GridResolutionError
-    if dt misses the beat or settings.nz lies below that.  ``chi_max`` is
-    the medium's largest |chi| on the grid, sampled here if not given."""
+    """(nz_needed, substeps) for ``chi_max``, the largest |chi| on the grid
+    (sampled if not given): z steps of phase below _MAX_STEP_PHASE and of phase
+    at most _MAX_SUBSTEP_PHASE.  GridResolutionError if dt misses the beat, past
+    _MAX_SUBSTEPS substeps, or for a given settings.nz below nz_needed."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -211,28 +214,26 @@ def _validate_resolution(
         )
     if chi_max is None:
         chi_max = _chi_max(medium, pulse.grid)
-    nz_needed = math.ceil(medium.k0 * chi_max * medium.length_mm / (2.0 * _MAX_STEP_PHASE))
-    step_phase = medium.k0 * chi_max * medium.length_mm / (2.0 * settings.nz)
-    if step_phase >= _MAX_STEP_PHASE:
+    phase = medium.k0 * chi_max * medium.length_mm / 2.0  # of exp(L A)
+    if not phase <= _MAX_SUBSTEPS * _MAX_SUBSTEP_PHASE:  # an infinite phase too
+        raise GridResolutionError(f"the solve would take {phase / _MAX_SUBSTEP_PHASE:.3g} z substeps, "
+                                  f"more than the {_MAX_SUBSTEPS:.3g} any run could finish")
+    nz_needed = math.ceil(phase / _MAX_STEP_PHASE)
+    if settings is not None and phase / settings.nz >= _MAX_STEP_PHASE:
         raise GridResolutionError(
-            f"per-step phase {step_phase:.3g} exceeds {_MAX_STEP_PHASE}; "
+            f"per-step phase {phase / settings.nz:.3g} exceeds {_MAX_STEP_PHASE}; "
             f"need nz >= {nz_needed} (got {settings.nz})"
         )
-    return nz_needed
-
-
-def _substeps(nz_needed: int) -> int:
-    """Substeps of ``solve``: each one's phase at most _MAX_SUBSTEP_PHASE."""
-    return max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
+    return nz_needed, max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
 
 
 def _march(
-    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, settings: SolverSettings,
-    scales=(1.0,), midpoint: bool = False, chi_max: float | None = None,
+    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
+    scales=(1.0,), chi_max: float | None = None, midpoint_steps: int | None = None,
 ):
     """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A)
     until a term falls to _TERM_TOLERANCE of ||E||: as many substeps as hold
-    each one's phase to _MAX_SUBSTEP_PHASE or, if ``midpoint``, settings.nz
+    each one's phase to _MAX_SUBSTEP_PHASE or, if given, ``midpoint_steps``
     steps of degree 2 (explicit midpoint, the z reference of the tests).
     Yields one SolveResult for each operator s A, s in ``scales``, in order.
 
@@ -246,8 +247,8 @@ def _march(
     those of A, checked against ``chi_max`` if given (see
     _validate_resolution)."""
     medium = medium.with_control_intensity(control.intensity)
-    nz_needed = _validate_resolution(medium, pulse, settings, chi_max)
-    steps, degree = (settings.nz, 2) if midpoint else (_substeps(nz_needed), _MAX_TERMS)
+    nz_needed, substeps = _validate_resolution(medium, pulse, chi_max)
+    steps, degree = (midpoint_steps, 2) if midpoint_steps else (substeps, _MAX_TERMS)
 
     grid = pulse.grid
     n, dt = grid.n, grid.dt
@@ -350,10 +351,12 @@ def solve(
 
     The control field propagates undepleted; both Raman populations stay
     fixed (weak-signal regime).  A warning is attached if the coherence
-    amplitudes grow beyond 0.1 in the field units of the input.
-    ``settings.nz`` below nz_needed is refused; above it, it changes nothing.
+    amplitudes grow beyond 0.1 in the field units of the input.  Given
+    settings, an nz below nz_needed is refused; no setting changes the result.
     """
-    return next(_march(medium, control, pulse, settings or SolverSettings()))
+    if settings is not None:
+        _validate_resolution(medium.with_control_intensity(control.intensity), pulse, settings=settings)
+    return next(_march(medium, control, pulse))
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -388,21 +391,21 @@ def delay_vs_control_scan(
     time.  ``analysis.delays_and_losses`` measures each point against the
     input: the intensity-centroid shift and the energy ratio in dB.
     """
-    settings = settings or SolverSettings()
     intensities = [float(i) for i in control_intensities]
     unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid) if intensities else 0.0
     shared = []
     for i in intensities:  # refused in order, as each point's own solve would be
         ControlField.constant(i)  # a negative intensity is refused first
-        if _substeps(_validate_resolution(medium, pulse, settings, i * unit_chi_max)) == 1:
+        _, substeps = _validate_resolution(medium, pulse, i * unit_chi_max, settings)
+        if substeps == 1:
             shared.append(i)
     top = max(shared, default=0.0)
     scales = [i / (top or 1.0) for i in shared]
     alone = (i for i in intensities if i not in shared)
-    march = _march(medium, ControlField.constant(top), pulse, settings, scales, chi_max=top * unit_chi_max)
+    march = _march(medium, ControlField.constant(top), pulse, scales, chi_max=top * unit_chi_max)
     results = chain(
         zip(shared, march),
-        ((i, solve(medium, ControlField.constant(i), pulse, settings)) for i in alone),
+        ((i, solve(medium, ControlField.constant(i), pulse)) for i in alone),
     )
     solved = [(i, r.output, tuple(r.warnings)) for i, r in results]
     measured = delays_and_losses(pulse, (output for _, output, _ in solved))

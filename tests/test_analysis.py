@@ -126,6 +126,12 @@ class TestDelayAndLoss:
         assert delay == pytest.approx(0.5, abs=1e-9)
         assert loss == -10.0 * np.log10(out.energy() / pulse.energy())
 
+    def test_fully_absorbed_output_is_named(self, grid):
+        pulse = gaussian_pulse(grid, 1.0)
+        absorbed = sl.ComplexEnvelope(grid=grid, samples=np.zeros(grid.n, dtype=complex))
+        with pytest.raises(ValueError, match="output has no energy"):
+            delay_and_loss(pulse, absorbed)
+
 
 class TestWidths:
     def test_gaussian_fwhm(self, grid):

@@ -1,4 +1,5 @@
 import gc
+import re
 import runpy
 import subprocess
 import sys
@@ -132,17 +133,32 @@ def _csv(header, rows=16, bad=None):
     return "\n".join([header, *lines]) + "\n"
 
 
+KK_ARGV = ["kk", "--absorption-csv", "{csv}", "--center-nm", "765.85", "--lambda0-nm", "765", "--length-mm", "30"]
+
+# absorption records kk cannot use, each refused with the file's name
+BAD_RECORDS = {
+    "kk-one-record": "wavelength_nm,absorption\n765,0.1\n",
+    "kk-non-monotonic": "wavelength_nm,absorption\n760,0.1\n762,0.2\n761,0\n",
+    "kk-repeated-wavelength": "wavelength_nm,absorption\n760,0.1\n760,0.2\n761,0\n",
+    "kk-absorption-one": _csv("wavelength_nm,absorption", bad="1.0"),
+    "kk-negative-absorption": _csv("wavelength_nm,absorption", bad="-0.1"),
+    "kk-negative-depth": _csv("wavelength_nm,optical_depth", bad="-0.1"),
+    "kk-zero-wavelength": "wavelength_nm,absorption\n0,0.1\n1,0.2\n2,0\n",
+    "kk-negative-wavelength": "wavelength_nm,absorption\n-2,0.1\n-1,0.2\n0,0\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["kk", "--absorption-csv", "{csv}", "--center-nm", "765.85", "--lambda0-nm", "765", "--length-mm", "30"],
-         _csv("wavelength_nm,absorption", bad="inf")),
+        (KK_ARGV, _csv("wavelength_nm,absorption", bad="inf")),
         (["propagate", "--config", "{config}", "--chi-csv", "{csv}"], _csv("detuning_invps,chi_re,chi_im", bad="nan")),
         (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im", bad="abc")),
         (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im", rows=100)),
         (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im").replace("\n765.0,", "\n765.5,")),
+        *((KK_ARGV, text) for text in BAD_RECORDS.values()),
     ],
-    ids=["kk-inf", "chi-nan", "non-numeric", "rows-not-power-of-two", "non-uniform-axis"],
+    ids=["kk-inf", "chi-nan", "non-numeric", "rows-not-power-of-two", "non-uniform-axis", *BAD_RECORDS],
 )
 def test_bad_csv_exits_2(tmp_path, capsys, argv, text):
     path = tmp_path / "input.csv"
@@ -151,6 +167,26 @@ def test_bad_csv_exits_2(tmp_path, capsys, argv, text):
     assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (KK_ARGV, "wavelength_nm,absorption"),
+        (["propagate", "--config", "{config}", "--chi-csv", "{csv}"], "detuning_invps,chi_re,chi_im"),
+        (["xcorr", "--signal-csv", "{csv}"], "time_ps,re,im"),
+    ],
+    ids=["kk", "chi-csv", "xcorr"],
+)
+def test_header_only_csv_exits_2_with_one_line(tmp_path, argv, header):
+    # a separate process, so that a warning numpy prints would reach stderr
+    path = tmp_path / "input.csv"
+    path.write_text(header + "\n")
+    fill = {"csv": path, "config": write_config(tmp_path)}
+    cp = run_cli(*[arg.format(**fill) for arg in argv], "--out-dir", tmp_path / "out")
+    assert cp.returncode == 2
+    assert cp.stderr == f"error: malformed CSV {path}: no data rows\n"
 
 
 @pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
@@ -238,6 +274,23 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     assert main([*argv, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, domain, message",
+    [("propagate", "td", "substeps"), ("sweep", "td", "substeps"),
+     ("propagate", "fd", "no energy"), ("sweep", "fd", "no energy")],
+)
+def test_depth_past_any_run_exits_3_with_one_line(tmp_path, capsys, command, domain, message):
+    # at d0 = 1e300 the TD solve would take about 1e299 substeps, and FD absorbs the whole pulse
+    text = CONFIG.replace("n = 16384", "n = 4096").replace("d0 = 2.5", "d0 = 1e300")
+    if command == "sweep":
+        text = text.replace("intensity = 1.0", "intensity_list = 0.5, 1.0")
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--domain", domain, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert re.search(r"\d{5}", err) is None  # a count in %.3g, not a number of hundreds of digits
 
 
 class TestAnalytic:
@@ -442,11 +495,18 @@ class TestPropagate:
         assert cp.returncode == 2
         assert "grid.n" in cp.stderr
 
-    def test_solver_refusal_exits_3(self, tmp_path):
-        cfg = write_config(tmp_path, CONFIG.replace("d0 = 2.5", "d0 = 80.0").replace("nz = 256", "nz = 16"))
-        cp = run_cli("propagate", "--config", cfg, "--out-dir", tmp_path / "out", "--domain", "td")
-        assert cp.returncode == 3
-        assert "nz >=" in cp.stderr  # [solver] nz lies below nz_needed
+    @pytest.mark.parametrize("d0", ["60.0", "80.0"])
+    def test_td_runs_at_any_legacy_nz(self, tmp_path, d0):
+        # d0 = 60 needs 8 substeps where nz = 256 once refused it (nz_needed 312), and d0 = 80
+        # once refused nz = 16; a legacy [solver] nz is read and ignored, so it gives the same bytes as none
+        text = CONFIG.replace("n = 16384", "n = 4096").replace("d0 = 2.5", f"d0 = {d0}")
+        outputs = {}
+        for name, solver in (("legacy", "[solver]\nnz = 16\n"), ("none", "")):
+            cfg = write_config(tmp_path, text.replace("[solver]\nnz = 256\n", solver), name=f"{name}.ini")
+            out = tmp_path / name
+            assert main(["propagate", "--domain", "td", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert outputs["legacy"] == outputs["none"]
 
     @pytest.mark.parametrize("command", ["propagate", "sweep"])
     def test_td_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):
@@ -462,7 +522,7 @@ class TestPropagate:
         assert names == sorted(path.name for path in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
-        assert "nz = 256\n" in (first / "resolved_config.ini").read_text()  # configured, not substeps used
+        assert "[solver]" not in (first / "resolved_config.ini").read_text()
 
 
 class TestSweep:
@@ -634,22 +694,22 @@ def _config_keys(*control):
         "config.medium.length_mm", "config.medium.lambda0_nm",
         "config.signal.shape", "config.signal.bandwidth_invps", "config.signal.gdd_ps2",
         "config.control.kind", *control,
-        "config.grid.n", "config.grid.dt_ps", "config.solver.nz",
+        "config.grid.n", "config.grid.dt_ps",
     ]
 
 
 _PROPAGATE_KEYS = [
     "run.command", "run.chi_source", "metrics.first_moment_delay_ps", "metrics.loss_db",
-    "metrics.output_fwhm_ps", "metrics.center_transmission", "grid.n", "grid.dt_ps", "solver.nz",
+    "metrics.output_fwhm_ps", "metrics.center_transmission", "grid.n", "grid.dt_ps",
     "figures.d0", "figures.group_delay_ps", "figures.loss_db", "figures.delay_per_loss_ps_per_db",
     "figures.delay_bandwidth_product",
 ]
 
-# a TD run also reports the z steps it needed, its z error estimate and its peak coherence
+# a TD run also reports its substeps, the z steps it needed, its z error estimate and its peak coherence
 _TD_PROPAGATE_KEYS = [
-    *_PROPAGATE_KEYS[: _PROPAGATE_KEYS.index("solver.nz") + 1], "solver.nz_needed", "solver.z_error_estimate",
-    "solver.peak_coherence",
-    *_PROPAGATE_KEYS[_PROPAGATE_KEYS.index("solver.nz") + 1 :],
+    *_PROPAGATE_KEYS[: _PROPAGATE_KEYS.index("grid.dt_ps") + 1], "solver.nz", "solver.nz_needed",
+    "solver.z_error_estimate", "solver.peak_coherence",
+    *_PROPAGATE_KEYS[_PROPAGATE_KEYS.index("grid.dt_ps") + 1 :],
 ]
 
 # summary.txt key order is part of its format: a subcommand's own keys, then config.*

@@ -239,9 +239,14 @@ def test_loaded_config_is_the_resolved_config(tmp_path, name):
 
 
 def test_legacy_solver_scheme(tmp_path):
-    """resolved_config.ini files once carried ``scheme = midpoint``; they still
-    load, to the same configuration, while any other scheme is an unknown key."""
-    legacy = EXAMPLE.replace("nz = 256\n", "nz = 256\nscheme = midpoint\n")
-    assert load_config(write(tmp_path, legacy)).resolved_ini() == load_config(write(tmp_path, EXAMPLE)).resolved_ini()
-    with pytest.raises(ConfigError, match="unknown key 'scheme'"):
-        load_config(write(tmp_path, legacy.replace("scheme = midpoint", "scheme = rk4")))
+    """resolved_config.ini files once carried a [solver] section of an integer
+    ``nz`` and ``scheme = midpoint``; any such section loads to the config of
+    none, while a non-integer nz or any other key or scheme is refused."""
+    bare = load_config(write(tmp_path, EXAMPLE.replace("[solver]\nnz = 256\n", "")))
+    for section in ("nz = 256\nscheme = midpoint\n", "nz = 8\n", "scheme = midpoint\n", ""):
+        legacy = EXAMPLE.replace("nz = 256\n", section)
+        assert load_config(write(tmp_path, legacy)) == bare
+    for section, message in (("scheme = rk4", "unknown key 'scheme'"), ("nz = 2.5", "key solver.nz"),
+                             ("order = 2", "unknown key 'order'")):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write(tmp_path, EXAMPLE.replace("nz = 256", section)))

@@ -22,7 +22,7 @@ def fd_reference(medium, pulse):
 
 def midpoint(medium, control, pulse, nz):
     """The z reference: nz explicit midpoint steps, degree-2 Taylor sums."""
-    return next(_march(medium, control, pulse, sl.SolverSettings(nz), midpoint=True)).output.samples
+    return next(_march(medium, control, pulse, midpoint_steps=nz)).output.samples
 
 
 class TestCoherenceScan:
@@ -187,7 +187,7 @@ class TestSolve:
         zero = sl.ComplexEnvelope(grid=signal_grid, samples=np.zeros(signal_grid.n, dtype=complex))
         with np.errstate(all="raise"):
             results = [sl.solve(std_medium, sl.ControlField.constant(1.0), zero)]
-            results += _march(std_medium, sl.ControlField.constant(2.0), zero, sl.SolverSettings(), [0.0, 0.5, 1.0])
+            results += _march(std_medium, sl.ControlField.constant(2.0), zero, [0.0, 0.5, 1.0])
         for result in results:
             assert not np.any(result.output.samples)
             assert (result.z_error_estimate, result.peak_coherence, result.warnings) == (0.0, 0.0, [])
