@@ -60,7 +60,7 @@ for d0 in (0.5, 1.0, 2.5):
     scans = 0
     result = sl.solve(depth_medium, control, probe)
     print(
-        f"  d0 = {d0:3.1f}: {result.nz} substep(s) (midpoint needs nz >= {result.nz_needed}), "
+        f"  d0 = {d0:3.1f}: {result.nz} substep(s) (nz_needed = {result.nz_needed} equal steps of phase < 0.1), "
         f"{scans // 2} applications of A, last term {result.z_error_estimate:.1e}"
     )
 sl.tdprop._coherence_scan = coherence_scan

@@ -65,7 +65,6 @@ from .spectral import (
 )
 from .tdprop import (
     ControlField,
-    CoherenceState,
     ScanPoint,
     SolveResult,
     SolverSettings,

@@ -45,6 +45,9 @@ from .spectral import (
 )
 
 
+_TD_FD_L2_BUDGET = 1e-3  # the TD-FD agreement the acceptance tests hold the example point to
+
+
 def _out_path(args, name):
     return os.path.join(args.out_dir, name)
 
@@ -158,7 +161,11 @@ def cmd_propagate(args):
             transfer = fdprop._model_transfer(the_medium, fgrid)
             center["metrics.center_transmission"] = transfer.center_transmission()
             reference = fdprop.propagate_causal(pulse, the_medium)
-            checks["metrics.td_fd_l2_error"] = analysis.relative_l2_error(out, reference)
+            gap = analysis.relative_l2_error(out, reference)
+            checks["metrics.td_fd_l2_error"] = gap
+            if gap > _TD_FD_L2_BUDGET:
+                warnings = [*warnings, f"the TD output differs from the causal FD reference by {gap:.3g} "
+                            f"relative L2 (> {_TD_FD_L2_BUDGET:g}), so its delay and loss are not confirmed"]
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",

@@ -15,6 +15,7 @@ peak optical depth of one line is d0 = L * c / Gamma.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,11 +41,11 @@ class RamanLine:
     strength_per_intensity: float
 
     def __post_init__(self):
-        if self.linewidth <= 0:
-            raise ValueError(f"linewidth must be positive, got {self.linewidth}")
-        if self.strength_per_intensity < 0:
+        if not 0 < self.linewidth < math.inf:
+            raise ValueError(f"linewidth must be positive and finite, got {self.linewidth}")
+        if not 0 <= self.strength_per_intensity < math.inf:
             raise ValueError(
-                "line strength must be non-negative (absorption lines, never gain), "
+                "line strength must be non-negative and finite (absorption lines, never gain), "
                 f"got {self.strength_per_intensity}"
             )
 
@@ -67,14 +68,14 @@ class RamanMedium:
     control_intensity: float = 1.0
 
     def __post_init__(self):
-        if self.splitting <= 0:
-            raise ValueError(f"splitting must be positive, got {self.splitting}")
-        if self.length_mm <= 0:
-            raise ValueError(f"length must be positive, got {self.length_mm}")
-        if self.k0 <= 0:
-            raise ValueError(f"k0 must be positive, got {self.k0}")
-        if self.control_intensity < 0:
-            raise ValueError(f"control intensity must be non-negative, got {self.control_intensity}")
+        if not 0 < self.splitting < math.inf:
+            raise ValueError(f"splitting must be positive and finite, got {self.splitting}")
+        if not 0 < self.length_mm < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length_mm}")
+        if not 0 < self.k0 < math.inf:
+            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
+        if not 0 <= self.control_intensity < math.inf:
+            raise ValueError(f"control intensity must be non-negative and finite, got {self.control_intensity}")
         lo, hi = self.lines
         half = self.splitting / 2.0
         if not (np.isclose(lo.center_detuning, -half, rtol=0, atol=1e-12 * max(1.0, half))
@@ -113,11 +114,11 @@ def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_m
 
     Inverts d0 = L * g * |E_c|^2 / Gamma at unit control intensity.
     """
-    if d0 < 0:
-        raise ValueError(f"target depth must be non-negative, got {d0}")
+    if not 0 <= d0 < math.inf:
+        raise ValueError(f"target depth must be non-negative and finite, got {d0}")
     for name, val in (("gamma", gamma), ("delta", delta), ("k0", k0), ("length_mm", length_mm)):
-        if val <= 0:
-            raise ValueError(f"{name} must be positive, got {val}")
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val}")
     return symmetric_doublet(d0 * gamma / length_mm, gamma, delta, k0, length_mm)
 
 

@@ -17,6 +17,7 @@ positive group delay.  Medium rates (linewidths, splittings) quoted in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,10 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"grid start must be finite, got {self.t_start}")
         if not _is_sample_count(self.n):
             raise ValueError(f"sample count must be a power of two >= 8, got {self.n}")
 
@@ -206,13 +209,15 @@ def synthesize_pulse(
         raise ValueError("specify exactly one of bandwidth or duration")
 
     if bandwidth is not None:
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
         width = float(bandwidth)
     else:
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {duration}")
         width = _TBP[shape] / float(duration)
+    if not math.isfinite(quadratic_spectral_phase):
+        raise ValueError(f"spectral phase curvature must be finite, got {quadratic_spectral_phase}")
 
     tl_duration = _transform_limited_duration(shape, bandwidth, duration)
     if tl_duration < _MIN_SAMPLES_PER_FWHM * grid.dt:

@@ -71,8 +71,8 @@ class ControlField:
     envelope: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError(f"control intensity must be non-negative, got {self.intensity}")
+        if not 0 <= self.intensity < math.inf:
+            raise ValueError(f"control intensity must be non-negative and finite, got {self.intensity}")
         if self.envelope is not None:
             self.envelope = np.asarray(self.envelope, dtype=complex)
 
@@ -89,8 +89,8 @@ class ControlField:
     @classmethod
     def flat_top(cls, grid: TimeGrid, fwhm_ps: float, intensity: float, order: int = 4) -> "ControlField":
         """Super-Gaussian (flat-topped) intensity envelope, centered at t = 0."""
-        if fwhm_ps <= 0:
-            raise ValueError(f"control FWHM must be positive, got {fwhm_ps}")
+        if not 0 < fwhm_ps < math.inf:
+            raise ValueError(f"control FWHM must be positive and finite, got {fwhm_ps}")
         t = grid.times
         amp = np.exp(-np.log(2.0) * (2.0 * t / fwhm_ps) ** (2 * order))
         return cls(intensity=intensity, envelope=amp.astype(complex))
@@ -119,23 +119,14 @@ class SolverSettings:
 
 
 @dataclass
-class CoherenceState:
-    """Slowly-varying coherences over the time grid at a propagation slice."""
-
-    q21: np.ndarray
-    q31: np.ndarray
-
-
-@dataclass
 class SolveResult:
     """``nz`` is the substep count of the solve and ``nz_needed`` the fewest
-    midpoint steps the step-phase limit allows; ``z_error_estimate`` is the
+    equal z steps whose phase stays below 0.1; ``z_error_estimate`` is the
     largest last Taylor term the solve added, relative to ||E||, and
     ``peak_coherence`` the largest coherence magnitude the weak-signal
-    check read.  ``coherences`` is None for the points of a shared scan."""
+    check read."""
 
     output: ComplexEnvelope
-    coherences: CoherenceState | None
     warnings: list = field(default_factory=list)
     nz: int = 0
     nz_needed: int = 0
@@ -229,26 +220,23 @@ def _validate_resolution(
 
 def _march(
     medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
-    scales=(1.0,), chi_max: float | None = None, midpoint_steps: int | None = None,
+    scales=(1.0,), chi_max: float | None = None,
 ):
-    """E(L) = exp(L A) E(0) in equal z steps, each a Taylor sum of exp(dz A)
-    until a term falls to _TERM_TOLERANCE of ||E||: as many substeps as hold
-    each one's phase to _MAX_SUBSTEP_PHASE or, if given, ``midpoint_steps``
-    steps of degree 2 (explicit midpoint, the z reference of the tests).
-    Yields one SolveResult for each operator s A, s in ``scales``, in order.
+    """E(L) = exp(L A) E(0) in equal z substeps, as many as hold each one's
+    phase to _MAX_SUBSTEP_PHASE, each a Taylor sum of exp(dz A) until a term
+    falls to _TERM_TOLERANCE of ||E||.  Yields one SolveResult for each
+    operator s A, s in ``scales``, in order.
 
     Several scales (a constant control in one substep) share one series.
     The lead field, the first of the largest scale, adds term m of A times
     s^m one term at a time, as ``solve`` does, and its rule ends the sum.
     The others take the same terms, _CHUNK at a time, by one real matrix
-    product with V[j, i] = s_j^m_i.  A shared series' results carry no
-    coherences.  Each result comes after its own closing application of A,
-    so one set of coherences is alive at a time; its nz and nz_needed are
+    product with V[j, i] = s_j^m_i.  Each result's peak coherence includes
+    that of its own closing application of A; its nz and nz_needed are
     those of A, checked against ``chi_max`` if given (see
     _validate_resolution)."""
     medium = medium.with_control_intensity(control.intensity)
-    nz_needed, substeps = _validate_resolution(medium, pulse, chi_max)
-    steps, degree = (midpoint_steps, 2) if midpoint_steps else (substeps, _MAX_TERMS)
+    nz_needed, steps = _validate_resolution(medium, pulse, chi_max)
 
     grid = pulse.grid
     n, dt = grid.n, grid.dt
@@ -293,7 +281,7 @@ def _march(
     dz = medium.length_mm / steps
     for _ in range(steps):
         term = fields[0]  # several scales take one step, all from E(0)
-        for m in range(1, degree + 1):
+        for m in range(1, _MAX_TERMS + 1):
             source, term = term, terms[(m - 1) % len(terms)]
             peak = apply(source, term, peak=m == 1)
             if m == 1:  # the weak-signal check reads the fields' coherences only
@@ -303,7 +291,7 @@ def _march(
             fields[0] += np.multiply(scales[lead] ** m, term, out=drive)
             last = _relative(scales[lead] ** m * size, fields[0])
             done = not last > _TERM_TOLERANCE
-            if lower.size and (done or m == degree or m % len(terms) == 0):
+            if lower.size and (done or m == _MAX_TERMS or m % len(terms) == 0):
                 first = m - (m - 1) % len(terms)
                 others += np.power.outer(lower, np.arange(first, m + 1)) @ terms[: m + 1 - first].view(float)
             if done:
@@ -311,7 +299,6 @@ def _march(
         lasts = [last, *(_relative(s**m * size, f) for s, f in zip(lower, fields[1:]))]
         errors = [max(e, l) for e, l in zip(errors, lasts)]
 
-    rot = None if lower.size else np.exp(0.5j * medium.splitting * grid.times)  # e^{+i Delta tau / 2}
     shape_warnings = _control_duration_warning(control, pulse) if control.envelope is not None else []
     for row in order:
         e_field, root = fields[row], roots[row]
@@ -323,9 +310,6 @@ def _march(
         ] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
         yield SolveResult(
             output=ComplexEnvelope(grid=grid, samples=e_field),
-            coherences=None if rot is None else CoherenceState(
-                q21=r21 * (root * np.conj(rot)), q31=r31 * (root * rot)
-            ),
             warnings=warnings + shape_warnings,
             nz=steps,
             nz_needed=nz_needed,

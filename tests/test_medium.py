@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +130,33 @@ class TestDepthParameterization:
             sl.from_target_depth(1.0, GAMMA, DELTA, 1.0, 0.0)
         with pytest.raises(ValueError):
             sl.RamanLine(0.0, 1.0, -0.5)
+
+
+GRID = sl.TimeGrid.centered(2**10, 0.05)
+NON_FINITE_INPUTS = {
+    "TimeGrid.dt": lambda x: sl.TimeGrid(0.0, x, 8),
+    "TimeGrid.t_start": lambda x: sl.TimeGrid(x, 0.1, 8),
+    "RamanLine.linewidth": lambda x: sl.RamanLine(0.0, x, 0.1),
+    "RamanLine.strength": lambda x: sl.RamanLine(0.0, 1.0, x),
+    "RamanMedium.splitting": lambda x: dataclasses.replace(unit_medium(), splitting=x),
+    "RamanMedium.length_mm": lambda x: dataclasses.replace(unit_medium(), length_mm=x),
+    "RamanMedium.k0": lambda x: dataclasses.replace(unit_medium(), k0=x),
+    "RamanMedium.control_intensity": lambda x: unit_medium().with_control_intensity(x),
+    "from_target_depth.d0": lambda x: sl.from_target_depth(x, GAMMA, DELTA, 1.0, 1.0),
+    "from_target_depth.gamma": lambda x: sl.from_target_depth(1.0, x, DELTA, 1.0, 1.0),
+    "ControlField.constant": lambda x: sl.ControlField.constant(x),
+    "ControlField.gaussian.fwhm": lambda x: sl.ControlField.gaussian(GRID, x, 1.0),
+    "synthesize_pulse.bandwidth": lambda x: sl.synthesize_pulse("gaussian", GRID, bandwidth=x),
+    "synthesize_pulse.duration": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=x),
+    "synthesize_pulse.phase": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=2.0, quadratic_spectral_phase=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_constructors_refuse_non_finite(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 class TestFiguresOfMerit:
