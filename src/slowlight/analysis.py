@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _FINITE, _NON_NEGATIVE, _require
 from .spectral import ComplexEnvelope, interpolated_fwhm, moment_centroid
 
 _ABSORPTION_FLOOR = 1e-6  # off-spectrum level, relative to its peak, below which A is not taken
@@ -92,8 +93,8 @@ def fwhm(curve: CorrelationCurve) -> float:
 
 def deconvolve_duration(tau_xc: float, tau_ref: float) -> float:
     """Signal duration from a cross-correlation width, sqrt(xc^2 - ref^2)."""
-    if tau_ref < 0:
-        raise ValueError(f"reference duration must be non-negative, got {tau_ref}")
+    _require(_NON_NEGATIVE, "reference duration", tau_ref)
+    _require(_FINITE, "cross-correlation width", tau_xc)
     if tau_xc <= tau_ref:
         raise ValueError(
             f"cross-correlation width {tau_xc} must exceed the reference width {tau_ref}"

@@ -24,31 +24,26 @@ import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
+from . import errors, spectral
 from .errors import ConfigError
 from .medium import RamanMedium, symmetric_doublet
 from .spectral import PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
-from .spectral import _MIN_SAMPLES_PER_FWHM, _is_sample_count, _transform_limited_duration
+from .spectral import _MIN_SAMPLES_PER_FWHM, _transform_limited_duration
 from .tdprop import ControlField, _max_beat_dt
 
 
-def _finite(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not a finite number")
-    return value
-
-
-def _finite_list(raw: str) -> list[float]:
-    return [_finite(item.strip()) for item in raw.split(",")]
-
-
-def _read(raw: str, parse, requirement=None, check=None):
-    """``raw`` read by one rule: ``parse`` converts it, and ``check``, if
-    given, accepts the value or a ValueError says it must be ``requirement``."""
+def _read(raw: str, parse, rule=None):
+    """``raw`` read by one rule: ``parse`` converts it, and the value must
+    meet ``rule``, a (requirement, check) pair, if given."""
     value = parse(raw)
-    if check is not None and not check(value):
-        raise ValueError(f"must be {requirement}, got {raw!r}")
+    if rule is not None:
+        errors._require(rule, "value", value)
     return value
+
+
+def _list_of(rule):
+    """A parser of comma-separated values, each read by ``rule``."""
+    return lambda raw: [_read(item, *rule) for item in raw.split(",")]
 
 
 def wavenumber(lambda0_nm: float) -> float:
@@ -58,14 +53,15 @@ def wavenumber(lambda0_nm: float) -> float:
     return 2.0 * math.pi / lambda0_mm if lambda0_mm else math.inf
 
 
-# (parse, requirement, check) rules shared by config keys and CLI flags
-_POSITIVE = (_finite, "positive", lambda value: value > 0)
-_WAVELENGTH = (_finite, "positive with a finite k0 = 2*pi/lambda0",
-               lambda value: value > 0 and math.isfinite(wavenumber(value)))
-_NON_NEGATIVE = (_finite, "non-negative", lambda value: value >= 0)
-_SAMPLE_COUNT = (int, "a power of two >= 8", _is_sample_count)
+# (parse, rule) of config keys and CLI flags, by the library's number rules
+_POSITIVE = (float, errors._POSITIVE)
+_NON_NEGATIVE = (float, errors._NON_NEGATIVE)
+_FINITE = (float, errors._FINITE)
+_WAVELENGTH = (float, ("positive and finite with a finite k0 = 2*pi/lambda0",
+                       lambda value: errors._POSITIVE[1](wavenumber(value))))  # k0 is 0 at inf and nan at nan
+_SAMPLE_COUNT = (int, spectral._SAMPLE_COUNT)
 
-_SPAN_DURATIONS = 16.0  # a derived grid spans at least this many pulse durations
+_SPAN_DURATIONS = 16.0  # a grid, given or derived, spans at least this many pulse durations
 
 
 def _key(*rule, **default):
@@ -74,7 +70,7 @@ def _key(*rule, **default):
 
 
 def _one_of(options, **default):
-    return _key(str, f"one of {options}", options.__contains__, **default)
+    return _key(str, (f"one of {options}", options.__contains__), **default)
 
 
 @dataclass(kw_only=True)
@@ -113,7 +109,7 @@ class SignalConfig:
     shape: str = _one_of(PULSE_SHAPES)
     bandwidth_invps: float | None = _key(*_POSITIVE, default=None)
     duration_ps: float | None = _key(*_POSITIVE, default=None)
-    gdd_ps2: float = _key(_finite, default=0.0)
+    gdd_ps2: float = _key(*_FINITE, default=0.0)
 
     def __post_init__(self):
         if (self.bandwidth_invps is None) == (self.duration_ps is None):
@@ -135,9 +131,7 @@ class SignalConfig:
 @dataclass(kw_only=True)
 class ControlConfig:
     kind: str = _one_of(("constant", "gaussian", "flat_top"), default="constant")
-    intensity_list: list[float] = _key(
-        _finite_list, "non-negative", lambda values: min(values) >= 0, default_factory=list
-    )
+    intensity_list: list[float] = _key(_list_of(_NON_NEGATIVE), default_factory=list)
     intensity: float | None = _key(*_NON_NEGATIVE, default=None)
     fwhm_ps: float | None = _key(*_POSITIVE, default=None)
 
@@ -162,13 +156,19 @@ class GridConfig:
 
     def resolve_dt(self, signal: SignalConfig, medium: MediumConfig) -> float:
         """The given dt_ps, else a step resolving the two-photon beat and the
-        pulse, with span at least _SPAN_DURATIONS transform-limited durations."""
-        if self.dt_ps is not None:
-            return self.dt_ps
+        pulse; either grid spans at least _SPAN_DURATIONS transform-limited durations."""
         duration = signal.transform_limited_duration()
+        dt_span = _SPAN_DURATIONS * duration / self.n
+        if self.dt_ps is not None:
+            if self.dt_ps < dt_span:
+                raise ConfigError(
+                    f"keys grid.n = {self.n} and grid.dt_ps = {self.dt_ps!r} span {self.n * self.dt_ps:.4g} ps, "
+                    f"less than {_SPAN_DURATIONS:g}x the pulse duration {duration:.4g} ps; increase grid n or dt_ps"
+                )
+            return self.dt_ps
         dt_beat = _max_beat_dt(medium.delta_invps)
         dt_pulse = duration / _MIN_SAMPLES_PER_FWHM
-        dt = max(min(0.5 * dt_beat, dt_pulse), _SPAN_DURATIONS * duration / self.n)
+        dt = max(min(0.5 * dt_beat, dt_pulse), dt_span)
         if dt > min(dt_beat, dt_pulse):
             raise ConfigError(
                 f"no time step with n = {self.n} both spans {_SPAN_DURATIONS:g}x the pulse and resolves "

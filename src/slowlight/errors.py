@@ -1,4 +1,19 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number rules that
+library arguments, config keys and CLI flags share."""
+
+import math
+
+# (requirement, check) of each number rule
+_POSITIVE = ("positive and finite", lambda value: 0 < value < math.inf)
+_NON_NEGATIVE = ("non-negative and finite", lambda value: 0 <= value < math.inf)
+_FINITE = ("finite", math.isfinite)
+
+
+def _require(rule, what, value):
+    """ValueError ``{what} must be {requirement}, got {value}`` unless ``value`` meets ``rule``."""
+    requirement, check = rule
+    if not check(value):
+        raise ValueError(f"{what} must be {requirement}, got {value}")
 
 
 class SlowLightError(Exception):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _POSITIVE, _require
 from .kramers_kronig import Susceptibility
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import (
@@ -45,8 +46,8 @@ def susceptibility_from_medium(medium: RamanMedium, grid: FrequencyGrid) -> Susc
 
 
 def transfer_function(chi: Susceptibility, k0: float, length_mm: float) -> TransferFunction:
-    if k0 <= 0 or length_mm <= 0:
-        raise ValueError(f"k0 and length must be positive, got ({k0}, {length_mm})")
+    _require(_POSITIVE, "k0", k0)
+    _require(_POSITIVE, "length", length_mm)
     return TransferFunction(grid=chi.grid, values=np.exp(0.5j * k0 * length_mm * chi.values))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationRiskError
+from .errors import _POSITIVE, TruncationRiskError, _require
 from .spectral import C_NM_PER_PS, FrequencyGrid, _grid_array
 
 _EDGE_DECAY_FRACTION = 0.01
@@ -94,11 +94,10 @@ def ingest_absorption(
     Records whose endpoints have not decayed below 1% of the peak depth are
     rejected as a truncation risk; with ``force_taper`` a raised-cosine
     roll-off to zero is appended over 5% of the grid span at each end.
+    Records with positive depth none of which reaches the grid are refused.
     """
-    if length_mm <= 0:
-        raise ValueError(f"length must be positive, got {length_mm}")
-    if center_wavelength_nm <= 0:
-        raise ValueError(f"center wavelength must be positive, got {center_wavelength_nm}")
+    _require(_POSITIVE, "length", length_mm)
+    _require(_POSITIVE, "center wavelength", center_wavelength_nm)
     wl, values = records
     lam, depth = _records_to_depth(wl, values, absorption)
 
@@ -125,6 +124,11 @@ def ingest_absorption(
         for end, lo, hi in ((0, nu[0] - width, nu[0]), (-1, nu[-1], nu[-1] + width)):
             zone = (w > lo) & (w < hi)
             d[zone] = depth[end] * 0.5 * (1.0 + np.cos(np.pi * np.abs(w[zone] - nu[end]) / width))
+    if peak > 0 and not d.any():
+        raise ValueError(
+            f"no record with positive depth falls on the grid: the records lie at detunings "
+            f"{nu[0]:.4g} to {nu[-1]:.4g} 1/ps, the grid spans {w[0]:.4g} to {w[-1]:.4g} 1/ps"
+        )
     return OpticalDepthSpectrum(grid=target_grid, depth=d, center_wavelength_nm=center_wavelength_nm)
 
 
@@ -169,8 +173,8 @@ def hilbert_transform(f: np.ndarray, pad_factor: int = _PAD_FACTOR) -> np.ndarra
 def kk_real_from_imag(depth: OpticalDepthSpectrum, k0: float, length_mm: float) -> Susceptibility:
     """Susceptibility from an optical-depth spectrum: Im from the depth,
     Re from the Kramers-Kronig (PV Hilbert) transform of Im."""
-    if k0 <= 0 or length_mm <= 0:
-        raise ValueError(f"k0 and length must be positive, got ({k0}, {length_mm})")
+    _require(_POSITIVE, "k0", k0)
+    _require(_POSITIVE, "length", length_mm)
     d = depth.depth
     peak = float(np.max(d)) if d.size else 0.0
     if peak == 0.0:

@@ -15,12 +15,11 @@ peak optical depth of one line is d0 = L * c / Gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AsymmetricMediumError
+from .errors import _NON_NEGATIVE, _POSITIVE, AsymmetricMediumError, _require
 
 _SYMMETRY_RTOL = 1e-9
 
@@ -41,13 +40,8 @@ class RamanLine:
     strength_per_intensity: float
 
     def __post_init__(self):
-        if not 0 < self.linewidth < math.inf:
-            raise ValueError(f"linewidth must be positive and finite, got {self.linewidth}")
-        if not 0 <= self.strength_per_intensity < math.inf:
-            raise ValueError(
-                "line strength must be non-negative and finite (absorption lines, never gain), "
-                f"got {self.strength_per_intensity}"
-            )
+        _require(_POSITIVE, "linewidth", self.linewidth)
+        _require(_NON_NEGATIVE, "line strength (absorption lines, never gain)", self.strength_per_intensity)
 
 
 @dataclass(frozen=True)
@@ -68,14 +62,9 @@ class RamanMedium:
     control_intensity: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.splitting < math.inf:
-            raise ValueError(f"splitting must be positive and finite, got {self.splitting}")
-        if not 0 < self.length_mm < math.inf:
-            raise ValueError(f"length must be positive and finite, got {self.length_mm}")
-        if not 0 < self.k0 < math.inf:
-            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
-        if not 0 <= self.control_intensity < math.inf:
-            raise ValueError(f"control intensity must be non-negative and finite, got {self.control_intensity}")
+        for what, value in (("splitting", self.splitting), ("length", self.length_mm), ("k0", self.k0)):
+            _require(_POSITIVE, what, value)
+        _require(_NON_NEGATIVE, "control intensity", self.control_intensity)
         lo, hi = self.lines
         half = self.splitting / 2.0
         if not (np.isclose(lo.center_detuning, -half, rtol=0, atol=1e-12 * max(1.0, half))
@@ -114,11 +103,9 @@ def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_m
 
     Inverts d0 = L * g * |E_c|^2 / Gamma at unit control intensity.
     """
-    if not 0 <= d0 < math.inf:
-        raise ValueError(f"target depth must be non-negative and finite, got {d0}")
-    for name, val in (("gamma", gamma), ("delta", delta), ("k0", k0), ("length_mm", length_mm)):
-        if not 0 < val < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val}")
+    _require(_NON_NEGATIVE, "target depth", d0)
+    for what, value in (("gamma", gamma), ("delta", delta), ("k0", k0), ("length_mm", length_mm)):
+        _require(_POSITIVE, what, value)
     return symmetric_doublet(d0 * gamma / length_mm, gamma, delta, k0, length_mm)
 
 
@@ -178,8 +165,8 @@ def loss_db(medium: RamanMedium) -> float:
 
 def delay_per_loss(gamma: float, delta: float) -> float:
     """Delay per dB of loss (ps/dB); independent of depth and control power."""
-    if gamma <= 0 or delta <= 0:
-        raise ValueError(f"gamma and delta must be positive, got ({gamma}, {delta})")
+    _require(_POSITIVE, "gamma", gamma)
+    _require(_POSITIVE, "delta", delta)
     q = delta**2 / 4.0
     return (np.log(10.0) / 20.0) * (q - gamma**2) / (gamma * (gamma**2 + q))
 

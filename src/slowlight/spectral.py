@@ -17,12 +17,11 @@ positive group delay.  Medium rates (linewidths, splittings) quoted in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousWidthError, GridResolutionError
+from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
 
 C_MM_PER_PS = 299.792458
 C_NM_PER_PS = 2.99792458e5
@@ -40,11 +39,7 @@ PULSE_SHAPES = tuple(_TBP)
 
 _MIN_SAMPLES_PER_FWHM = 16
 _MAX_RESAMPLED_N = 2**20  # resample_to_resolve stops doubling at this many samples
-
-
-def _is_sample_count(n: int) -> bool:
-    """Whether ``n`` is a valid TimeGrid size: a power of two >= 8."""
-    return n >= 8 and (n & (n - 1)) == 0
+_SAMPLE_COUNT = ("a power of two >= 8", lambda n: n >= 8 and (n & (n - 1)) == 0)  # a TimeGrid size
 
 
 def _grid_array(grid, values, dtype) -> np.ndarray:
@@ -64,12 +59,9 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"time step must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.t_start):
-            raise ValueError(f"grid start must be finite, got {self.t_start}")
-        if not _is_sample_count(self.n):
-            raise ValueError(f"sample count must be a power of two >= 8, got {self.n}")
+        _require(_POSITIVE, "time step", self.dt)
+        _require(_FINITE, "grid start", self.t_start)
+        _require(_SAMPLE_COUNT, "sample count", self.n)
 
     @classmethod
     def centered(cls, n: int, dt: float) -> "TimeGrid":
@@ -209,15 +201,12 @@ def synthesize_pulse(
         raise ValueError("specify exactly one of bandwidth or duration")
 
     if bandwidth is not None:
-        if not 0 < bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+        _require(_POSITIVE, "bandwidth", bandwidth)
         width = float(bandwidth)
     else:
-        if not 0 < duration < math.inf:
-            raise ValueError(f"duration must be positive and finite, got {duration}")
+        _require(_POSITIVE, "duration", duration)
         width = _TBP[shape] / float(duration)
-    if not math.isfinite(quadratic_spectral_phase):
-        raise ValueError(f"spectral phase curvature must be finite, got {quadratic_spectral_phase}")
+    _require(_FINITE, "spectral phase curvature", quadratic_spectral_phase)
 
     tl_duration = _transform_limited_duration(shape, bandwidth, duration)
     if tl_duration < _MIN_SAMPLES_PER_FWHM * grid.dt:
@@ -237,7 +226,7 @@ def synthesize_pulse(
     spec = SpectralEnvelope(grid=fgrid, samples=mag * np.exp(1j * phase))
     env = inverse_transform(spec)
     energy = env.energy()
-    if energy <= 0:
+    if not energy > 0:  # nan where the detuning axis squared overflows
         raise GridResolutionError("synthesized pulse has no energy on this grid")
     env.samples = env.samples / np.sqrt(energy)
     return env
@@ -257,8 +246,7 @@ def resample_to_resolve(env: ComplexEnvelope, fwhm_ps: float) -> tuple[ComplexEn
     two that resolves it, while the grid stays within _MAX_RESAMPLED_N samples.
     The spectrum is zero-padded, which is exact for a band-limited envelope;
     factor 1 returns ``env`` itself."""
-    if fwhm_ps <= 0:
-        raise ValueError(f"duration must be positive, got {fwhm_ps}")
+    _require(_POSITIVE, "duration", fwhm_ps)
     grid, factor = env.grid, 1
     while fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor and 2 * factor * grid.n <= _MAX_RESAMPLED_N:
         factor *= 2
@@ -277,10 +265,8 @@ def wavelength_bandwidth_to_frequency(lambda0_nm: float, delta_lambda_nm: float)
     The result is a plain frequency in cycles/ps (THz), not rad/ps; on the
     detuning axis the same width is ``2*pi`` times larger.
     """
-    if lambda0_nm <= 0:
-        raise ValueError(f"center wavelength must be positive, got {lambda0_nm}")
-    if delta_lambda_nm < 0:
-        raise ValueError(f"bandwidth must be non-negative, got {delta_lambda_nm}")
+    _require(_POSITIVE, "center wavelength", lambda0_nm)
+    _require(_NON_NEGATIVE, "bandwidth", delta_lambda_nm)
     return C_NM_PER_PS * delta_lambda_nm / lambda0_nm**2
 
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import delays_and_losses
-from .errors import AmbiguousWidthError, GridResolutionError
+from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
 
@@ -71,10 +71,10 @@ class ControlField:
     envelope: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 <= self.intensity < math.inf:
-            raise ValueError(f"control intensity must be non-negative and finite, got {self.intensity}")
+        _require(_NON_NEGATIVE, "control intensity", self.intensity)
         if self.envelope is not None:
             self.envelope = np.asarray(self.envelope, dtype=complex)
+            _require(_FINITE, "control envelope peak", float(np.max(np.abs(self.envelope), initial=0.0)))
 
     @classmethod
     def constant(cls, intensity: float) -> "ControlField":
@@ -89,8 +89,7 @@ class ControlField:
     @classmethod
     def flat_top(cls, grid: TimeGrid, fwhm_ps: float, intensity: float, order: int = 4) -> "ControlField":
         """Super-Gaussian (flat-topped) intensity envelope, centered at t = 0."""
-        if not 0 < fwhm_ps < math.inf:
-            raise ValueError(f"control FWHM must be positive and finite, got {fwhm_ps}")
+        _require(_POSITIVE, "control FWHM", fwhm_ps)
         t = grid.times
         amp = np.exp(-np.log(2.0) * (2.0 * t / fwhm_ps) ** (2 * order))
         return cls(intensity=intensity, envelope=amp.astype(complex))

@@ -145,6 +145,7 @@ BAD_RECORDS = {
     "kk-negative-depth": _csv("wavelength_nm,optical_depth", bad="-0.1"),
     "kk-zero-wavelength": "wavelength_nm,absorption\n0,0.1\n1,0.2\n2,0\n",
     "kk-negative-wavelength": "wavelength_nm,absorption\n-2,0.1\n-1,0.2\n0,0\n",
+    "kk-off-grid": "wavelength_nm,absorption\n1500,0\n1501,0.5\n1502,0\n",  # 192 1/ps below a 272 1/ps grid
 }
 
 
@@ -260,10 +261,16 @@ INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e
         (["analytic", "--d0-max", "1e300", "--d0-step", "1e-10"], [], 3),  # the point count overflows
         (["analytic", "--d0-max", "1e18", "--d0-step", "1"], [], 3),  # 6.94 EiB of d0 values
         (["propagate", "--domain", "fd"], [("n = 16384", "n = 1125899906842624")], 3),  # 8 PiB per array
+        # given grids spanning fewer than 16 pulse durations (3.09 ps each)
+        (["propagate", "--domain", "fd"], [("dt_ps = 0.06", "dt_ps = 1e-6")], 2),
+        (["propagate", "--domain", "fd"], [("dt_ps = 0.06", "dt_ps = 0.001")], 2),
+        (["propagate", "--domain", "fd"], [("dt_ps = 0.06", "dt_ps = 1e-300")], 2),
+        (["propagate", "--domain", "td"], [("n = 16384", "n = 8")], 2),
     ],
     ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
          "fd-centroid", "sweep-all-zero", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
-         "analytic-count-memory", "fd-grid-memory"],
+         "analytic-count-memory", "fd-grid-memory", "fd-window-1e-6", "fd-window-0.001", "fd-window-1e-300",
+         "td-window-n-8"],
 )
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     text = CONFIG

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import AsymmetricMediumError
+from slowlight.spectral import resample_to_resolve
 
 GAMMA, DELTA = 1.0, 6.8
 
@@ -133,6 +134,9 @@ class TestDepthParameterization:
 
 
 GRID = sl.TimeGrid.centered(2**10, 0.05)
+CHI = sl.Susceptibility(GRID.frequency_grid(), np.zeros(GRID.n))
+DEPTH = sl.OpticalDepthSpectrum(GRID.frequency_grid(), np.zeros(GRID.n), center_wavelength_nm=765.0)
+RECORDS = ([760.0, 761.0, 762.0], [0.0, 0.5, 0.0])
 NON_FINITE_INPUTS = {
     "TimeGrid.dt": lambda x: sl.TimeGrid(0.0, x, 8),
     "TimeGrid.t_start": lambda x: sl.TimeGrid(x, 0.1, 8),
@@ -149,6 +153,20 @@ NON_FINITE_INPUTS = {
     "synthesize_pulse.bandwidth": lambda x: sl.synthesize_pulse("gaussian", GRID, bandwidth=x),
     "synthesize_pulse.duration": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=x),
     "synthesize_pulse.phase": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=2.0, quadratic_spectral_phase=x),
+    "resample_to_resolve.fwhm": lambda x: resample_to_resolve(sl.synthesize_pulse("gaussian", GRID, duration=2.0), x),
+    "wavelength_bandwidth_to_frequency.lambda0": lambda x: sl.wavelength_bandwidth_to_frequency(x, 1.0),
+    "wavelength_bandwidth_to_frequency.delta_lambda": lambda x: sl.wavelength_bandwidth_to_frequency(765.0, x),
+    "delay_per_loss.gamma": lambda x: sl.delay_per_loss(x, DELTA),
+    "delay_per_loss.delta": lambda x: sl.delay_per_loss(GAMMA, x),
+    "transfer_function.k0": lambda x: sl.transfer_function(CHI, x, 30.0),
+    "transfer_function.length": lambda x: sl.transfer_function(CHI, 1.0, x),
+    "kk_real_from_imag.k0": lambda x: sl.kk_real_from_imag(DEPTH, x, 30.0),
+    "kk_real_from_imag.length": lambda x: sl.kk_real_from_imag(DEPTH, 1.0, x),
+    "ingest_absorption.length": lambda x: sl.ingest_absorption(RECORDS, 761.0, x, GRID.frequency_grid()),
+    "ingest_absorption.center_wavelength": lambda x: sl.ingest_absorption(RECORDS, x, 30.0, GRID.frequency_grid()),
+    "deconvolve_duration.tau_xc": lambda x: sl.deconvolve_duration(x, 1.0),
+    "deconvolve_duration.tau_ref": lambda x: sl.deconvolve_duration(2.0, x),
+    "ControlField.envelope": lambda x: sl.ControlField(1.0, envelope=np.full(GRID.n, x)),
 }
 
 
