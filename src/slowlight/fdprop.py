@@ -18,7 +18,6 @@ from .medium import RamanMedium, chi as medium_chi
 from .spectral import (
     ComplexEnvelope,
     FrequencyGrid,
-    TimeGrid,
     _grid_array,
     forward_transform,
     inverse_transform,
@@ -63,20 +62,6 @@ def propagate(env: ComplexEnvelope, H: TransferFunction) -> ComplexEnvelope:
     spec = forward_transform(env)
     spec.samples = spec.samples * H.values
     return inverse_transform(spec)
-
-
-def propagate_causal(env: ComplexEnvelope, medium: RamanMedium) -> ComplexEnvelope:
-    """The model's linear, not circular, response to the windowed envelope:
-    zero-pad it to 2n samples on the same dt, propagate through the model
-    transfer on that grid and crop back to the window (Oppenheim & Schafer,
-    "Discrete-Time Signal Processing", ch. 8).  This is what a causal
-    time-domain solve from the window start computes."""
-    grid = env.grid
-    padded = TimeGrid(t_start=grid.t_start, dt=grid.dt, n=2 * grid.n)
-    samples = np.concatenate((env.samples, np.zeros(grid.n, dtype=complex)))
-    transfer = _model_transfer(medium, padded.frequency_grid())
-    out = propagate(ComplexEnvelope(grid=padded, samples=samples), transfer)
-    return ComplexEnvelope(grid=grid, samples=out.samples[: grid.n])
 
 
 def output_spectra(env: ComplexEnvelope, H: TransferFunction):

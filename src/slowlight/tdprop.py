@@ -19,8 +19,12 @@ stiff coherence ODEs over the whole tau grid with an exponential
 integrator on the rotated variables R = Q e^{-+i Delta tau/2}, whose decay
 constant Gamma +- i*Delta/2 absorbs both the damping and the two-photon
 beat exactly; only the slowly-varying drive Ec* E is linearly interpolated.
-The recurrence R_k = e R_{k-1} + x_k runs as a doubling scan (Hillis &
-Steele 1986) on work arrays allocated once per solve.
+The window is one period, as it is for the FD transfer function: the
+recurrence R_k = e R_{k-1 mod n} + x_k runs as a doubling scan (Hillis &
+Steele 1986) from rest, on work arrays allocated once per solve, and its
+periodic part is added in closed form.  Under a constant control A is then
+the discrete twin of the FD transfer function, and the two agree to the
+second order in dt of the drive's interpolation.
 
 ``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham, SIAM J.
 Sci. Comput. 33 (2011) 488) over as few equal substeps as keep each one's
@@ -144,12 +148,15 @@ class ScanPoint(NamedTuple):
 
 
 def _scan_weights(gamma: complex, dt: float, n: int):
-    """Weights (c_prev, c_curr, powers) of R_k = e R_{k-1} + x_k, the exact
-    integral of a linearly interpolated drive d against e^{-gamma (dt - s)}
-    over one step: e = e^{-gamma dt}, x_k = c_prev d_{k-1} + c_curr d_k, and
-    gamma may be complex (damping plus detuning).  ``powers`` holds e^k for
-    k = 1, 2, 4, ... < n while |e^k| >= _SCAN_CUTOFF, squared in fixed point:
-    each is within an ulp of the exact power (double squarings drift k ulps)."""
+    """Weights (c_prev, c_curr, powers, wrap) of the circular recurrence
+    R_k = e R_{k-1 mod n} + x_k, the exact integral of a linearly interpolated
+    drive d against e^{-gamma (dt - s)} over one step: e = e^{-gamma dt},
+    x_k = c_prev d_{k-1 mod n} + c_curr d_k, and gamma may be complex (damping
+    plus detuning).  ``powers`` holds e^k for k = 1, 2, 4, ... < n while
+    |e^k| >= _SCAN_CUTOFF, squared in fixed point: each is within an ulp of
+    the exact power (double squarings drift k ulps).  ``wrap`` holds
+    e^{k+1} / (1 - e^n) for the K powers e^1 ... e^K, K <= n, of magnitude at
+    least _SCAN_CUTOFF; each is a product of such powers, so none underflows."""
     a = gamma * dt
     e = cmath.exp(-a)
     c_prev = (1.0 - e * (1.0 + a)) / (gamma * a)
@@ -160,20 +167,29 @@ def _scan_weights(gamma: complex, dt: float, n: int):
     while 1 << len(powers) < n and abs(complex(re, im)) >= _SCAN_CUTOFF * one:
         powers.append(complex(re / one, im / one))
         re, im = (re * re - im * im) >> _POWER_BITS, (re * im) >> (_POWER_BITS - 1)
-    return c_prev, c_curr, powers
+    wrap = np.array([e])
+    while wrap.size < n and abs(wrap[-1]) >= _SCAN_CUTOFF:
+        wrap = np.concatenate((wrap, wrap[-1] * wrap))  # e^1 ... e^{2m} from e^1 ... e^m
+    wrap = wrap[: min(n, np.count_nonzero(np.abs(wrap) >= _SCAN_CUTOFF))]
+    if wrap.size == n:  # else |e^n| < _SCAN_CUTOFF and 1 - e^n rounds to 1
+        wrap /= 1.0 - wrap[-1]
+    return c_prev, c_curr, powers, wrap
 
 
 def _coherence_scan(drive: np.ndarray, weights, r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Solve dR/dtau = -gamma R + drive(tau) over the grid with R(0) = 0 into
-    r, by a doubling scan (Hillis & Steele 1986): from r = x, add e^k times r
-    shifted by k for k = 1, 2, 4, ...  ``shifted`` is scratch of the same size."""
-    c_prev, c_curr, powers = weights
-    r[0] = 0.0
-    np.multiply(c_curr, drive[1:], out=r[1:])
+    """Solve dR/dtau = -gamma R + drive(tau) over the grid as one period, into
+    r: by a doubling scan (Hillis & Steele 1986), from r = x add e^k times r
+    shifted by k for k = 1, 2, 4, ..., which gives the response from rest at
+    the window start; then add the periodic part, wrap[k] r[n-1] at sample k.
+    ``shifted`` is scratch of the same size."""
+    c_prev, c_curr, powers, wrap = weights
+    np.multiply(c_curr, drive, out=r)
     r[1:] += np.multiply(c_prev, drive[:-1], out=shifted[1:])
+    r[0] += c_prev * drive[-1]
     for doubling, power in enumerate(powers):
         k = 1 << doubling
         r[k:] += np.multiply(power, r[:-k], out=shifted[k:])
+    r[: wrap.size] += np.multiply(wrap, r[-1], out=shifted[: wrap.size])
     return r
 
 

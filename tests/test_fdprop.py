@@ -113,29 +113,6 @@ class TestPropagate:
         assert total == pytest.approx(sum(delays), rel=0.01)
 
 
-class TestPropagateCausal:
-    def test_control_off_is_identity(self, std_medium, flattop_signal):
-        out = sl.fdprop.propagate_causal(flattop_signal, std_medium.with_control_intensity(0.0))
-        assert out.grid == flattop_signal.grid
-        scale = np.max(np.abs(flattop_signal.samples))
-        assert np.max(np.abs(out.samples - flattop_signal.samples)) < 1e-14 * scale
-
-    def test_nothing_wraps_around_the_window(self, std_medium):
-        # a pulse 6 ps before the window end: its delayed tail must not reappear at the start
-        grid = sl.TimeGrid.centered(2**12, 0.03)
-        centered = sl.synthesize_pulse("gaussian", grid, duration=1.0)
-        late = sl.ComplexEnvelope(grid=grid, samples=np.roll(centered.samples, grid.n // 2 - 200))
-        medium = std_medium.with_control_intensity(1.0)
-        chi = sl.susceptibility_from_medium(medium, grid.frequency_grid())
-        periodic = sl.propagate(late, sl.transfer_function(chi, medium.k0, medium.length_mm))
-        causal = sl.fdprop.propagate_causal(late, medium)
-        front = slice(0, grid.n // 4)
-        peak = np.max(np.abs(late.samples))
-        assert np.max(np.abs(late.samples[front])) < 1e-14 * peak
-        assert np.max(np.abs(periodic.samples[front])) > 1e-5 * peak
-        assert np.max(np.abs(causal.samples[front])) < 1e-14 * peak
-
-
 class TestOutputSpectra:
     def test_identity_spectra_match(self, flattop_signal):
         on, off = sl.output_spectra(flattop_signal, identity_transfer(flattop_signal.grid))
