@@ -207,7 +207,7 @@ def cmd_sweep(args):
         measured = analysis.delays_and_losses(pulse, map(output, intensities))
         points = [tdprop.ScanPoint(float(i), *row) for i, row in zip(intensities, measured)]
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
-    if len(points) >= 3:
+    if len(points) >= 3 and any(p.intensity > 0 for p in points):  # else no slope to fit
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
         summary["linearity.slope_ps_per_intensity"] = slope
         summary["linearity.residual_ratio"] = residual

@@ -112,7 +112,7 @@ class ControlField:
 
 @dataclass
 class SolverSettings:
-    """Given these, ``solve`` and its scan refuse an nz below nz_needed."""
+    """Given these, ``solve`` refuses an nz below nz_needed."""
 
     nz: int = 256
 
@@ -124,7 +124,7 @@ class SolverSettings:
 @dataclass
 class SolveResult:
     """``nz`` is the substep count of the solve and ``nz_needed`` the fewest
-    equal z steps whose phase stays below 0.1; ``z_error_estimate`` is the
+    equal z steps whose phase is at most 0.1; ``z_error_estimate`` is the
     largest last Taylor term the solve added, relative to ||E||, and
     ``peak_coherence`` the largest coherence magnitude the weak-signal
     check read."""
@@ -203,14 +203,11 @@ def _chi_max(medium: RamanMedium, grid: TimeGrid) -> float:
     return float(np.max(np.abs(medium_chi(medium, grid.frequency_grid().omegas))))
 
 
-def _validate_resolution(
-    medium: RamanMedium, pulse: ComplexEnvelope, chi_max: float | None = None,
-    settings: SolverSettings | None = None,
-):
-    """(nz_needed, substeps) for ``chi_max``, the largest |chi| on the grid
-    (sampled if not given): z steps of phase below _MAX_STEP_PHASE and of phase
-    at most _MAX_SUBSTEP_PHASE.  GridResolutionError if dt misses the beat, past
-    _MAX_SUBSTEPS substeps, or for a given settings.nz below nz_needed."""
+def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: float):
+    """The plan (nz_needed, substeps) for ``chi_max``, the largest |chi| on the
+    grid: the fewest z steps of phase at most _MAX_STEP_PHASE and of phase at
+    most _MAX_SUBSTEP_PHASE.  GridResolutionError if dt misses the beat or
+    past _MAX_SUBSTEPS substeps."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -218,41 +215,27 @@ def _validate_resolution(
             f"time step {dt:.4g} ps does not resolve the two-photon beat; "
             f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
         )
-    if chi_max is None:
-        chi_max = _chi_max(medium, pulse.grid)
     phase = medium.k0 * chi_max * medium.length_mm / 2.0  # of exp(L A)
     if not phase <= _MAX_SUBSTEPS * _MAX_SUBSTEP_PHASE:  # an infinite phase too
         raise GridResolutionError(f"the solve would take {phase / _MAX_SUBSTEP_PHASE:.3g} z substeps, "
                                   f"more than the {_MAX_SUBSTEPS:.3g} any run could finish")
     nz_needed = math.ceil(phase / _MAX_STEP_PHASE)
-    if settings is not None and phase / settings.nz >= _MAX_STEP_PHASE:
-        raise GridResolutionError(
-            f"per-step phase {phase / settings.nz:.3g} exceeds {_MAX_STEP_PHASE}; "
-            f"need nz >= {nz_needed} (got {settings.nz})"
-        )
     return nz_needed, max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
 
 
-def _march(
-    medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
-    scales=(1.0,), chi_max: float | None = None,
-):
-    """E(L) = exp(L A) E(0) in equal z substeps, as many as hold each one's
-    phase to _MAX_SUBSTEP_PHASE, each a Taylor sum of exp(dz A) until a term
-    falls to _TERM_TOLERANCE of ||E||.  Yields one SolveResult for each
-    operator s A, s in ``scales``, in order.
+def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan, scales=(1.0,)):
+    """E(L) = exp(L A) E(0) in equal z substeps, as many as ``plan`` =
+    (nz_needed, substeps) of _validate_resolution gives, each a Taylor sum of
+    exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  Yields one
+    SolveResult for each operator s A, s in ``scales``, in order.
 
     Several scales (a constant control in one substep) share one series.
-    The lead field, the first of the largest scale, adds term m of A times
-    s^m one term at a time, as ``solve`` does, and its rule ends the sum.
-    The others take the same terms, _CHUNK at a time, by one real matrix
-    product with V[j, i] = s_j^m_i.  Each result's peak coherence includes
-    that of its own closing application of A; its nz and nz_needed are
-    those of A, checked against ``chi_max`` if given (see
-    _validate_resolution)."""
-    medium = medium.with_control_intensity(control.intensity)
-    nz_needed, steps = _validate_resolution(medium, pulse, chi_max)
-
+    The lead field, of scales[0], the largest, adds term m of A times s^m
+    one term at a time, as ``solve`` does, and its rule ends the sum.  The
+    others take the same terms, _CHUNK at a time, by one real matrix product
+    with V[j, i] = s_j^m_i.  Each result's peak coherence includes that of
+    its own closing application of A; its nz and nz_needed are the plan's."""
+    nz_needed, steps = plan
     grid = pulse.grid
     n, dt = grid.n, grid.dt
 
@@ -280,18 +263,13 @@ def _march(
         np.add(np.multiply(emit_hi, r31, out=out), np.multiply(emit_lo, r21, out=drive), out=out)
         return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21)) if peak else None
 
-    # row k of fields holds scale order[k]: the lead in row 0, swapped with
-    # scale 0, so the same swap maps rows back; terms holds the newest
-    # terms of the series, each written over the oldest
-    lead = scales.index(max(scales))
-    order = list(range(len(scales)))
-    order[0], order[lead] = lead, 0
-    lower = np.array([scales[j] for j in order[1:]])
+    # terms holds the newest terms of the series, each written over the oldest
+    lower = np.array(scales[1:])
     fields = np.empty((len(scales), n), dtype=complex)
     fields[:] = pulse.samples
     others = fields[1:].view(float)
     terms = np.empty((_CHUNK if lower.size else 1, n), dtype=complex)
-    roots = [math.sqrt(scales[j]) for j in order]  # the coherences scale with the control amplitude
+    roots = [math.sqrt(s) for s in scales]  # the coherences scale with the control amplitude
     peaks, errors = [0.0] * len(scales), [0.0] * len(scales)
     dz = medium.length_mm / steps
     for _ in range(steps):
@@ -303,8 +281,8 @@ def _march(
                 peaks = [max(p, root * peak) for p, root in zip(peaks, roots)]
             term *= dz / m
             size = np.linalg.norm(term)
-            fields[0] += np.multiply(scales[lead] ** m, term, out=drive)
-            last = _relative(scales[lead] ** m * size, fields[0])
+            fields[0] += np.multiply(scales[0] ** m, term, out=drive)
+            last = _relative(scales[0] ** m * size, fields[0])
             done = not last > _TERM_TOLERANCE
             if lower.size and (done or m == _MAX_TERMS or m % len(terms) == 0):
                 first = m - (m - 1) % len(terms)
@@ -315,9 +293,8 @@ def _march(
         errors = [max(e, l) for e, l in zip(errors, lasts)]
 
     shape_warnings = _control_duration_warning(control, pulse) if control.envelope is not None else []
-    for row in order:
-        e_field, root = fields[row], roots[row]
-        peak = max(peaks[row], root * apply(e_field, terms[0], peak=True))
+    for e_field, root, peak, error in zip(fields, roots, peaks, errors):
+        peak = max(peak, root * apply(e_field, terms[0], peak=True))
         warnings = [
             f"coherence amplitude reached {peak:.3g} (> "
             f"{_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal assumption may not hold "
@@ -328,7 +305,7 @@ def _march(
             warnings=warnings + shape_warnings,
             nz=steps,
             nz_needed=nz_needed,
-            z_error_estimate=errors[row],
+            z_error_estimate=error,
             peak_coherence=peak,
         )
 
@@ -353,9 +330,13 @@ def solve(
     amplitudes grow beyond 0.1 in the field units of the input.  Given
     settings, an nz below nz_needed is refused; no setting changes the result.
     """
-    if settings is not None:
-        _validate_resolution(medium.with_control_intensity(control.intensity), pulse, settings=settings)
-    return next(_march(medium, control, pulse))
+    medium = medium.with_control_intensity(control.intensity)
+    plan = _validate_resolution(medium, pulse, _chi_max(medium, pulse.grid))
+    if settings is not None and settings.nz < plan[0]:
+        raise GridResolutionError(
+            f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
+        )
+    return next(_march(medium, control, pulse, plan))
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -372,12 +353,7 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
     return []
 
 
-def delay_vs_control_scan(
-    medium: RamanMedium,
-    control_intensities,
-    pulse: ComplexEnvelope,
-    settings: SolverSettings | None = None,
-) -> list[ScanPoint]:
+def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
     The operator and chi at intensity I are I times those at unit intensity.
@@ -392,16 +368,18 @@ def delay_vs_control_scan(
     """
     intensities = [float(i) for i in control_intensities]
     unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid) if intensities else 0.0
-    shared = []
+    plans = {}
     for i in intensities:  # refused in order, as each point's own solve would be
         ControlField.constant(i)  # a negative intensity is refused first
-        _, substeps = _validate_resolution(medium, pulse, i * unit_chi_max, settings)
-        if substeps == 1:
-            shared.append(i)
-    top = max(shared, default=0.0)
-    scales = [i / (top or 1.0) for i in shared]
-    alone = (i for i in intensities if i not in shared)
-    march = _march(medium, ControlField.constant(top), pulse, scales, chi_max=top * unit_chi_max)
+        plans[i] = _validate_resolution(medium, pulse, i * unit_chi_max)
+    shared = [i for i in intensities if plans[i][1] == 1]
+    alone = (i for i in intensities if plans[i][1] > 1)
+    march = ()
+    if shared:  # the largest leads the series
+        top = max(shared)
+        lead = shared.index(top)
+        shared[0], shared[lead] = top, shared[0]
+        march = _march(medium, ControlField.constant(top), pulse, plans[top], [i / (top or 1.0) for i in shared])
     results = chain(
         zip(shared, march),
         ((i, solve(medium, ControlField.constant(i), pulse)) for i in alone),

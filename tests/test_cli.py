@@ -254,7 +254,6 @@ INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e
         (["sweep", "--domain", "fd"], NO_WINDOW + AS_LIST, 2),
         (["analytic"], [("dt_ps = 0.06\n", ""), ("n = 16384", "n = 8")], 2),  # no grid step fits
         (["propagate", "--domain", "fd"], [("intensity = 1.0", "intensity = 1e300")], 3),
-        (["sweep", "--domain", "td"], [("intensity = 1.0", "intensity_list = 0.0, 0.0, 0.0")], 3),
         (["analytic"], INF_COUPLING, 2),
         (["propagate", "--domain", "fd"], INF_COUPLING, 2),
         # each allocation below is larger than any address space, so it fails at once
@@ -268,7 +267,7 @@ INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e
         (["propagate", "--domain", "td"], [("n = 16384", "n = 8")], 2),
     ],
     ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
-         "fd-centroid", "sweep-all-zero", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
+         "fd-centroid", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
          "analytic-count-memory", "fd-grid-memory", "fd-window-1e-6", "fd-window-0.001", "fd-window-1e-300",
          "td-window-n-8"],
 )
@@ -585,6 +584,19 @@ class TestSweep:
         assert body.shape == (1, 3)
         assert np.allclose(body[0], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("domain", ["fd", "td"])
+    def test_all_zero_intensities_fit_no_slope(self, tmp_path, domain):
+        # a slope needs a positive intensity; without one the rows are still written
+        text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.0, 0.0")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", domain,
+                     "--out-dir", str(out)]) == 0
+        _, body = read_csv(out / "intensity_scan.csv")
+        assert body.shape == (3, 3) and np.allclose(body, 0.0, atol=1e-12)  # FD keeps the transforms' rounding
+        summary = read_summary(out / "summary.txt")
+        assert summary["sweep.points"] == "3"
+        assert not [key for key in summary if key.startswith("linearity.")]
+
     def test_td_zero_intensity_row_has_no_negative_zero(self, tmp_path):
         # the lossless point used to print its loss as "-0"; the row at 1.0,
         # the lead of the shared series, still matches the propagate run to
@@ -734,6 +746,11 @@ _TD_PROPAGATE_KEYS = [
     *_PROPAGATE_KEYS[_PROPAGATE_KEYS.index("grid.dt_ps") + 1 :],
 ]
 
+_SWEEP_KEYS = [
+    "run.command", "sweep.points", "linearity.slope_ps_per_intensity", "linearity.residual_ratio",
+    "metrics.max_delay_ps", "warnings", *_config_keys("config.control.intensity_list"),
+]
+
 # summary.txt key order is part of its format: a subcommand's own keys, then config.*
 SUMMARY_KEYS = {
     "analytic": [
@@ -754,10 +771,8 @@ SUMMARY_KEYS = {
         *[key for key in _TD_PROPAGATE_KEYS if key != "metrics.center_transmission"], "warnings",
         *_config_keys("config.control.intensity", "config.control.fwhm_ps"),
     ],
-    "sweep_fd": [
-        "run.command", "sweep.points", "linearity.slope_ps_per_intensity", "linearity.residual_ratio",
-        "metrics.max_delay_ps", "warnings", *_config_keys("config.control.intensity_list"),
-    ],
+    "sweep_fd": _SWEEP_KEYS,
+    "sweep_td": _SWEEP_KEYS,
     "xcorr": [
         "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
         "metrics.deconvolved_duration_ps", "metrics.first_moment_delay_ps",
@@ -785,6 +800,7 @@ def test_summary_key_order(tmp_path):
         "propagate_td": ["propagate", "--config", paths["const"], "--domain", "td"],
         "propagate_td_gaussian": ["propagate", "--config", paths["gauss"], "--domain", "td"],
         "sweep_fd": ["sweep", "--config", paths["sweep"], "--domain", "fd"],
+        "sweep_td": ["sweep", "--config", paths["sweep"], "--domain", "td"],
         "xcorr": [
             "xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"),
             "--off-csv", str(fd_dir / "input_envelope.csv"), "--ref-duration-ps", "1.0",

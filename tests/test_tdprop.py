@@ -196,6 +196,29 @@ class TestSolve:
         with pytest.raises(GridResolutionError, match="nz >="):
             sl.solve(medium, sl.ControlField.constant(1.0), pulse, sl.SolverSettings(nz=16))
 
+    def test_settings_sample_chi_once(self, std_medium, flattop_signal, monkeypatch):
+        # the refusal reads the same plan as the solve
+        sampled = []
+
+        def spy(medium, omega, chi=tdprop.medium_chi):
+            sampled.append(medium.control_intensity)
+            return chi(medium, omega)
+
+        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal, sl.SolverSettings(nz=256))
+        assert sampled == [1.0]
+
+    def test_nz_at_exactly_nz_needed_accepted(self, std_medium, signal_grid, monkeypatch):
+        # a chi peak that puts the whole-length phase at exactly 2.0: 20 steps of exactly 0.1
+        chi_max = 4.0 / (std_medium.k0 * std_medium.length_mm)
+        assert std_medium.k0 * chi_max * std_medium.length_mm / 2.0 == 2.0
+        monkeypatch.setattr(tdprop, "_chi_max", lambda medium, grid: chi_max)
+        pulse = sl.synthesize_pulse("gaussian", signal_grid, duration=2.0)
+        control = sl.ControlField.constant(1.0)
+        assert sl.solve(std_medium, control, pulse, sl.SolverSettings(nz=20)).nz_needed == 20
+        with pytest.raises(GridResolutionError, match=r"need nz >= 20 \(got 19\)"):
+            sl.solve(std_medium, control, pulse, sl.SolverSettings(nz=19))
+
     def test_settings_validation(self):
         with pytest.raises(ValueError, match="16"):
             sl.SolverSettings(nz=8)
@@ -251,7 +274,7 @@ class TestSolve:
         zero = sl.ComplexEnvelope(grid=signal_grid, samples=np.zeros(signal_grid.n, dtype=complex))
         with np.errstate(all="raise"):
             results = [sl.solve(std_medium, sl.ControlField.constant(1.0), zero)]
-            results += _march(std_medium, sl.ControlField.constant(2.0), zero, [0.0, 0.5, 1.0])
+            results += _march(std_medium, sl.ControlField.constant(2.0), zero, (26, 1), [1.0, 0.5, 0.0])
         for result in results:
             assert not np.any(result.output.samples)
             assert (result.z_error_estimate, result.peak_coherence, result.warnings) == (0.0, 0.0, [])
@@ -352,24 +375,21 @@ class TestControlScan:
         assert [len(p.warnings) for p in points] == [0, 1, 1]
         assert_rows_match(points, per_point_rows(std_medium, [0.01, 0.25, 1.0], loud))
 
-    def test_insufficient_z_steps_refused(self, flattop_signal):
-        medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
-        with pytest.raises(GridResolutionError, match="nz >="):
-            sl.delay_vs_control_scan(medium, [0.0, 1.0], flattop_signal, sl.SolverSettings(nz=16))
-
     def test_points_past_one_substep_are_solved_alone(self, std_medium, monkeypatch):
         pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
-        alone = []
+        solved = []
 
         def spy(medium, control, pulse, settings=None):
-            alone.append(control.intensity)
+            solved.append(control.intensity)
             return sl.solve(medium, control, pulse, settings)
 
         monkeypatch.setattr(tdprop, "solve", spy)
-        points = sl.delay_vs_control_scan(std_medium, [0.5, 1.0, 16.0], pulse)
-        assert alone == [16.0]
-        assert_rows_match(points, per_point_rows(std_medium, [0.5, 1.0, 16.0], pulse))
-        assert points[-1].warnings[0].startswith("coherence amplitude reached")
+        for intensities, alone in (([0.5, 1.0, 16.0], [16.0]), ([16.0, 20.0], [16.0, 20.0])):  # mixed, all alone
+            solved.clear()
+            points = sl.delay_vs_control_scan(std_medium, intensities, pulse)
+            assert solved == alone
+            assert_rows_match(points, per_point_rows(std_medium, intensities, pulse))
+            assert points[-1].warnings[0].startswith("coherence amplitude reached")
 
     def test_all_shared_scan_samples_chi_once(self, std_medium, monkeypatch):
         # chi is linear in the intensity: one sample at unit intensity checks every point
