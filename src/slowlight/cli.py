@@ -118,6 +118,14 @@ def _set_up(config: SimulationConfig):
     return grid, config.signal.build(grid), config.medium.build()
 
 
+def _td_fd_check(td_out, fd_out):
+    """The summary key of a TD output's relative L2 gap to FD, and a warning past _TD_FD_L2_BUDGET."""
+    gap = analysis.relative_l2_error(td_out, fd_out)
+    warnings = [f"the TD output differs from the FD output by {gap:.3g} relative L2 "
+                f"(> {_TD_FD_L2_BUDGET:g}), so its delay and loss are not confirmed"] if gap > _TD_FD_L2_BUDGET else []
+    return {"metrics.td_fd_l2_error": gap}, warnings
+
+
 def _transfer_for_run(args, the_medium, fgrid):
     if not args.chi_csv:
         return fdprop._model_transfer(the_medium, fgrid)
@@ -158,11 +166,8 @@ def cmd_propagate(args):
         }
         spec_on = forward_transform(out).samples
         if config.control.kind == "constant":
-            gap = analysis.relative_l2_error(out, fd_out)
-            checks["metrics.td_fd_l2_error"] = gap
-            if gap > _TD_FD_L2_BUDGET:
-                warnings = [*warnings, f"the TD output differs from the FD output by {gap:.3g} "
-                            f"relative L2 (> {_TD_FD_L2_BUDGET:g}), so its delay and loss are not confirmed"]
+            checks, gap_warnings = _td_fd_check(out, fd_out)
+            warnings = [*warnings, *gap_warnings]
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",
@@ -195,16 +200,18 @@ def cmd_sweep(args):
         raise ConfigError("sweep assumes constant control during each point")
 
     _, pulse, base_medium = _set_up(config)
+    spec_in = forward_transform(pulse)  # one transform for every FD output
+
+    def fd_output(intensity):
+        if intensity == 0:  # the transfer is exactly 1
+            return pulse
+        h = fdprop._model_transfer(base_medium.with_control_intensity(intensity), spec_in.grid)
+        return inverse_transform(SpectralEnvelope(grid=h.grid, samples=spec_in.samples * h.values))
+
     if args.domain == "td":
         points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse)
     else:
-        spec_in = forward_transform(pulse)  # one transform for every point
-
-        def output(intensity):
-            h = fdprop._model_transfer(base_medium.with_control_intensity(intensity), spec_in.grid)
-            return inverse_transform(SpectralEnvelope(grid=h.grid, samples=spec_in.samples * h.values))
-
-        measured = analysis.delays_and_losses(pulse, map(output, intensities))
+        measured = analysis.delays_and_losses(pulse, map(fd_output, intensities))
         points = [tdprop.ScanPoint(float(i), *row) for i, row in zip(intensities, measured)]
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3 and any(p.intensity > 0 for p in points):  # else no slope to fit
@@ -213,6 +220,12 @@ def cmd_sweep(args):
         summary["linearity.residual_ratio"] = residual
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
+    if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
+        top = max(p.intensity for p in points)
+        td_out = tdprop.solve(base_medium, tdprop.ControlField.constant(top), pulse).output
+        check, gap_warnings = _td_fd_check(td_out, fd_output(top))
+        summary.update(check)
+        warnings += [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"
     io.write_scan_csv(_out_path(args, "intensity_scan.csv"), points)
     return summary, config

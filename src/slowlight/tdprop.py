@@ -22,18 +22,18 @@ beat exactly; only the slowly-varying drive Ec* E is linearly interpolated.
 The window is one period, as it is for the FD transfer function: the
 recurrence R_k = e R_{k-1 mod n} + x_k runs as a doubling scan (Hillis &
 Steele 1986) from rest, on work arrays allocated once per solve, and its
-periodic part is added in closed form.  Under a constant control A is then
-the discrete twin of the FD transfer function, and the two agree to the
-second order in dt of the drive's interpolation.
+periodic part is added in closed form.
 
-``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33 (2011) 488) over as few equal substeps as keep each one's
-phase to 4, each until a term is negligible, so it is exact in z to
-rounding.  Under a constant control A and chi are proportional to the
-intensity, so ``delay_vs_control_scan`` samples chi once and sums one
-series for all its one-substep points: the largest is summed and truncated
-as its own ``solve``, and the others add its terms in chunks, each chunk by
-one matrix product with their powers of the intensity ratio.
+Under a constant control A is then circulant, the discrete twin of the FD
+transfer function, which it matches to the second order in dt of the
+drive's interpolation.  The DFT modes are its eigenvectors (Davis,
+"Circulant Matrices", 1979), so ``solve`` returns E + ifft(expm1(L I lambda)
+fft(E)), exact in z with no series (nz = 1); ``delay_vs_control_scan`` takes
+the input's DFT and lambda, A's eigenvalues at unit intensity, once for all
+its points.  Under a shaped control ``solve`` sums the Taylor series of
+exp(L A) E (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as
+few equal substeps as keep each one's phase to 4, each until a term is
+negligible, so it is exact in z to rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -58,7 +57,6 @@ _POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
 _MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
 _MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
-_CHUNK = 8  # series terms that one matrix product adds to a shared scan's lower fields
 _MAX_SUBSTEPS = 10**9  # refused: at 0.7 ms a substep on 8 samples, over a week of solving
 
 
@@ -123,9 +121,10 @@ class SolverSettings:
 
 @dataclass
 class SolveResult:
-    """``nz`` is the substep count of the solve and ``nz_needed`` the fewest
-    equal z steps whose phase is at most 0.1; ``z_error_estimate`` is the
-    largest last Taylor term the solve added, relative to ||E||, and
+    """``nz`` is the substep count of the solve, 1 under a constant control,
+    which has no series, and ``nz_needed`` the fewest equal z steps whose
+    phase is at most 0.1; ``z_error_estimate`` is the largest last Taylor
+    term the solve added, relative to ||E|| (0 with no series), and
     ``peak_coherence`` the largest coherence magnitude the weak-signal
     check read."""
 
@@ -148,7 +147,7 @@ class ScanPoint(NamedTuple):
 
 
 def _scan_weights(gamma: complex, dt: float, n: int):
-    """Weights (c_prev, c_curr, powers, wrap) of the circular recurrence
+    """Weights (c_prev, c_curr, e, powers, wrap) of the circular recurrence
     R_k = e R_{k-1 mod n} + x_k, the exact integral of a linearly interpolated
     drive d against e^{-gamma (dt - s)} over one step: e = e^{-gamma dt},
     x_k = c_prev d_{k-1 mod n} + c_curr d_k, and gamma may be complex (damping
@@ -173,7 +172,7 @@ def _scan_weights(gamma: complex, dt: float, n: int):
     wrap = wrap[: min(n, np.count_nonzero(np.abs(wrap) >= _SCAN_CUTOFF))]
     if wrap.size == n:  # else |e^n| < _SCAN_CUTOFF and 1 - e^n rounds to 1
         wrap /= 1.0 - wrap[-1]
-    return c_prev, c_curr, powers, wrap
+    return c_prev, c_curr, e, powers, wrap
 
 
 def _coherence_scan(drive: np.ndarray, weights, r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
@@ -182,7 +181,7 @@ def _coherence_scan(drive: np.ndarray, weights, r: np.ndarray, shifted: np.ndarr
     shifted by k for k = 1, 2, 4, ..., which gives the response from rest at
     the window start; then add the periodic part, wrap[k] r[n-1] at sample k.
     ``shifted`` is scratch of the same size."""
-    c_prev, c_curr, powers, wrap = weights
+    c_prev, c_curr, _, powers, wrap = weights
     np.multiply(c_curr, drive, out=r)
     r[1:] += np.multiply(c_prev, drive[:-1], out=shifted[1:])
     r[0] += c_prev * drive[-1]
@@ -223,23 +222,12 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: f
     return nz_needed, max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
 
 
-def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan, scales=(1.0,)):
-    """E(L) = exp(L A) E(0) in equal z substeps, as many as ``plan`` =
-    (nz_needed, substeps) of _validate_resolution gives, each a Taylor sum of
-    exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  Yields one
-    SolveResult for each operator s A, s in ``scales``, in order.
-
-    Several scales (a constant control in one substep) share one series.
-    The lead field, of scales[0], the largest, adds term m of A times s^m
-    one term at a time, as ``solve`` does, and its rule ends the sum.  The
-    others take the same terms, _CHUNK at a time, by one real matrix product
-    with V[j, i] = s_j^m_i.  Each result's peak coherence includes that of
-    its own closing application of A; its nz and nz_needed are the plan's."""
-    nz_needed, steps = plan
-    grid = pulse.grid
+def _operator(medium: RamanMedium, ec, grid: TimeGrid):
+    """A at control amplitude ``ec`` (a scalar, or one per sample) as
+    ``apply(e_field, out, peak=False)``, which writes A e_field into out (out
+    may be e_field) and, if ``peak``, returns the peak magnitude of the two
+    coherences; and the scan weights of each line, in the order of ``medium.lines``."""
     n, dt = grid.n, grid.dt
-
-    ec = control.amplitude(n)
     line_lo, line_hi = medium.lines
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
     k_lo = math.sqrt(line_lo.strength_per_intensity / 2.0)
@@ -256,74 +244,79 @@ def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, p
     magnitude = np.empty(n)
 
     def apply(e_field: np.ndarray, out: np.ndarray, peak: bool = False):
-        """A e_field into out, which may be e_field; the coherences stay in r31
-        and r21, and if ``peak`` their peak magnitude is returned."""
         for r, drive_coeff, weights in ((r31, drive_hi, weights_hi), (r21, drive_lo, weights_lo)):
             _coherence_scan(np.multiply(drive_coeff, e_field, out=drive), weights, r, shifted)
         np.add(np.multiply(emit_hi, r31, out=out), np.multiply(emit_lo, r21, out=drive), out=out)
         return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21)) if peak else None
 
-    # terms holds the newest terms of the series, each written over the oldest
-    lower = np.array(scales[1:])
-    fields = np.empty((len(scales), n), dtype=complex)
-    fields[:] = pulse.samples
-    others = fields[1:].view(float)
-    terms = np.empty((_CHUNK if lower.size else 1, n), dtype=complex)
-    roots = [math.sqrt(s) for s in scales]  # the coherences scale with the control amplitude
-    peaks, errors = [0.0] * len(scales), [0.0] * len(scales)
-    dz = medium.length_mm / steps
-    for _ in range(steps):
-        term = fields[0]  # several scales take one step, all from E(0)
+    return apply, (weights_lo, weights_hi)
+
+
+def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: float, peak: float, warnings=()):
+    """The SolveResult of a solve, warned about if ``peak`` passes the weak-signal limit."""
+    weak = [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
+            "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
+    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=weak + list(warnings),
+                       nz=nz, nz_needed=plan[0], z_error_estimate=error, peak_coherence=peak)
+
+
+def _constant_solver(medium: RamanMedium, pulse: ComplexEnvelope):
+    """``solve_at(intensity, plan)``: ``solve`` under that constant control.
+    The input's DFT, its coherence peak and A's eigenvalue at unit intensity
+    on each DFT mode z^k, z = e^{2 pi i j/n}, are taken once: the mode drives
+    a line's scan to (c_curr + c_prev / z) / (1 - e / z) times itself, so
+    lambda_j = -sum_nu (g_nu / 2) (c_curr + c_prev / z) / (1 - e / z).  With
+    expm1, a medium that does nothing returns E bit for bit.  The coherences,
+    read at z = 0 and z = L, scale with the control amplitude sqrt(I)."""
+    apply, weights = _operator(medium, 1.0, pulse.grid)
+    inverse_z = np.exp(-2j * np.pi * np.fft.fftfreq(pulse.grid.n))
+    eigenvalues = -sum(
+        line.strength_per_intensity / 2.0 * (c_curr + c_prev * inverse_z) / (1.0 - e * inverse_z)
+        for line, (c_prev, c_curr, e, _, _) in zip(medium.lines, weights)
+    )
+    spectrum = np.fft.fft(pulse.samples)
+    scratch = np.empty(pulse.grid.n, dtype=complex)
+    start_peak = apply(pulse.samples, scratch, peak=True)
+
+    def solve_at(intensity: float, plan) -> SolveResult:
+        samples = pulse.samples + np.fft.ifft(np.expm1(medium.length_mm * intensity * eigenvalues) * spectrum)
+        peak = math.sqrt(intensity) * max(start_peak, apply(samples, scratch, peak=True))
+        return _result(samples, pulse, plan, 1, 0.0, peak)
+
+    return solve_at
+
+
+def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan) -> SolveResult:
+    """E(L) = exp(L A) E(0) under a shaped control, in equal z substeps, as
+    many as ``plan`` = (nz_needed, substeps) of _validate_resolution gives,
+    each a Taylor sum of exp(dz A) until a term falls to _TERM_TOLERANCE of
+    ||E||.  The weak-signal check reads the coherences at the start of each
+    substep and at z = L."""
+    apply, _ = _operator(medium, control.amplitude(pulse.grid.n), pulse.grid)
+    e_field = pulse.samples.copy()
+    term = np.empty_like(e_field)
+    peak = error = 0.0
+    dz = medium.length_mm / plan[1]
+    for _ in range(plan[1]):
+        peak = max(peak, apply(e_field, term, peak=True))  # the field's coherences, not the terms'
         for m in range(1, _MAX_TERMS + 1):
-            source, term = term, terms[(m - 1) % len(terms)]
-            peak = apply(source, term, peak=m == 1)
-            if m == 1:  # the weak-signal check reads the fields' coherences only
-                peaks = [max(p, root * peak) for p, root in zip(peaks, roots)]
             term *= dz / m
-            size = np.linalg.norm(term)
-            fields[0] += np.multiply(scales[0] ** m, term, out=drive)
-            last = _relative(scales[0] ** m * size, fields[0])
-            done = not last > _TERM_TOLERANCE
-            if lower.size and (done or m == _MAX_TERMS or m % len(terms) == 0):
-                first = m - (m - 1) % len(terms)
-                others += np.power.outer(lower, np.arange(first, m + 1)) @ terms[: m + 1 - first].view(float)
-            if done:
+            e_field += term
+            norm = np.linalg.norm(e_field)  # zero only for an all-zero field, whose series is exactly zero
+            last = float(np.linalg.norm(term) / norm) if norm else 0.0
+            if not last > _TERM_TOLERANCE:
                 break
-        lasts = [last, *(_relative(s**m * size, f) for s, f in zip(lower, fields[1:]))]
-        errors = [max(e, l) for e, l in zip(errors, lasts)]
-
-    shape_warnings = _control_duration_warning(control, pulse) if control.envelope is not None else []
-    for e_field, root, peak, error in zip(fields, roots, peaks, errors):
-        peak = max(peak, root * apply(e_field, terms[0], peak=True))
-        warnings = [
-            f"coherence amplitude reached {peak:.3g} (> "
-            f"{_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal assumption may not hold "
-            "in these field units"
-        ] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
-        yield SolveResult(
-            output=ComplexEnvelope(grid=grid, samples=e_field),
-            warnings=warnings + shape_warnings,
-            nz=steps,
-            nz_needed=nz_needed,
-            z_error_estimate=error,
-            peak_coherence=peak,
-        )
+            apply(term, term)
+        error = max(error, last)
+    peak = max(peak, apply(e_field, term, peak=True))
+    return _result(e_field, pulse, plan, plan[1], error, peak, _control_duration_warning(control, pulse))
 
 
-def _relative(size: float, e_field: np.ndarray) -> float:
-    """size / ||e_field||, or 0 for an all-zero field, whose series is exactly zero."""
-    norm = np.linalg.norm(e_field)
-    return float(size / norm) if norm else 0.0
-
-
-def solve(
-    medium: RamanMedium,
-    control: ControlField,
-    pulse: ComplexEnvelope,
-    settings: SolverSettings | None = None,
-) -> SolveResult:
-    """Propagate the signal envelope from z = 0 to z = L, exactly in z: the
-    Taylor series of exp(L A) E over substeps of phase at most 4.
+def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
+          settings: SolverSettings | None = None) -> SolveResult:
+    """Propagate the signal envelope from z = 0 to z = L, exactly in z: on
+    the DFT modes of A under a constant control, else the Taylor series of
+    exp(L A) E over substeps of phase at most 4.
 
     The control field propagates undepleted; both Raman populations stay
     fixed (weak-signal regime).  A warning is attached if the coherence
@@ -336,7 +329,9 @@ def solve(
         raise GridResolutionError(
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
         )
-    return next(_march(medium, control, pulse, plan))
+    if control.envelope is None:
+        return _constant_solver(medium, pulse)(control.intensity, plan)
+    return _march(medium, control, pulse, plan)
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -357,34 +352,20 @@ def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: Compl
     """First-moment delay and loss versus (constant) control intensity.
 
     The operator and chi at intensity I are I times those at unit intensity.
-    So chi is sampled once, and each point is checked against I times its
-    peak and refused and warned about as its own ``solve`` would be.  The
-    points that ``solve`` takes in one substep share one Taylor series, built
-    at the largest of them: that point is summed and truncated exactly as
-    its own ``solve``, and the others take every term it takes, which moves
-    them by about 1e-15 relative.  The other points are solved one at a
-    time.  ``analysis.delays_and_losses`` measures each point against the
-    input: the intensity-centroid shift and the energy ratio in dB.
+    So chi is sampled once, and each point, in order, is checked against I
+    times its peak and refused as its own ``solve`` would be.  Every point
+    is then solved on the DFT modes taken once, exactly as its own
+    ``solve``, warnings included.  ``analysis.delays_and_losses`` measures
+    each point against the input: the intensity-centroid shift and the
+    energy ratio in dB.
     """
     intensities = [float(i) for i in control_intensities]
-    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid) if intensities else 0.0
-    plans = {}
-    for i in intensities:  # refused in order, as each point's own solve would be
+    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid)
+    plans = []
+    for i in intensities:
         ControlField.constant(i)  # a negative intensity is refused first
-        plans[i] = _validate_resolution(medium, pulse, i * unit_chi_max)
-    shared = [i for i in intensities if plans[i][1] == 1]
-    alone = (i for i in intensities if plans[i][1] > 1)
-    march = ()
-    if shared:  # the largest leads the series
-        top = max(shared)
-        lead = shared.index(top)
-        shared[0], shared[lead] = top, shared[0]
-        march = _march(medium, ControlField.constant(top), pulse, plans[top], [i / (top or 1.0) for i in shared])
-    results = chain(
-        zip(shared, march),
-        ((i, solve(medium, ControlField.constant(i), pulse)) for i in alone),
-    )
-    solved = [(i, r.output, tuple(r.warnings)) for i, r in results]
-    measured = delays_and_losses(pulse, (output for _, output, _ in solved))
-    rows = {i: ScanPoint(i, *metrics, warnings) for (i, _, warnings), metrics in zip(solved, measured)}
-    return [rows[i] for i in intensities]
+        plans.append(_validate_resolution(medium, pulse, i * unit_chi_max))
+    solve_at = _constant_solver(medium, pulse)
+    results = [solve_at(i, plan) for i, plan in zip(intensities, plans)]
+    measured = delays_and_losses(pulse, (result.output for result in results))
+    return [ScanPoint(i, *metrics, tuple(r.warnings)) for i, r, metrics in zip(intensities, results, measured)]

@@ -586,21 +586,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("domain", ["fd", "td"])
     def test_all_zero_intensities_fit_no_slope(self, tmp_path, domain):
-        # a slope needs a positive intensity; without one the rows are still written
+        # a slope needs a positive intensity; without one the rows are still written, and
+        # at zero intensity the transfer is exactly 1, so each row is the input's: no delay, no loss
         text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.0, 0.0")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", domain,
                      "--out-dir", str(out)]) == 0
-        _, body = read_csv(out / "intensity_scan.csv")
-        assert body.shape == (3, 3) and np.allclose(body, 0.0, atol=1e-12)  # FD keeps the transforms' rounding
+        assert (out / "intensity_scan.csv").read_text().splitlines()[1:] == ["0,0,0"] * 3
         summary = read_summary(out / "summary.txt")
         assert summary["sweep.points"] == "3"
         assert not [key for key in summary if key.startswith("linearity.")]
 
     def test_td_zero_intensity_row_has_no_negative_zero(self, tmp_path):
-        # the lossless point used to print its loss as "-0"; the row at 1.0,
-        # the lead of the shared series, still matches the propagate run to
-        # the last printed digit beside points that take its terms in chunks
+        # the lossless point used to print its loss as "-0"; the row at 1.0
+        # matches the propagate run to the last printed digit, and so does
+        # the sweep's TD-FD check, which reads its top point
         text = CONFIG.replace("intensity = 1.0", "intensity_list = 0.0, 0.25, 0.5, 1.0")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]) == 0
@@ -610,9 +610,25 @@ class TestSweep:
         assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(tmp_path / "single")]) == 0
         summary = read_summary(tmp_path / "single" / "summary.txt")
         assert rows[3].split(",")[1:] == [summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]]
+        sweep = read_summary(out / "summary.txt")
+        assert sweep["metrics.td_fd_l2_error"] == summary["metrics.td_fd_l2_error"]
+        assert sweep["warnings"] == "none"
+
+    def test_td_sweep_past_the_budget_warns(self, tmp_path):
+        # the top point at d0 = 200 and dt = 0.1, as in the propagate run that warns (1.9e-3)
+        text = CONFIG.replace("n = 16384", "n = 4096").replace("dt_ps = 0.06", "dt_ps = 0.1")
+        text = text.replace("d0 = 2.5", "d0 = 200.0").replace("intensity = 1.0", "intensity_list = 0.5, 1.0")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
+                     "--out-dir", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert float(summary["metrics.td_fd_l2_error"]) > 1e-3
+        entries = summary["warnings"].split("; ")
+        assert entries[-1].startswith("intensity 1.0: the TD output differs from the FD output by")
 
     def test_td_sweep_reports_solver_warnings(self, tmp_path):
-        # at I = 16 the coherences pass the weak-signal limit; the entry splits back out whole
+        # at I = 16 the coherences pass the weak-signal limit; the entry splits back out whole,
+        # and the TD-FD check of that point (d0 = 40) stays inside its budget
         text = CONFIG.replace("intensity = 1.0", "intensity_list = 1.0, 16.0")
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]
@@ -751,6 +767,10 @@ _SWEEP_KEYS = [
     "metrics.max_delay_ps", "warnings", *_config_keys("config.control.intensity_list"),
 ]
 
+# a TD sweep also checks its top point against FD
+_SWEEP_TD_KEYS = [*_SWEEP_KEYS[: _SWEEP_KEYS.index("warnings")], "metrics.td_fd_l2_error",
+                  *_SWEEP_KEYS[_SWEEP_KEYS.index("warnings") :]]
+
 # summary.txt key order is part of its format: a subcommand's own keys, then config.*
 SUMMARY_KEYS = {
     "analytic": [
@@ -772,12 +792,20 @@ SUMMARY_KEYS = {
         *_config_keys("config.control.intensity", "config.control.fwhm_ps"),
     ],
     "sweep_fd": _SWEEP_KEYS,
-    "sweep_td": _SWEEP_KEYS,
+    "sweep_td": _SWEEP_TD_KEYS,
     "xcorr": [
         "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
         "metrics.deconvolved_duration_ps", "metrics.first_moment_delay_ps",
     ],
 }
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_summary_key_order(tmp_path):
@@ -809,5 +837,9 @@ def test_summary_key_order(tmp_path):
     keys = {}
     for name, argv in runs.items():
         assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0, name
-        keys[name] = list(read_summary(tmp_path / name / "summary.txt"))
+        summary = read_summary(tmp_path / name / "summary.txt")
+        keys[name] = list(summary)
+        # perfbench compares every numeric value between repeated runs, and nan != nan
+        numbers = [float(value) for value in summary.values() if _parses_as_float(value)]
+        assert np.all(np.isfinite(numbers)), name
     assert keys == SUMMARY_KEYS
