@@ -42,27 +42,32 @@ print("\nTaylor series of exp(L A) E under a 60-ps Gaussian control, exact in z 
 probe_grid = sl.TimeGrid.centered(2**13, 0.03)
 probe = sl.synthesize_pulse("gaussian", probe_grid, duration=2.0)
 control = sl.ControlField.gaussian(probe_grid, 60.0, 1.0)
-scans = 0
-coherence_scan = sl.tdprop._coherence_scan
+applications = 0
+operator = sl.tdprop._operator
 
 
-def counted_scan(*args):
-    """Count the coherence scans: each application of A takes two."""
-    global scans
-    scans += 1
-    return coherence_scan(*args)
+def counted_operator(*args):
+    """The solve's operator, with each application of A counted."""
+    apply, *rest = operator(*args)
+
+    def counted_apply(*apply_args, **kwargs):
+        global applications
+        applications += 1
+        return apply(*apply_args, **kwargs)
+
+    return counted_apply, *rest
 
 
-sl.tdprop._coherence_scan = counted_scan
+sl.tdprop._operator = counted_operator
 for d0 in (0.5, 1.0, 2.5):
     depth_medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
-    scans = 0
+    applications = 0
     result = sl.solve(depth_medium, control, probe)
     print(
         f"  d0 = {d0:3.1f}: {result.nz} substep(s) (nz_needed = {result.nz_needed} equal steps of phase < 0.1), "
-        f"{scans // 2} applications of A, last term {result.z_error_estimate:.1e}"
+        f"{applications} applications of A, last term {result.z_error_estimate:.1e}"
     )
-sl.tdprop._coherence_scan = coherence_scan
+sl.tdprop._operator = operator
 
 print("\n4-ps flat-topped control vs constant control (0.65-ps signal):")
 short_grid = sl.TimeGrid.centered(2**13, 0.02)

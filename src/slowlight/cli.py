@@ -126,6 +126,15 @@ def _td_fd_check(td_out, fd_out):
     return {"metrics.td_fd_l2_error": gap}, warnings
 
 
+def _fd_output(pulse, transfer, spectrum_on):
+    """The FD output of ``pulse`` through ``transfer``, whose product with the
+    input spectrum is ``spectrum_on``: the pulse itself when every transfer
+    value is exactly 1, so a medium that does nothing adds no rounding."""
+    if np.all(transfer.values == 1.0):
+        return pulse
+    return inverse_transform(SpectralEnvelope(grid=transfer.grid, samples=spectrum_on))
+
+
 def _transfer_for_run(args, the_medium, fgrid):
     if not args.chi_csv:
         return fdprop._model_transfer(the_medium, fgrid)
@@ -153,7 +162,7 @@ def cmd_propagate(args):
         transfer = _transfer_for_run(args, the_medium, fgrid)
         center["metrics.center_transmission"] = transfer.center_transmission()
         spec_on = spec_in.samples * transfer.values
-        out = fd_out = inverse_transform(SpectralEnvelope(grid=fgrid, samples=spec_on))
+        out = fd_out = _fd_output(pulse, transfer, spec_on)
     if args.domain == "td":
         control = config.control.build(grid)
         result = tdprop.solve(the_medium, control, pulse)
@@ -203,13 +212,11 @@ def cmd_sweep(args):
     spec_in = forward_transform(pulse)  # one transform for every FD output
 
     def fd_output(intensity):
-        if intensity == 0:  # the transfer is exactly 1
-            return pulse
         h = fdprop._model_transfer(base_medium.with_control_intensity(intensity), spec_in.grid)
-        return inverse_transform(SpectralEnvelope(grid=h.grid, samples=spec_in.samples * h.values))
+        return _fd_output(pulse, h, spec_in.samples * h.values)
 
     if args.domain == "td":
-        points = tdprop.delay_vs_control_scan(base_medium, intensities, pulse)
+        points, results = tdprop._scan(base_medium, intensities, pulse)
     else:
         measured = analysis.delays_and_losses(pulse, map(fd_output, intensities))
         points = [tdprop.ScanPoint(float(i), *row) for i, row in zip(intensities, measured)]
@@ -221,9 +228,9 @@ def cmd_sweep(args):
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
-        top = max(p.intensity for p in points)
-        td_out = tdprop.solve(base_medium, tdprop.ControlField.constant(top), pulse).output
-        check, gap_warnings = _td_fd_check(td_out, fd_output(top))
+        top_point, top_result = max(zip(points, results), key=lambda pair: pair[0].intensity)
+        top = top_point.intensity
+        check, gap_warnings = _td_fd_check(top_result.output, fd_output(top))
         summary.update(check)
         warnings += [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"

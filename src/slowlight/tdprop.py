@@ -14,26 +14,27 @@ frequency-domain transfer function exp(i k0 L chi / 2) exactly and the
 Gamma3 line absorbs at detuning +Delta/2 on the signal grid.
 
 With fixed populations and an undepleted control, dE/dz = A E for one
-linear A that does not depend on z.  Each application of A solves the
-stiff coherence ODEs over the whole tau grid with an exponential
-integrator on the rotated variables R = Q e^{-+i Delta tau/2}, whose decay
-constant Gamma +- i*Delta/2 absorbs both the damping and the two-photon
-beat exactly; only the slowly-varying drive Ec* E is linearly interpolated.
-The window is one period, as it is for the FD transfer function: the
-recurrence R_k = e R_{k-1 mod n} + x_k runs as a doubling scan (Hillis &
-Steele 1986) from rest, on work arrays allocated once per solve, and its
-periodic part is added in closed form.
+linear A that does not depend on z.  Each coherence ODE is integrated over
+the whole tau grid with an exponential integrator on the rotated variables
+R = Q e^{-+i Delta tau/2}, whose decay constant Gamma +- i*Delta/2 absorbs
+both the damping and the two-photon beat exactly; only the slowly-varying
+drive Ec* E is linearly interpolated.  The window is one period, as it is
+for the FD transfer function, so the recurrence R_k = e R_{k-1 mod n} + x_k
+is a circular convolution, diagonal on the DFT modes (Davis, "Circulant
+Matrices", 1979).  Both lines are driven by Ec* E and emit through Ec, so
+A = diag(Ec) C diag(Ec*) with C circulant, and under any control one
+application of A is Ec ifft(lambda fft(Ec* E)), with lambda the
+eigenvalues of C.
 
-Under a constant control A is then circulant, the discrete twin of the FD
-transfer function, which it matches to the second order in dt of the
-drive's interpolation.  The DFT modes are its eigenvectors (Davis,
-"Circulant Matrices", 1979), so ``solve`` returns E + ifft(expm1(L I lambda)
-fft(E)), exact in z with no series (nz = 1); ``delay_vs_control_scan`` takes
-the input's DFT and lambda, A's eigenvalues at unit intensity, once for all
-its points.  Under a shaped control ``solve`` sums the Taylor series of
-exp(L A) E (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as
-few equal substeps as keep each one's phase to 4, each until a term is
-negligible, so it is exact in z to rounding.
+Under a constant control A is itself circulant, the discrete twin of the
+FD transfer function, which it matches to the second order in dt of the
+drive's interpolation, so ``solve`` returns E + ifft(expm1(L I lambda)
+fft(E)), exact in z with no series (nz = 1); ``delay_vs_control_scan``
+takes the input's DFT and lambda once for all its points.  Under a shaped
+control ``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011) 488) over as few equal substeps as keep
+each one's phase to 4, each until a term is negligible, so it is exact in
+z to rounding.
 """
 
 from __future__ import annotations
@@ -52,12 +53,10 @@ from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
 
 _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
-_SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
-_POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
 _MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
 _MAX_TERMS = 60  # bounds the sum; at a phase of 4 a term is below 1e-15 by the 31st
-_MAX_SUBSTEPS = 10**9  # refused: at 0.7 ms a substep on 8 samples, over a week of solving
+_MAX_SUBSTEPS = 10**9  # refused: at 0.4 ms a substep on 8 samples, over four days of solving
 
 
 @dataclass
@@ -146,50 +145,18 @@ class ScanPoint(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _scan_weights(gamma: complex, dt: float, n: int):
-    """Weights (c_prev, c_curr, e, powers, wrap) of the circular recurrence
+def _scan_weights(gamma: complex, dt: float):
+    """Weights (c_prev, c_curr, e) of the circular recurrence
     R_k = e R_{k-1 mod n} + x_k, the exact integral of a linearly interpolated
     drive d against e^{-gamma (dt - s)} over one step: e = e^{-gamma dt},
     x_k = c_prev d_{k-1 mod n} + c_curr d_k, and gamma may be complex (damping
-    plus detuning).  ``powers`` holds e^k for k = 1, 2, 4, ... < n while
-    |e^k| >= _SCAN_CUTOFF, squared in fixed point: each is within an ulp of
-    the exact power (double squarings drift k ulps).  ``wrap`` holds
-    e^{k+1} / (1 - e^n) for the K powers e^1 ... e^K, K <= n, of magnitude at
-    least _SCAN_CUTOFF; each is a product of such powers, so none underflows."""
+    plus detuning).  The DFT mode z^k, z = e^{2 pi i j/n}, drives it to
+    (c_curr + c_prev / z) / (1 - e / z) times itself."""
     a = gamma * dt
     e = cmath.exp(-a)
     c_prev = (1.0 - e * (1.0 + a)) / (gamma * a)
     c_curr = (1.0 - e) / gamma - c_prev
-    one = 1 << _POWER_BITS
-    re, im = int(e.real * one), int(e.imag * one)
-    powers = []
-    while 1 << len(powers) < n and abs(complex(re, im)) >= _SCAN_CUTOFF * one:
-        powers.append(complex(re / one, im / one))
-        re, im = (re * re - im * im) >> _POWER_BITS, (re * im) >> (_POWER_BITS - 1)
-    wrap = np.array([e])
-    while wrap.size < n and abs(wrap[-1]) >= _SCAN_CUTOFF:
-        wrap = np.concatenate((wrap, wrap[-1] * wrap))  # e^1 ... e^{2m} from e^1 ... e^m
-    wrap = wrap[: min(n, np.count_nonzero(np.abs(wrap) >= _SCAN_CUTOFF))]
-    if wrap.size == n:  # else |e^n| < _SCAN_CUTOFF and 1 - e^n rounds to 1
-        wrap /= 1.0 - wrap[-1]
-    return c_prev, c_curr, e, powers, wrap
-
-
-def _coherence_scan(drive: np.ndarray, weights, r: np.ndarray, shifted: np.ndarray) -> np.ndarray:
-    """Solve dR/dtau = -gamma R + drive(tau) over the grid as one period, into
-    r: by a doubling scan (Hillis & Steele 1986), from r = x add e^k times r
-    shifted by k for k = 1, 2, 4, ..., which gives the response from rest at
-    the window start; then add the periodic part, wrap[k] r[n-1] at sample k.
-    ``shifted`` is scratch of the same size."""
-    c_prev, c_curr, _, powers, wrap = weights
-    np.multiply(c_curr, drive, out=r)
-    r[1:] += np.multiply(c_prev, drive[:-1], out=shifted[1:])
-    r[0] += c_prev * drive[-1]
-    for doubling, power in enumerate(powers):
-        k = 1 << doubling
-        r[k:] += np.multiply(power, r[:-k], out=shifted[k:])
-    r[: wrap.size] += np.multiply(wrap, r[-1], out=shifted[: wrap.size])
-    return r
+    return c_prev, c_curr, e
 
 
 def _max_beat_dt(splitting: float) -> float:
@@ -224,32 +191,36 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: f
 
 def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     """A at control amplitude ``ec`` (a scalar, or one per sample) as
-    ``apply(e_field, out, peak=False)``, which writes A e_field into out (out
-    may be e_field) and, if ``peak``, returns the peak magnitude of the two
-    coherences; and the scan weights of each line, in the order of ``medium.lines``."""
-    n, dt = grid.n, grid.dt
-    line_lo, line_hi = medium.lines
+    ``(apply, eigenvalues, coherence_peak)``.  ``eigenvalues`` are those of
+    the circulant C, lambda_j = -sum_nu (g_nu / 2) s_nu(z_j) with s_nu line
+    nu's symbol from _scan_weights; they are A's at unit amplitude.
+    ``apply(e_field, out, peak=False)`` writes A e_field =
+    ec ifft(lambda fft(conj(ec) e_field)) into out (out may be e_field) and,
+    if ``peak``, returns the peak magnitude of the two coherences.
+    ``coherence_peak(spectrum)`` is that peak for the drive spectrum
+    fft(conj(ec) E): line nu's coherence is ifft(i k_nu s_nu spectrum)."""
+    inverse_z = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n))
+    symbols = []  # (g_nu, numerator, denominator) of each line's symbol, in the order of medium.lines
+    for line, beat in zip(medium.lines, (-0.5j, 0.5j)):
+        c_prev, c_curr, e = _scan_weights(line.linewidth + beat * medium.splitting, grid.dt)
+        symbols.append((line.strength_per_intensity, c_curr + c_prev * inverse_z, 1.0 - e * inverse_z))
+    eigenvalues = -sum(g / 2.0 * numerator / denominator for g, numerator, denominator in symbols)
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
-    k_lo = math.sqrt(line_lo.strength_per_intensity / 2.0)
-    k_hi = math.sqrt(line_hi.strength_per_intensity / 2.0)
-    drive_hi = 1j * k_hi * np.conj(ec)  # times E -> source of R31 = Q31 e^{-i D tau/2}
-    drive_lo = 1j * k_lo * np.conj(ec)  # times E -> source of R21 = Q21 e^{+i D tau/2}
-    emit_hi = 1j * k_hi * ec
-    emit_lo = 1j * k_lo * ec
-    weights_hi = _scan_weights(line_hi.linewidth + 0.5j * medium.splitting, dt, n)
-    weights_lo = _scan_weights(line_lo.linewidth - 0.5j * medium.splitting, dt, n)
+    coherence_symbols = [1j * math.sqrt(g / 2.0) * numerator / denominator for g, numerator, denominator in symbols]
+    drive = np.conj(ec)
 
-    # work arrays, updated in place by every application of A
-    r31, r21, drive, shifted = (np.empty(n, dtype=complex) for _ in range(4))
-    magnitude = np.empty(n)
+    def coherence_peak(spectrum: np.ndarray) -> float:
+        coherence = np.empty_like(spectrum)  # one buffer for both lines: large temporaries cost page faults
+        return max(float(np.max(np.abs(np.fft.ifft(np.multiply(symbol, spectrum, out=coherence), out=coherence))))
+                   for symbol in coherence_symbols)
 
     def apply(e_field: np.ndarray, out: np.ndarray, peak: bool = False):
-        for r, drive_coeff, weights in ((r31, drive_hi, weights_hi), (r21, drive_lo, weights_lo)):
-            _coherence_scan(np.multiply(drive_coeff, e_field, out=drive), weights, r, shifted)
-        np.add(np.multiply(emit_hi, r31, out=out), np.multiply(emit_lo, r21, out=drive), out=out)
-        return max(float(np.max(np.abs(r, out=magnitude))) for r in (r31, r21)) if peak else None
+        spectrum = np.fft.fft(np.multiply(drive, e_field, out=out))  # out doubles as the scratch
+        np.fft.ifft(np.multiply(eigenvalues, spectrum, out=out), out=out)
+        out *= ec
+        return coherence_peak(spectrum) if peak else None
 
-    return apply, (weights_lo, weights_hi)
+    return apply, eigenvalues, coherence_peak
 
 
 def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: float, peak: float, warnings=()):
@@ -262,25 +233,20 @@ def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: f
 
 def _constant_solver(medium: RamanMedium, pulse: ComplexEnvelope):
     """``solve_at(intensity, plan)``: ``solve`` under that constant control.
-    The input's DFT, its coherence peak and A's eigenvalue at unit intensity
-    on each DFT mode z^k, z = e^{2 pi i j/n}, are taken once: the mode drives
-    a line's scan to (c_curr + c_prev / z) / (1 - e / z) times itself, so
-    lambda_j = -sum_nu (g_nu / 2) (c_curr + c_prev / z) / (1 - e / z).  With
-    expm1, a medium that does nothing returns E bit for bit.  The coherences,
-    read at z = 0 and z = L, scale with the control amplitude sqrt(I)."""
-    apply, weights = _operator(medium, 1.0, pulse.grid)
-    inverse_z = np.exp(-2j * np.pi * np.fft.fftfreq(pulse.grid.n))
-    eigenvalues = -sum(
-        line.strength_per_intensity / 2.0 * (c_curr + c_prev * inverse_z) / (1.0 - e * inverse_z)
-        for line, (c_prev, c_curr, e, _, _) in zip(medium.lines, weights)
-    )
+    The input's DFT, its coherence peak and A's eigenvalues at unit
+    intensity are taken once.  With expm1, a medium that does nothing
+    returns E bit for bit.  The coherences, read at z = 0 and z = L from the
+    input's and the output's DFT, scale with the control amplitude sqrt(I)."""
+    _, eigenvalues, coherence_peak = _operator(medium, 1.0, pulse.grid)
     spectrum = np.fft.fft(pulse.samples)
-    scratch = np.empty(pulse.grid.n, dtype=complex)
-    start_peak = apply(pulse.samples, scratch, peak=True)
+    start_peak = coherence_peak(spectrum)
 
     def solve_at(intensity: float, plan) -> SolveResult:
-        samples = pulse.samples + np.fft.ifft(np.expm1(medium.length_mm * intensity * eigenvalues) * spectrum)
-        peak = math.sqrt(intensity) * max(start_peak, apply(samples, scratch, peak=True))
+        gain = np.expm1(medium.length_mm * intensity * eigenvalues)
+        gain *= spectrum
+        samples = pulse.samples + np.fft.ifft(gain)
+        gain += spectrum  # the output's DFT, without a forward transform of it
+        peak = math.sqrt(intensity) * max(start_peak, coherence_peak(gain))
         return _result(samples, pulse, plan, 1, 0.0, peak)
 
     return solve_at
@@ -292,7 +258,7 @@ def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, p
     each a Taylor sum of exp(dz A) until a term falls to _TERM_TOLERANCE of
     ||E||.  The weak-signal check reads the coherences at the start of each
     substep and at z = L."""
-    apply, _ = _operator(medium, control.amplitude(pulse.grid.n), pulse.grid)
+    apply, _, _ = _operator(medium, control.amplitude(pulse.grid.n), pulse.grid)
     e_field = pulse.samples.copy()
     term = np.empty_like(e_field)
     peak = error = 0.0
@@ -348,6 +314,21 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
     return []
 
 
+def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope):
+    """The points of ``delay_vs_control_scan`` and the SolveResult behind each."""
+    intensities = [float(i) for i in control_intensities]
+    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid)
+    plans = []
+    for i in intensities:
+        ControlField.constant(i)  # a negative intensity is refused first
+        plans.append(_validate_resolution(medium, pulse, i * unit_chi_max))
+    solve_at = _constant_solver(medium, pulse)
+    results = [solve_at(i, plan) for i, plan in zip(intensities, plans)]
+    measured = delays_and_losses(pulse, (result.output for result in results))
+    points = [ScanPoint(i, *metrics, tuple(r.warnings)) for i, r, metrics in zip(intensities, results, measured)]
+    return points, results
+
+
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
@@ -359,13 +340,4 @@ def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: Compl
     each point against the input: the intensity-centroid shift and the
     energy ratio in dB.
     """
-    intensities = [float(i) for i in control_intensities]
-    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid)
-    plans = []
-    for i in intensities:
-        ControlField.constant(i)  # a negative intensity is refused first
-        plans.append(_validate_resolution(medium, pulse, i * unit_chi_max))
-    solve_at = _constant_solver(medium, pulse)
-    results = [solve_at(i, plan) for i, plan in zip(intensities, plans)]
-    measured = delays_and_losses(pulse, (result.output for result in results))
-    return [ScanPoint(i, *metrics, tuple(r.warnings)) for i, r, metrics in zip(intensities, results, measured)]
+    return _scan(medium, control_intensities, pulse)[0]

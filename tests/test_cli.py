@@ -371,17 +371,17 @@ class TestPropagate:
             assert (out / name).exists()
 
     def test_control_off_identity(self, tmp_path):
+        # H is exactly unity with the control off, so both domains return the pulse itself:
+        # no rounding reads as a delay, a gain or a TD-FD gap
         cfg = write_config(tmp_path, CONFIG.replace("intensity = 1.0", "intensity = 0.0"))
-        out = tmp_path / "out"
-        cp = run_cli("propagate", "--config", cfg, "--out-dir", out, "--domain", "fd")
-        assert cp.returncode == 0, cp.stderr
-        _, body_in = read_csv(out / "input_envelope.csv")
-        _, body_out = read_csv(out / "output_envelope.csv")
-        scale = np.max(np.abs(body_in[:, 1:]))
-        assert np.allclose(body_out, body_in, rtol=0, atol=1e-15 * scale)
-        _, on = read_csv(out / "spectrum_on.csv")
-        _, off = read_csv(out / "spectrum_off.csv")
-        assert np.array_equal(on, off)  # H is exactly unity with the control off
+        for domain in ("fd", "td"):
+            out = tmp_path / domain
+            assert main(["propagate", "--config", str(cfg), "--domain", domain, "--out-dir", str(out)]) == 0
+            assert (out / "output_envelope.csv").read_bytes() == (out / "input_envelope.csv").read_bytes()
+            assert (out / "spectrum_on.csv").read_bytes() == (out / "spectrum_off.csv").read_bytes()
+            summary = read_summary(out / "summary.txt")
+            assert (summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]) == ("0", "0")
+        assert summary["metrics.td_fd_l2_error"] == "0"
 
     def test_td_cross_check(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -635,6 +635,20 @@ class TestSweep:
         assert main(argv) == 0
         entries = read_summary(out / "summary.txt")["warnings"].split("; ")
         assert len(entries) == 1 and entries[0].startswith("intensity 16.0: coherence amplitude reached")
+
+    def test_td_sweep_solves_each_point_once(self, tmp_path, monkeypatch):
+        # the TD-FD check reads the top point's output from the scan: chi is sampled once, at unit intensity
+        sampled = []
+
+        def spy(medium, omega, chi=tdprop.medium_chi):
+            sampled.append(medium.control_intensity)
+            return chi(medium, omega)
+
+        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0")
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert sampled == [1.0]
 
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -11,9 +11,68 @@ import slowlight as sl
 from slowlight.errors import GridResolutionError
 from slowlight import tdprop
 from slowlight.analysis import delay_and_loss
-from slowlight.tdprop import _coherence_scan, _scan_weights
+from slowlight.tdprop import _operator, _scan_weights
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
+
+
+_SCAN_CUTOFF = 1e-18  # the doubling scan stops once |e^k| falls below this
+_POWER_BITS = 120  # fixed-point precision of the squarings behind e^k
+
+
+def doubling_weights(gamma, dt, n):
+    """The weights (c_prev, c_curr, e) of _scan_weights, with the ``powers``
+    and ``wrap`` of the doubling scan.  ``powers`` holds e^k for k = 1, 2, 4,
+    ... < n while |e^k| >= _SCAN_CUTOFF, squared in fixed point: each is
+    within an ulp of the exact power (double squarings drift k ulps).
+    ``wrap`` holds e^{k+1} / (1 - e^n) for the K powers e^1 ... e^K, K <= n,
+    of magnitude at least _SCAN_CUTOFF; each is a product of such powers, so
+    none underflows."""
+    c_prev, c_curr, e = _scan_weights(gamma, dt)
+    one = 1 << _POWER_BITS
+    re, im = int(e.real * one), int(e.imag * one)
+    powers = []
+    while 1 << len(powers) < n and abs(complex(re, im)) >= _SCAN_CUTOFF * one:
+        powers.append(complex(re / one, im / one))
+        re, im = (re * re - im * im) >> _POWER_BITS, (re * im) >> (_POWER_BITS - 1)
+    wrap = np.array([e])
+    while wrap.size < n and abs(wrap[-1]) >= _SCAN_CUTOFF:
+        wrap = np.concatenate((wrap, wrap[-1] * wrap))  # e^1 ... e^{2m} from e^1 ... e^m
+    wrap = wrap[: min(n, np.count_nonzero(np.abs(wrap) >= _SCAN_CUTOFF))]
+    if wrap.size == n:  # else |e^n| < _SCAN_CUTOFF and 1 - e^n rounds to 1
+        wrap /= 1.0 - wrap[-1]
+    return c_prev, c_curr, e, powers, wrap
+
+
+def coherence_scan(drive, weights):
+    """Solve dR/dtau = -gamma R + drive(tau) over the grid as one period, in
+    the time domain: by a doubling scan (Hillis & Steele 1986), from r = x
+    add e^k times r shifted by k for k = 1, 2, 4, ..., which gives the
+    response from rest at the window start; then add the periodic part,
+    wrap[k] r[n-1] at sample k.  The oracle of the solve's DFT symbols."""
+    c_prev, c_curr, _, powers, wrap = weights
+    r = c_curr * drive + c_prev * np.roll(drive, 1)
+    for doubling, power in enumerate(powers):
+        k = 1 << doubling
+        r[k:] += power * r[:-k]
+    r[: wrap.size] += wrap * r[-1]
+    return r
+
+
+def scan_operator(medium, ec, grid):
+    """A at control amplitude ``ec`` from the doubling scan, as
+    ``apply(e_field) -> (A e_field, peak coherence)``."""
+    ec = np.broadcast_to(ec, grid.n)
+    lines = [(line.strength_per_intensity, doubling_weights(line.linewidth + beat * medium.splitting, grid.dt, grid.n))
+             for line, beat in zip(medium.lines, (-0.5j, 0.5j))]
+
+    def apply(e_field):
+        drive = np.conj(ec) * e_field
+        scans = [(g, coherence_scan(drive, weights)) for g, weights in lines]
+        peak = max(float(np.max(np.abs(1j * math.sqrt(g / 2.0) * r))) for g, r in scans)
+        return -sum(g / 2.0 * ec * r for g, r in scans), peak
+
+    return apply
 
 
 def fd_reference(medium, pulse):
@@ -24,21 +83,16 @@ def fd_reference(medium, pulse):
 
 def dense_exponential(medium, control, grid):
     """exp(L A) as a matrix, for A = -sum_nu (g_nu / 2) Ec S_nu Ec*: S_nu is the
-    coherence scan of line nu, built column by column, so A is the solve's
-    operator.  Scaling and squaring: Taylor terms to the 20th of exp(B) with
-    ||B||_1 <= 1, squared back (Moler & Van Loan, SIAM Rev. 45 (2003) 3)."""
-    n = grid.n
-    ec = np.broadcast_to(control.amplitude(n), n)
-    a = np.zeros((n, n), dtype=complex)
-    r, shifted = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    for line, beat in zip(medium.lines, (-0.5j, 0.5j)):
-        weights = _scan_weights(line.linewidth + beat * medium.splitting, grid.dt, n)
-        for j, unit in enumerate(np.eye(n, dtype=complex)):
-            a[:, j] -= line.strength_per_intensity / 2.0 * ec * _coherence_scan(np.conj(ec) * unit, weights, r, shifted)
+    doubling scan of line nu, built column by column, so A is the solve's
+    operator in a form independent of its FFTs.  Scaling and squaring:
+    Taylor terms to the 20th of exp(B) with ||B||_1 <= 1, squared back
+    (Moler & Van Loan, SIAM Rev. 45 (2003) 3)."""
+    apply = scan_operator(medium, control.amplitude(grid.n), grid)
+    a = np.stack([apply(unit)[0] for unit in np.eye(grid.n, dtype=complex)], axis=1)
     b = medium.length_mm * a
     squarings = max(0, math.ceil(math.log2(np.linalg.norm(b, 1))))
     b /= 2.0**squarings
-    result, term = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+    result, term = np.eye(grid.n, dtype=complex), np.eye(grid.n, dtype=complex)
     for m in range(1, 21):
         term = term @ b / m
         result += term
@@ -83,14 +137,44 @@ class TestCoherenceScan:
         gamma, dt = 1.0 + 1j * detuning_ratio, gamma_dt
         rng = np.random.default_rng(seed)
         drive = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        weights = _scan_weights(gamma, dt, n)
-        scan = _coherence_scan(drive, weights, np.empty(n, complex), np.empty(n, complex))
+        weights = doubling_weights(gamma, dt, n)
+        scan = coherence_scan(drive, weights)
         c_prev, c_curr, e, _, _ = weights
         assert e == cmath.exp(-gamma * dt)
         expected = circular_recurrence(c_curr * drive + c_prev * np.roll(drive, 1), e)
         # closing the period divides by 1 - e^n, which scales the rounding of both sides
         closure = 1.0 + abs(e**n / (1.0 - e**n))
         assert np.max(np.abs(scan - expected)) <= 1e-14 * closure * np.max(np.abs(expected))
+
+
+class TestOperator:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log2_n=st.integers(3, 12),
+        dt=st.floats(0.01, 0.1),
+        d0=st.floats(0.5, 60.0),
+        envelope=st.sampled_from(["constant", "gaussian", "random phase"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log2_n=12, dt=0.06, d0=2.5, envelope="gaussian", seed=0)
+    @example(log2_n=3, dt=0.01, d0=60.0, envelope="random phase", seed=1)  # memory outlasts the window
+    def test_one_application_matches_the_doubling_scan(self, log2_n, dt, d0, envelope, seed):
+        grid = sl.TimeGrid.centered(2**log2_n, dt)
+        medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
+        rng = np.random.default_rng(seed)
+        if envelope == "constant":
+            ec = 1.3
+        elif envelope == "gaussian":
+            ec = 1.3 * sl.ControlField.gaussian(grid, 8.0 * grid.n * dt / 64.0, 1.0).envelope
+        else:
+            ec = 1.3 * np.exp(2j * np.pi * rng.random(grid.n))
+        e_field = random_field(grid, seed).samples
+        apply, _, _ = _operator(medium, ec, grid)
+        out = np.empty(grid.n, dtype=complex)
+        peak = apply(e_field, out, peak=True)
+        expected, expected_peak = scan_operator(medium, ec, grid)(e_field)
+        assert rel_l2(out, expected) < 1e-14
+        assert peak == pytest.approx(expected_peak, rel=1e-14, abs=0.0)
 
 
 class TestSolve:
@@ -329,6 +413,7 @@ class TestSolveProperties:
         constant = sl.solve(medium, sl.ControlField.constant(intensity), pulse)
         assert (shaped.nz, constant.nz) == (1 if d0 <= 3.0 else 8, 1)
         assert rel_l2(shaped.output.samples, constant.output.samples) < (1e-15 if d0 <= 3.0 else 1e-13)
+        assert shaped.peak_coherence == pytest.approx(constant.peak_coherence, rel=1e-14, abs=0.0)
 
     @settings(max_examples=6, deadline=None)
     @given(d0=st.floats(0.0, 3.0), bandwidth=st.floats(1.5, 2.1))
