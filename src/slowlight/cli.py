@@ -120,6 +120,8 @@ def _set_up(config: SimulationConfig):
 
 def _td_fd_check(td_out, fd_out):
     """The summary key of a TD output's relative L2 gap to FD, and a warning past _TD_FD_L2_BUDGET."""
+    if fd_out.energy() == 0:  # the gap would divide by zero
+        raise ValueError("the FD reference output has no energy: the whole pulse was absorbed")
     gap = analysis.relative_l2_error(td_out, fd_out)
     warnings = [f"the TD output differs from the FD output by {gap:.3g} relative L2 "
                 f"(> {_TD_FD_L2_BUDGET:g}), so its delay and loss are not confirmed"] if gap > _TD_FD_L2_BUDGET else []
@@ -177,6 +179,9 @@ def cmd_propagate(args):
         if config.control.kind == "constant":
             checks, gap_warnings = _td_fd_check(out, fd_out)
             warnings = [*warnings, *gap_warnings]
+        else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra
+            zero = fgrid.zero_index
+            center["metrics.center_transmission"] = float(np.abs(spec_on[zero] / spec_in.samples[zero]) ** 2)
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     summary = {
         "run.command": f"propagate.{args.domain}",

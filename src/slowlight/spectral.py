@@ -293,14 +293,15 @@ def _half_crossings(x: np.ndarray, y: np.ndarray, half: float):
         lefts = np.concatenate((x[:1], lefts))
     if above[-1]:
         rights = np.concatenate((rights, x[-1:]))
-    return list(zip(lefts, rights))
+    return list(zip(lefts.tolist(), rights.tolist()))
 
 
 def interpolated_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     """FWHM with linear interpolation between samples.
 
-    Raises ValueError if the curve has no positive peak and reports all
-    crossing pairs if the half level is crossed more than once.
+    Raises ValueError if the curve has no positive peak, and
+    AmbiguousWidthError, which holds every crossing pair, if the half level
+    is crossed more than once.
     """
     y = np.asarray(y, dtype=float)
     peak = float(np.max(y))
@@ -311,7 +312,8 @@ def interpolated_fwhm(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("curve never reaches half maximum")
     if len(pairs) > 1:
         raise AmbiguousWidthError(
-            f"found {len(pairs)} half-maximum crossing pairs: {pairs}", candidates=pairs
+            f"found {len(pairs)} half-maximum crossing pairs, the first {pairs[0]} and the last {pairs[-1]}",
+            candidates=pairs,
         )
     left, right = pairs[0]
-    return float(right - left)
+    return right - left

@@ -14,32 +14,31 @@ frequency-domain transfer function exp(i k0 L chi / 2) exactly and the
 Gamma3 line absorbs at detuning +Delta/2 on the signal grid.
 
 With fixed populations and an undepleted control, dE/dz = A E for one
-linear A that does not depend on z.  Each coherence ODE is integrated over
-the whole tau grid with an exponential integrator on the rotated variables
-R = Q e^{-+i Delta tau/2}, whose decay constant Gamma +- i*Delta/2 absorbs
-both the damping and the two-photon beat exactly; only the slowly-varying
-drive Ec* E is linearly interpolated.  The window is one period, as it is
-for the FD transfer function, so the recurrence R_k = e R_{k-1 mod n} + x_k
-is a circular convolution, diagonal on the DFT modes (Davis, "Circulant
-Matrices", 1979).  Both lines are driven by Ec* E and emit through Ec, so
-A = diag(Ec) C diag(Ec*) with C circulant, and under any control one
-application of A is Ec ifft(lambda fft(Ec* E)), with lambda the
-eigenvalues of C.
+linear A that does not depend on z.  The window is one period, as it is
+for the FD transfer function, so each coherence ODE is solved on the DFT
+modes of the tau grid: a drive mode at detuning omega is answered exactly
+by line nu's response s_nu(omega) = 1 / (Gamma_nu - i (omega - c_nu)),
+c_nu = -+Delta/2 its centre, the Fourier pseudo-spectral method
+(Trefethen, "Spectral Methods in MATLAB", SIAM 2000).  Both lines are
+driven by Ec* E and emit through Ec, so A = diag(Ec) C diag(Ec*) with C
+circulant (Davis, "Circulant Matrices", 1979), and under any control one
+application of A is Ec ifft(lambda fft(Ec* E)), with
+lambda = -sum_nu (g_nu / 2) s_nu the eigenvalues of C: i k0 chi / 2 at
+unit intensity, the FD exponent per unit length.
 
-Under a constant control A is itself circulant, the discrete twin of the
-FD transfer function, which it matches to the second order in dt of the
-drive's interpolation, so ``solve`` returns E + ifft(expm1(L I lambda)
-fft(E)), exact in z with no series (nz = 1); ``delay_vs_control_scan``
-takes the input's DFT and lambda once for all its points.  Under a shaped
-control ``solve`` sums the Taylor series of exp(L A) E (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33 (2011) 488) over as few equal substeps as keep
-each one's phase to 4, each until a term is negligible, so it is exact in
-z to rounding.
+Under a constant control A is itself circulant and exp(L I lambda) is the
+FD transfer function, so ``solve`` returns E + ifft(expm1(L I lambda)
+fft(E)), FD's output to rounding, exact in z with no series (nz = 1);
+``delay_vs_control_scan`` takes the input's DFT and lambda once for all
+its points.  Under a shaped control ``solve`` sums the Taylor series of
+exp(L A) E (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as
+few equal substeps as keep each one's phase to 4, each until a term is
+negligible, so it is exact in z to rounding; in tau it errs only by the
+part of the drive's spectrum that lies past the band edge.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -145,20 +144,6 @@ class ScanPoint(NamedTuple):
     warnings: tuple[str, ...] = ()
 
 
-def _scan_weights(gamma: complex, dt: float):
-    """Weights (c_prev, c_curr, e) of the circular recurrence
-    R_k = e R_{k-1 mod n} + x_k, the exact integral of a linearly interpolated
-    drive d against e^{-gamma (dt - s)} over one step: e = e^{-gamma dt},
-    x_k = c_prev d_{k-1 mod n} + c_curr d_k, and gamma may be complex (damping
-    plus detuning).  The DFT mode z^k, z = e^{2 pi i j/n}, drives it to
-    (c_curr + c_prev / z) / (1 - e / z) times itself."""
-    a = gamma * dt
-    e = cmath.exp(-a)
-    c_prev = (1.0 - e * (1.0 + a)) / (gamma * a)
-    c_curr = (1.0 - e) / gamma - c_prev
-    return c_prev, c_curr, e
-
-
 def _max_beat_dt(splitting: float) -> float:
     """Largest time step that resolves the two-photon beat, 2*pi/(8*Delta)."""
     return 2.0 * np.pi / (8.0 * splitting)
@@ -192,21 +177,22 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: f
 def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     """A at control amplitude ``ec`` (a scalar, or one per sample) as
     ``(apply, eigenvalues, coherence_peak)``.  ``eigenvalues`` are those of
-    the circulant C, lambda_j = -sum_nu (g_nu / 2) s_nu(z_j) with s_nu line
-    nu's symbol from _scan_weights; they are A's at unit amplitude.
+    the circulant C, lambda_j = -sum_nu (g_nu / 2) s_nu(omega_j) with
+    s_nu = 1 / (Gamma_nu - i (omega - c_nu)) line nu's response, so
+    lambda_j = i k0 chi(omega_j) / 2 at unit intensity, FD's exponent per
+    unit length; omega_j is FD's detuning on DFT bin j.
     ``apply(e_field, out, peak=False)`` writes A e_field =
     ec ifft(lambda fft(conj(ec) e_field)) into out (out may be e_field) and,
     if ``peak``, returns the peak magnitude of the two coherences.
     ``coherence_peak(spectrum)`` is that peak for the drive spectrum
     fft(conj(ec) E): line nu's coherence is ifft(i k_nu s_nu spectrum)."""
-    inverse_z = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n))
-    symbols = []  # (g_nu, numerator, denominator) of each line's symbol, in the order of medium.lines
-    for line, beat in zip(medium.lines, (-0.5j, 0.5j)):
-        c_prev, c_curr, e = _scan_weights(line.linewidth + beat * medium.splitting, grid.dt)
-        symbols.append((line.strength_per_intensity, c_curr + c_prev * inverse_z, 1.0 - e * inverse_z))
-    eigenvalues = -sum(g / 2.0 * numerator / denominator for g, numerator, denominator in symbols)
+    n = grid.n
+    omegas = grid.frequency_grid().omegas[(n // 2 - np.arange(n)) % n]  # fft(E)_j = S(omega_j) / dt up to a phase
+    responses = [(line.strength_per_intensity, 1.0 / (line.linewidth - 1j * (omegas - line.center_detuning)))
+                 for line in medium.lines]
+    eigenvalues = -sum(g / 2.0 * s for g, s in responses)
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
-    coherence_symbols = [1j * math.sqrt(g / 2.0) * numerator / denominator for g, numerator, denominator in symbols]
+    coherence_symbols = [1j * math.sqrt(g / 2.0) * s for g, s in responses]
     drive = np.conj(ec)
 
     def coherence_peak(spectrum: np.ndarray) -> float:

@@ -242,6 +242,15 @@ class TestWidthMeasurement:
             interpolated_fwhm(x, y)
         assert len(err.value.candidates) == 2
 
+    def test_ambiguity_message_names_the_outer_pairs_and_keeps_every_pair(self):
+        x = np.linspace(-10, 10, 512)
+        y = sum(np.exp(-((x - centre) ** 2)) for centre in (-5.0, 0.0, 5.0))
+        with pytest.raises(AmbiguousWidthError) as err:
+            interpolated_fwhm(x, y)
+        pairs = err.value.candidates
+        assert len(pairs) == 3 and all(type(value) is float for pair in pairs for value in pair)
+        assert str(err.value) == f"found 3 half-maximum crossing pairs, the first {pairs[0]} and the last {pairs[-1]}"
+
     def test_nonpositive_curve_rejected(self):
         with pytest.raises(ValueError):
             interpolated_fwhm(np.arange(4.0), np.zeros(4))
