@@ -56,9 +56,13 @@ def _model_transfer(medium: RamanMedium, grid: FrequencyGrid) -> TransferFunctio
 
 
 def propagate(env: ComplexEnvelope, H: TransferFunction) -> ComplexEnvelope:
-    """Apply H in the detuning domain: inverse(H * forward(env))."""
+    """Apply H in the detuning domain: inverse(H * forward(env)).  Where every
+    value of H is exactly 1, the input itself, so a medium that does nothing
+    adds no rounding."""
     if H.grid.time_grid != env.grid:
         raise ValueError("transfer function and envelope live on different grids")
+    if np.all(H.values == 1.0):
+        return ComplexEnvelope(grid=env.grid, samples=env.samples.copy())
     spec = forward_transform(env)
     spec.samples = spec.samples * H.values
     return inverse_transform(spec)

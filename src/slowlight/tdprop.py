@@ -27,14 +27,17 @@ lambda = -sum_nu (g_nu / 2) s_nu the eigenvalues of C: i k0 chi / 2 at
 unit intensity, the FD exponent per unit length.
 
 Under a constant control A is itself circulant and exp(L I lambda) is the
-FD transfer function, so ``solve`` returns E + ifft(expm1(L I lambda)
-fft(E)), FD's output to rounding, exact in z with no series (nz = 1);
-``delay_vs_control_scan`` takes the input's DFT and lambda once for all
-its points.  Under a shaped control ``solve`` sums the Taylor series of
-exp(L A) E (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as
-few equal substeps as keep each one's phase to 4, each until a term is
-negligible, so it is exact in z to rounding; in tau it errs only by the
-part of the drive's spectrum that lies past the band edge.
+FD transfer function, so ``solve`` returns FD's output, through the
+transfer of the chi it samples once for its plan: exact in z with no
+series (nz = 1), and the input bit for bit where that transfer is exactly
+1.  ``delay_vs_control_scan`` plans every point before it solves any.
+Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
+substeps as keep each one's phase to 4, each until a term is negligible,
+so it is exact in z to rounding; in tau it errs only by the part of the
+drive's spectrum that lies past the band edge.  Run with an envelope of
+ones, that march is the check beside a constant-control output: its gap
+to FD's output is what the CLI reports as ``metrics.td_fd_l2_error``.
 """
 
 from __future__ import annotations
@@ -45,8 +48,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import fdprop
 from .analysis import delays_and_losses
 from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
+from .kramers_kronig import Susceptibility
 from .medium import RamanMedium, chi as medium_chi
 from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
 
@@ -149,16 +154,17 @@ def _max_beat_dt(splitting: float) -> float:
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _chi_max(medium: RamanMedium, grid: TimeGrid) -> float:
-    """The largest |chi| over the grid's detunings."""
-    return float(np.max(np.abs(medium_chi(medium, grid.frequency_grid().omegas))))
+def _sampled_chi(medium: RamanMedium, grid: TimeGrid) -> Susceptibility:
+    """chi on the grid's FD detunings: one sample serves the plan and the transfer."""
+    fgrid = grid.frequency_grid()
+    return Susceptibility(grid=fgrid, values=medium_chi(medium, fgrid.omegas))
 
 
-def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: float):
-    """The plan (nz_needed, substeps) for ``chi_max``, the largest |chi| on the
-    grid: the fewest z steps of phase at most _MAX_STEP_PHASE and of phase at
-    most _MAX_SUBSTEP_PHASE.  GridResolutionError if dt misses the beat or
-    past _MAX_SUBSTEPS substeps."""
+def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.ndarray):
+    """The plan (nz_needed, substeps) for ``chi`` sampled on the grid: the
+    fewest z steps of phase at most _MAX_STEP_PHASE and of phase at most
+    _MAX_SUBSTEP_PHASE at its peak.  GridResolutionError if dt misses the
+    beat or past _MAX_SUBSTEPS substeps."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -166,7 +172,7 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi_max: f
             f"time step {dt:.4g} ps does not resolve the two-photon beat; "
             f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
         )
-    phase = medium.k0 * chi_max * medium.length_mm / 2.0  # of exp(L A)
+    phase = medium.k0 * float(np.max(np.abs(chi))) * medium.length_mm / 2.0  # of exp(L A)
     if not phase <= _MAX_SUBSTEPS * _MAX_SUBSTEP_PHASE:  # an infinite phase too
         raise GridResolutionError(f"the solve would take {phase / _MAX_SUBSTEP_PHASE:.3g} z substeps, "
                                   f"more than the {_MAX_SUBSTEPS:.3g} any run could finish")
@@ -209,33 +215,34 @@ def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     return apply, eigenvalues, coherence_peak
 
 
+def _weak_signal(peak: float) -> list[str]:
+    """The warning of a coherence peak past the weak-signal limit, if it passes it."""
+    return [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
+            "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
+
+
 def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: float, peak: float, warnings=()):
     """The SolveResult of a solve, warned about if ``peak`` passes the weak-signal limit."""
-    weak = [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
-            "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
-    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=weak + list(warnings),
+    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples),
+                       warnings=_weak_signal(peak) + list(warnings),
                        nz=nz, nz_needed=plan[0], z_error_estimate=error, peak_coherence=peak)
 
 
-def _constant_solver(medium: RamanMedium, pulse: ComplexEnvelope):
-    """``solve_at(intensity, plan)``: ``solve`` under that constant control.
-    The input's DFT, its coherence peak and A's eigenvalues at unit
-    intensity are taken once.  With expm1, a medium that does nothing
-    returns E bit for bit.  The coherences, read at z = 0 and z = L from the
-    input's and the output's DFT, scale with the control amplitude sqrt(I)."""
-    _, eigenvalues, coherence_peak = _operator(medium, 1.0, pulse.grid)
-    spectrum = np.fft.fft(pulse.samples)
-    start_peak = coherence_peak(spectrum)
+def _constant_peak(medium: RamanMedium, pulse: ComplexEnvelope):
+    """``peak(output, intensity)``: under that constant control, the largest
+    coherence magnitude at z = 0 and z = L, read from the DFTs of the input
+    and of ``output``.  The coherences scale with the control amplitude
+    sqrt(I), so the symbols and the input's peak are taken once, at unit
+    intensity."""
+    _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
+    start = coherence_peak(np.fft.fft(pulse.samples))
+    return lambda output, intensity: math.sqrt(intensity) * max(start, coherence_peak(np.fft.fft(output.samples)))
 
-    def solve_at(intensity: float, plan) -> SolveResult:
-        gain = np.expm1(medium.length_mm * intensity * eigenvalues)
-        gain *= spectrum
-        samples = pulse.samples + np.fft.ifft(gain)
-        gain += spectrum  # the output's DFT, without a forward transform of it
-        peak = math.sqrt(intensity) * max(start_peak, coherence_peak(gain))
-        return _result(samples, pulse, plan, 1, 0.0, peak)
 
-    return solve_at
+def _transmit(medium: RamanMedium, pulse: ComplexEnvelope, chi: Susceptibility) -> ComplexEnvelope:
+    """exp(L A) E under a constant control whose chi is ``chi``: FD's output
+    through the transfer of that sample."""
+    return fdprop.propagate(pulse, fdprop.transfer_function(chi, medium.k0, medium.length_mm))
 
 
 def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan) -> SolveResult:
@@ -266,9 +273,9 @@ def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, p
 
 def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
           settings: SolverSettings | None = None) -> SolveResult:
-    """Propagate the signal envelope from z = 0 to z = L, exactly in z: on
-    the DFT modes of A under a constant control, else the Taylor series of
-    exp(L A) E over substeps of phase at most 4.
+    """Propagate the signal envelope from z = 0 to z = L, exactly in z: FD's
+    output under a constant control, else the Taylor series of exp(L A) E
+    over substeps of phase at most 4.
 
     The control field propagates undepleted; both Raman populations stay
     fixed (weak-signal regime).  A warning is attached if the coherence
@@ -276,13 +283,15 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     settings, an nz below nz_needed is refused; no setting changes the result.
     """
     medium = medium.with_control_intensity(control.intensity)
-    plan = _validate_resolution(medium, pulse, _chi_max(medium, pulse.grid))
+    chi = _sampled_chi(medium, pulse.grid)
+    plan = _validate_resolution(medium, pulse, chi.values)
     if settings is not None and settings.nz < plan[0]:
         raise GridResolutionError(
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
         )
     if control.envelope is None:
-        return _constant_solver(medium, pulse)(control.intensity, plan)
+        output = _transmit(medium, pulse, chi)
+        return _result(output.samples, pulse, plan, 1, 0.0, _constant_peak(medium, pulse)(output, control.intensity))
     return _march(medium, control, pulse, plan)
 
 
@@ -300,30 +309,34 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
     return []
 
 
-def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope):
-    """The points of ``delay_vs_control_scan`` and the SolveResult behind each."""
-    intensities = [float(i) for i in control_intensities]
-    unit_chi_max = _chi_max(medium.with_control_intensity(1.0), pulse.grid)
-    plans = []
-    for i in intensities:
+def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
+    """The points of ``delay_vs_control_scan`` and the output behind each.
+    Unchecked, as in an FD sweep, no point is planned, so none is refused,
+    and no coherence is read, so none is warned about."""
+    sampled = []
+    for i in map(float, control_intensities):
         ControlField.constant(i)  # a negative intensity is refused first
-        plans.append(_validate_resolution(medium, pulse, i * unit_chi_max))
-    solve_at = _constant_solver(medium, pulse)
-    results = [solve_at(i, plan) for i, plan in zip(intensities, plans)]
-    measured = delays_and_losses(pulse, (result.output for result in results))
-    points = [ScanPoint(i, *metrics, tuple(r.warnings)) for i, r, metrics in zip(intensities, results, measured)]
-    return points, results
+        chi = _sampled_chi(medium.with_control_intensity(i), pulse.grid)
+        if checked:
+            _validate_resolution(medium, pulse, chi.values)
+        sampled.append((i, chi))
+    outputs = [_transmit(medium, pulse, chi) for _, chi in sampled]
+    peak = _constant_peak(medium, pulse) if checked else None
+    measured = delays_and_losses(pulse, outputs)
+    points = [ScanPoint(i, *metrics, tuple(_weak_signal(peak(out, i))) if checked else ())
+              for (i, _), out, metrics in zip(sampled, outputs, measured)]
+    return points, outputs
 
 
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    The operator and chi at intensity I are I times those at unit intensity.
-    So chi is sampled once, and each point, in order, is checked against I
-    times its peak and refused as its own ``solve`` would be.  Every point
-    is then solved on the DFT modes taken once, exactly as its own
-    ``solve``, warnings included.  ``analysis.delays_and_losses`` measures
-    each point against the input: the intensity-centroid shift and the
-    energy ratio in dB.
+    chi is sampled once per point, at its own intensity, and each point,
+    in order, is checked against that sample and refused as its own
+    ``solve`` would be.  Only then is every point solved, as its own
+    ``solve``: FD's output through the transfer of that same sample, with
+    the same warnings.  ``analysis.delays_and_losses`` measures each point
+    against the input: the intensity-centroid shift and the energy ratio
+    in dB.
     """
     return _scan(medium, control_intensities, pulse)[0]

@@ -3,6 +3,7 @@ import re
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ dt_ps = 0.06
 [solver]
 nz = 256
 """
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 
 
 def run_cli(*args):
@@ -284,14 +288,14 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
 
 @pytest.mark.parametrize("command", ["propagate", "sweep"])
 def test_td_run_with_an_absorbed_fd_reference_exits_3_with_one_line(tmp_path, capsys, command):
-    # at d0 = 1e6 FD absorbs the whole pulse; the TD output keeps rounding, so the TD-FD check,
-    # not a width or a division by zero, is what refuses the run
+    # at d0 = 1e6 FD absorbs the whole pulse, and a constant-control TD solve returns FD's output:
+    # the loss, not a width, a division by zero or a check march of 1e5 substeps, refuses the run
     text = CONFIG.replace("d0 = 2.5", "d0 = 1e6")
     if command == "sweep":
         text = text.replace("intensity = 1.0", "intensity_list = 0.5, 1.0")
     cfg = write_config(tmp_path, text)
     assert main([command, "--domain", "td", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
-    expected = "error: the FD reference output has no energy: the whole pulse was absorbed\n"
+    expected = "error: the output has no energy: the whole pulse was absorbed\n"
     assert capsys.readouterr().err == expected
 
 
@@ -320,6 +324,36 @@ def test_depth_past_any_run_exits_3_with_one_line(tmp_path, capsys, command, dom
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert re.search(r"\d{5}", err) is None  # a count in %.3g, not a number of hundreds of digits
+
+
+_GRIDS = {"n16384-dt0.06": ("16384", "0.06"), "n4096-dt0.1": ("4096", "0.1")}
+
+
+def _deep_config(tmp_path, d0, grid):
+    n, dt = _GRIDS[grid]
+    text = CONFIG.replace("d0 = 2.5", f"d0 = {d0}").replace("n = 16384", f"n = {n}")
+    return write_config(tmp_path, text.replace("dt_ps = 0.06", f"dt_ps = {dt}"))
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_output_282_db_down_still_runs(tmp_path, grid):
+    # d0 = 400: 282 dB of loss, an amplitude ratio of 8e-15, still has one width
+    cfg = _deep_config(tmp_path, "400.0", grid)
+    assert main(["propagate", "--domain", "fd", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert float(read_summary(tmp_path / "out" / "summary.txt")["metrics.loss_db"]) == pytest.approx(282.4, abs=0.1)
+
+
+@pytest.mark.parametrize("domain", ["fd", "td"])
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("d0", ["450.0", "500.0"])
+def test_output_past_300_db_exits_3_naming_the_loss(tmp_path, capsys, d0, grid, domain):
+    # 313-320 dB down the output is rounding of the input, with no single width on either grid
+    cfg = _deep_config(tmp_path, d0, grid)
+    assert main(["propagate", "--domain", domain, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(r"error: the output is 3[12]\d\.\d dB below its input; past 300 dB \(an amplitude ratio "
+                        r"of 1e-15, a few times the input's rounding\) it is rounding, not a pulse\n", err), err
 
 
 class TestAnalytic:
@@ -406,13 +440,22 @@ class TestPropagate:
             assert (summary["metrics.first_moment_delay_ps"], summary["metrics.loss_db"]) == ("0", "0")
         assert summary["metrics.td_fd_l2_error"] == "0"
 
+    def test_constant_control_td_writes_the_fd_bytes(self, tmp_path):
+        # a constant-control TD solve returns FD's output, and its spectrum is the input's times H
+        for domain in ("fd", "td"):
+            assert main(["propagate", "--config", str(EXAMPLE), "--domain", domain,
+                         "--out-dir", str(tmp_path / domain)]) == 0
+        for name in ("output_envelope.csv", "spectrum_on.csv"):
+            assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes(), name
+
     def test_td_cross_check(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         cp = run_cli("propagate", "--config", cfg, "--out-dir", out, "--domain", "td")
         assert cp.returncode == 0, cp.stderr
         summary = read_summary(out / "summary.txt")
-        # one exponent on both sides leaves rounding (4.6e-16), never 0: perfbench bounds this metric
+        # the Taylor march under an envelope of ones against FD's closed form leaves rounding (4.8e-16),
+        # never 0: perfbench bounds this metric
         assert 0.0 < float(summary["metrics.td_fd_l2_error"]) < 1e-14
 
     def test_deterministic_rerun_from_resolved_config(self, tmp_path):
@@ -535,8 +578,8 @@ class TestPropagate:
     def test_td_runs_at_any_legacy_nz(self, tmp_path, d0):
         # d0 = 60 needs 8 substeps where nz = 256 once refused it (nz_needed 312), and d0 = 80
         # once refused nz = 16; a legacy [solver] nz is read and ignored, so it gives the same bytes as none.
-        # TD and FD solve one periodic problem with one exponent, so above the paper's depth they
-        # agree to rounding (6.9e-14, 3.6e-13)
+        # The check march of 8 and 11 substeps agrees with FD's closed form to rounding above the
+        # paper's depth too (4.0e-14, 2.0e-13)
         text = CONFIG.replace("n = 16384", "n = 4096").replace("d0 = 2.5", f"d0 = {d0}")
         outputs = {}
         for name, solver in (("legacy", "[solver]\nnz = 16\n"), ("none", "")):
@@ -552,9 +595,9 @@ class TestPropagate:
         assert float(summary["metrics.first_moment_delay_ps"]) == pytest.approx(tau_g, rel=0.03)
 
     def test_td_fd_gap_past_the_budget_warns(self, tmp_path):
-        # TD and FD take one exponent, so the gap is rounding until the output sinks toward the
-        # rounding of the input: at n = 4096 and dt = 0.1 it is 6.2e-9 at d0 = 200 (143 dB),
-        # 1.1e-3 at d0 = 350 and 5.8e-2 at d0 = 400 (282 dB)
+        # the check march and FD's closed form take one exponent, so the gap is rounding until the
+        # output sinks toward the rounding of the input: at n = 4096 and dt = 0.1 it is 2.4e-9 at
+        # d0 = 200 (143 dB), 3.05e-4 at d0 = 350 and 1.63e-2 at d0 = 400 (282 dB)
         text = CONFIG.replace("n = 16384", "n = 4096").replace("dt_ps = 0.06", "dt_ps = 0.1")
         cfg = write_config(tmp_path, text.replace("d0 = 2.5", "d0 = 400.0"))
         assert main(["propagate", "--domain", "td", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
@@ -648,7 +691,7 @@ class TestSweep:
         assert sweep["warnings"] == "none"
 
     def test_td_sweep_past_the_budget_warns(self, tmp_path):
-        # the top point at d0 = 400 and dt = 0.1, as in the propagate run that warns (5.8e-2)
+        # the top point at d0 = 400 and dt = 0.1, as in the propagate run that warns (1.6e-2)
         text = CONFIG.replace("n = 16384", "n = 4096").replace("dt_ps = 0.06", "dt_ps = 0.1")
         text = text.replace("d0 = 2.5", "d0 = 400.0").replace("intensity = 1.0", "intensity_list = 0.5, 1.0")
         out = tmp_path / "out"
@@ -669,8 +712,18 @@ class TestSweep:
         entries = read_summary(out / "summary.txt")["warnings"].split("; ")
         assert len(entries) == 1 and entries[0].startswith("intensity 16.0: coherence amplitude reached")
 
+    def test_td_sweep_writes_the_fd_rows(self, tmp_path):
+        # one loop solves every point in both domains; TD adds only its refusals and warnings
+        text = EXAMPLE.read_text().replace("intensity = 1.0", "intensity_list = 0, 0.25, 0.5, 1.0, 2.0")
+        cfg = write_config(tmp_path, text)
+        for domain in ("fd", "td"):
+            assert main(["sweep", "--config", str(cfg), "--domain", domain, "--out-dir", str(tmp_path / domain)]) == 0
+        scans = [(tmp_path / domain / "intensity_scan.csv").read_bytes() for domain in ("fd", "td")]
+        assert scans[0] == scans[1]
+
     def test_td_sweep_solves_each_point_once(self, tmp_path, monkeypatch):
-        # the TD-FD check reads the top point's output from the scan: chi is sampled once, at unit intensity
+        # chi is sampled once per point, at its own intensity, and the TD-FD check reads the top point's
+        # output from the scan; only the check march at that point samples chi again
         sampled = []
 
         def spy(medium, omega, chi=tdprop.medium_chi):
@@ -681,7 +734,7 @@ class TestSweep:
         text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0")
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
                      "--out-dir", str(tmp_path / "out")]) == 0
-        assert sampled == [1.0]
+        assert sampled == [0.0, 0.5, 1.0, 1.0]
 
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
