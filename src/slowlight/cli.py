@@ -125,12 +125,13 @@ def _td_fd_check(the_medium, pulse, fd_out):
 
 
 def _transfer_for_run(args, the_medium, fgrid):
-    if not args.chi_csv:
-        return fdprop._model_transfer(the_medium, fgrid)
-    detunings, values = io.read_susceptibility_csv(args.chi_csv)
-    real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
-    imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
-    chi = Susceptibility(grid=fgrid, values=real + 1j * imag)
+    if args.chi_csv:
+        detunings, values = io.read_susceptibility_csv(args.chi_csv)
+        real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
+        imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
+        chi = Susceptibility(grid=fgrid, values=real + 1j * imag)
+    else:
+        chi = fdprop.susceptibility_from_medium(the_medium, fgrid)
     return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
 
 
@@ -162,7 +163,7 @@ def cmd_propagate(args):
         center["metrics.center_transmission"] = transfer.center_transmission()
         spec_on = spec_in.samples * transfer.values
         if args.domain == "fd":  # a constant-control TD solve returned this same output
-            out = fdprop.propagate(pulse, transfer)
+            out = fdprop._through(pulse, spec_in, transfer)
     else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra
         spec_on = forward_transform(out).samples
         zero = fgrid.zero_index

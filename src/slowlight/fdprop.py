@@ -18,6 +18,7 @@ from .medium import RamanMedium, chi as medium_chi
 from .spectral import (
     ComplexEnvelope,
     FrequencyGrid,
+    SpectralEnvelope,
     _grid_array,
     forward_transform,
     inverse_transform,
@@ -50,22 +51,20 @@ def transfer_function(chi: Susceptibility, k0: float, length_mm: float) -> Trans
     return TransferFunction(grid=chi.grid, values=np.exp(0.5j * k0 * length_mm * chi.values))
 
 
-def _model_transfer(medium: RamanMedium, grid: FrequencyGrid) -> TransferFunction:
-    """The fixed-intensity transfer of the two-line model on ``grid``."""
-    return transfer_function(susceptibility_from_medium(medium, grid), medium.k0, medium.length_mm)
-
-
 def propagate(env: ComplexEnvelope, H: TransferFunction) -> ComplexEnvelope:
     """Apply H in the detuning domain: inverse(H * forward(env)).  Where every
     value of H is exactly 1, the input itself, so a medium that does nothing
     adds no rounding."""
+    return _through(env, forward_transform(env), H)
+
+
+def _through(env: ComplexEnvelope, spectrum: SpectralEnvelope, H: TransferFunction) -> ComplexEnvelope:
+    """``propagate`` of ``env`` whose forward transform ``spectrum`` is already held."""
     if H.grid.time_grid != env.grid:
         raise ValueError("transfer function and envelope live on different grids")
     if np.all(H.values == 1.0):
         return ComplexEnvelope(grid=env.grid, samples=env.samples.copy())
-    spec = forward_transform(env)
-    spec.samples = spec.samples * H.values
-    return inverse_transform(spec)
+    return inverse_transform(SpectralEnvelope(grid=spectrum.grid, samples=spectrum.samples * H.values))
 
 
 def output_spectra(env: ComplexEnvelope, H: TransferFunction):

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _POSITIVE, TruncationRiskError, _require
+from .errors import _POSITIVE, GridResolutionError, TruncationRiskError, _require
 from .spectral import C_NM_PER_PS, FrequencyGrid, _grid_array
 
 _EDGE_DECAY_FRACTION = 0.01
 _TAPER_FRACTION = 0.05
 _PAD_FACTOR = 16
+_MIN_RECORD_SAMPLES = 32  # across the records; the KTP delay reads 0.1490 ps at 19, 0.1471 at 39, 0.1466 at 613
 
 
 @dataclass
@@ -94,7 +95,9 @@ def ingest_absorption(
     Records whose endpoints have not decayed below 1% of the peak depth are
     rejected as a truncation risk; with ``force_taper`` a raised-cosine
     roll-off to zero is appended over 5% of the grid span at each end.
-    Records with positive depth none of which reaches the grid are refused.
+    Records with positive depth none of which reaches the grid are refused,
+    and GridResolutionError is raised when fewer than 32 grid samples fall
+    inside their detuning range.
     """
     _require(_POSITIVE, "length", length_mm)
     _require(_POSITIVE, "center wavelength", center_wavelength_nm)
@@ -128,6 +131,13 @@ def ingest_absorption(
         raise ValueError(
             f"no record with positive depth falls on the grid: the records lie at detunings "
             f"{nu[0]:.4g} to {nu[-1]:.4g} 1/ps, the grid spans {w[0]:.4g} to {w[-1]:.4g} 1/ps"
+        )
+    inside = int(np.count_nonzero((w >= nu[0]) & (w <= nu[-1])))
+    if peak > 0 and inside < _MIN_RECORD_SAMPLES:
+        raise GridResolutionError(
+            f"only {inside} of n = {target_grid.n} grid samples (span {target_grid.n * target_grid.domega:.4g} 1/ps) "
+            f"fall inside the records' detunings {nu[0]:.4g} to {nu[-1]:.4g} 1/ps; "
+            f"a converged delay needs at least {_MIN_RECORD_SAMPLES}: raise n or narrow the span"
         )
     return OpticalDepthSpectrum(grid=target_grid, depth=d, center_wavelength_nm=center_wavelength_nm)
 

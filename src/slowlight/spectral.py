@@ -245,11 +245,18 @@ def resample_to_resolve(env: ComplexEnvelope, fwhm_ps: float) -> tuple[ComplexEn
     ``fwhm_ps``, and the factor its dt was divided by: the smallest power of
     two that resolves it, while the grid stays within _MAX_RESAMPLED_N samples.
     The spectrum is zero-padded, which is exact for a band-limited envelope;
-    factor 1 returns ``env`` itself."""
+    factor 1 returns ``env`` itself.  GridResolutionError, before any
+    transform, when even the largest factor does not resolve it."""
     _require(_POSITIVE, "duration", fwhm_ps)
     grid, factor = env.grid, 1
     while fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor and 2 * factor * grid.n <= _MAX_RESAMPLED_N:
         factor *= 2
+    if fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor:
+        raise GridResolutionError(
+            f"envelope too coarse: a pulse FWHM of {fwhm_ps:.4g} ps needs dt <= {fwhm_ps / _MIN_SAMPLES_PER_FWHM:.4g} ps; "
+            f"the envelope has dt = {grid.dt:.4g} ps on {grid.n} samples, and {factor}, the largest resampling "
+            f"factor within {_MAX_RESAMPLED_N} samples, reaches only {grid.dt / factor:.4g} ps"
+        )
     if factor == 1:
         return env, 1
     fine = TimeGrid(t_start=grid.t_start, dt=grid.dt / factor, n=factor * grid.n)

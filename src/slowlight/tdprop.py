@@ -30,7 +30,8 @@ Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
 transfer of the chi it samples once for its plan: exact in z with no
 series (nz = 1), and the input bit for bit where that transfer is exactly
-1.  ``delay_vs_control_scan`` plans every point before it solves any.
+1.  ``delay_vs_control_scan`` plans every point before it solves any,
+then solves them all from one spectrum of the input.
 Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
@@ -51,9 +52,8 @@ import numpy as np
 from . import fdprop
 from .analysis import delays_and_losses
 from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
-from .kramers_kronig import Susceptibility
-from .medium import RamanMedium, chi as medium_chi
-from .spectral import ComplexEnvelope, TimeGrid, interpolated_fwhm
+from .medium import RamanMedium
+from .spectral import ComplexEnvelope, TimeGrid, forward_transform, interpolated_fwhm
 
 _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
@@ -154,12 +154,6 @@ def _max_beat_dt(splitting: float) -> float:
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _sampled_chi(medium: RamanMedium, grid: TimeGrid) -> Susceptibility:
-    """chi on the grid's FD detunings: one sample serves the plan and the transfer."""
-    fgrid = grid.frequency_grid()
-    return Susceptibility(grid=fgrid, values=medium_chi(medium, fgrid.omegas))
-
-
 def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.ndarray):
     """The plan (nz_needed, substeps) for ``chi`` sampled on the grid: the
     fewest z steps of phase at most _MAX_STEP_PHASE and of phase at most
@@ -228,21 +222,21 @@ def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: f
                        nz=nz, nz_needed=plan[0], z_error_estimate=error, peak_coherence=peak)
 
 
-def _constant_peak(medium: RamanMedium, pulse: ComplexEnvelope):
-    """``peak(output, intensity)``: under that constant control, the largest
-    coherence magnitude at z = 0 and z = L, read from the DFTs of the input
-    and of ``output``.  The coherences scale with the control amplitude
-    sqrt(I), so the symbols and the input's peak are taken once, at unit
-    intensity."""
-    _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
-    start = coherence_peak(np.fft.fft(pulse.samples))
-    return lambda output, intensity: math.sqrt(intensity) * max(start, coherence_peak(np.fft.fft(output.samples)))
-
-
-def _transmit(medium: RamanMedium, pulse: ComplexEnvelope, chi: Susceptibility) -> ComplexEnvelope:
-    """exp(L A) E under a constant control whose chi is ``chi``: FD's output
-    through the transfer of that sample."""
-    return fdprop.propagate(pulse, fdprop.transfer_function(chi, medium.k0, medium.length_mm))
+def _constant(medium: RamanMedium, pulse: ComplexEnvelope, planned, checked: bool = True) -> list[SolveResult]:
+    """One SolveResult per ``(intensity, chi, plan)`` of ``planned``: FD's output
+    through the transfer of that chi, from one forward transform of the input.
+    Checked, the peak coherence at z = 0 and z = L is read from the DFTs of the
+    input (once) and the output at unit intensity, then scaled by sqrt(I)."""
+    spectrum = forward_transform(pulse)
+    if checked:
+        _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
+        start = coherence_peak(np.fft.fft(pulse.samples))
+    results = []
+    for intensity, chi, plan in planned:
+        output = fdprop._through(pulse, spectrum, fdprop.transfer_function(chi, medium.k0, medium.length_mm))
+        peak = math.sqrt(intensity) * max(start, coherence_peak(np.fft.fft(output.samples))) if checked else 0.0
+        results.append(_result(output.samples, pulse, plan, 1, 0.0, peak))
+    return results
 
 
 def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan) -> SolveResult:
@@ -283,15 +277,14 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     settings, an nz below nz_needed is refused; no setting changes the result.
     """
     medium = medium.with_control_intensity(control.intensity)
-    chi = _sampled_chi(medium, pulse.grid)
+    chi = fdprop.susceptibility_from_medium(medium, pulse.grid.frequency_grid())
     plan = _validate_resolution(medium, pulse, chi.values)
     if settings is not None and settings.nz < plan[0]:
         raise GridResolutionError(
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
         )
     if control.envelope is None:
-        output = _transmit(medium, pulse, chi)
-        return _result(output.samples, pulse, plan, 1, 0.0, _constant_peak(medium, pulse)(output, control.intensity))
+        return _constant(medium, pulse, [(control.intensity, chi, plan)])[0]
     return _march(medium, control, pulse, plan)
 
 
@@ -313,18 +306,15 @@ def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, chec
     """The points of ``delay_vs_control_scan`` and the output behind each.
     Unchecked, as in an FD sweep, no point is planned, so none is refused,
     and no coherence is read, so none is warned about."""
-    sampled = []
+    fgrid, planned = pulse.grid.frequency_grid(), []
     for i in map(float, control_intensities):
         ControlField.constant(i)  # a negative intensity is refused first
-        chi = _sampled_chi(medium.with_control_intensity(i), pulse.grid)
-        if checked:
-            _validate_resolution(medium, pulse, chi.values)
-        sampled.append((i, chi))
-    outputs = [_transmit(medium, pulse, chi) for _, chi in sampled]
-    peak = _constant_peak(medium, pulse) if checked else None
-    measured = delays_and_losses(pulse, outputs)
-    points = [ScanPoint(i, *metrics, tuple(_weak_signal(peak(out, i))) if checked else ())
-              for (i, _), out, metrics in zip(sampled, outputs, measured)]
+        chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
+        planned.append((i, chi, _validate_resolution(medium, pulse, chi.values) if checked else (0, 0)))
+    results = _constant(medium, pulse, planned, checked)
+    outputs = [result.output for result in results]
+    points = [ScanPoint(i, *metrics, tuple(result.warnings))
+              for (i, _, _), result, metrics in zip(planned, results, delays_and_losses(pulse, outputs))]
     return points, outputs
 
 

@@ -66,6 +66,20 @@ def read_csv(path):
     return header, body
 
 
+def spy_forward_transforms(monkeypatch):
+    """The envelopes every slowlight module hands to ``forward_transform``, in call order."""
+    seen, original = [], sl.forward_transform
+
+    def spy(env):
+        seen.append(env)
+        return original(env)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slowlight") and getattr(module, "forward_transform", None) is original:
+            monkeypatch.setattr(module, "forward_transform", spy)
+    return seen
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, slowlight; assert 'scipy' not in sys.modules, 'scipy imported'"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -427,6 +441,13 @@ class TestPropagate:
         for name in ("input_envelope.csv", "output_envelope.csv", "spectrum_on.csv", "spectrum_off.csv"):
             assert (out / name).exists()
 
+    def test_fd_run_transforms_the_input_once(self, tmp_path, monkeypatch):
+        # the output goes through the transfer from the input spectrum the run already holds
+        seen = spy_forward_transforms(monkeypatch)
+        assert main(["propagate", "--config", str(write_config(tmp_path)), "--domain", "fd",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(seen) == 1
+
     def test_control_off_identity(self, tmp_path):
         # H is exactly unity with the control off, so both domains return the pulse itself:
         # no rounding reads as a delay, a gain or a TD-FD gap
@@ -543,7 +564,7 @@ class TestPropagate:
         def refuse(*args):
             raise AssertionError("the transfer was sampled")
 
-        monkeypatch.setattr(fdprop, "_model_transfer", refuse)
+        monkeypatch.setattr(fdprop, "transfer_function", refuse)
         cfg = write_config(tmp_path, CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0"))
         assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(tmp_path / "out")]) == 0
 
@@ -634,6 +655,17 @@ class TestSweep:
         assert body.shape == (6, 3)
         summary = read_summary(out / "summary.txt")
         assert float(summary["linearity.residual_ratio"]) < 0.02
+
+    @pytest.mark.parametrize("domain", ["fd", "td"])
+    def test_nine_points_transform_the_input_once(self, tmp_path, monkeypatch, domain):
+        # every point goes through its transfer from one spectrum of the input
+        seen = spy_forward_transforms(monkeypatch)
+        text = CONFIG.replace("n = 16384", "n = 4096").replace(
+            "intensity = 1.0", "intensity_list = " + ", ".join(map(str, np.linspace(0.25, 2.0, 9))))
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", domain,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(read_csv(tmp_path / "out" / "intensity_scan.csv")[1]) == 9
+        assert len(seen) == 1
 
     def test_fd_row_matches_propagate_metrics(self, tmp_path):
         # one delay/loss definition: the sweep row at intensity 1.0 is the
@@ -726,11 +758,11 @@ class TestSweep:
         # output from the scan; only the check march at that point samples chi again
         sampled = []
 
-        def spy(medium, omega, chi=tdprop.medium_chi):
+        def spy(medium, omega, chi=fdprop.medium_chi):
             sampled.append(medium.control_intensity)
             return chi(medium, omega)
 
-        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        monkeypatch.setattr(fdprop, "medium_chi", spy)
         text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0")
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
                      "--out-dir", str(tmp_path / "out")]) == 0
@@ -761,6 +793,22 @@ class TestKK:
         summary = read_summary(out / "summary.txt")
         assert float(summary["kk.reconstructed_delay_ps"]) > 0
 
+    @pytest.mark.parametrize("n, code", [(512, 3), (1024, 0)])
+    def test_records_need_32_grid_samples(self, tmp_path, capsys, n, code):
+        # 19 grid samples across the KTP records put the delay at 0.1490 ps, 1.6% off its converged 0.1466
+        out = tmp_path / "out"
+        argv = ["kk", "--absorption-csv", str(ktp_absorption_path()), "--center-nm", "765.85", "--lambda0-nm", "765.0",
+                "--length-mm", "30.0", "--force-taper", "--n", str(n), "--out-dir", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.count("\n") == 1 and "only 19 of n = 512" in err
+            assert "span 272 1/ps" in err and "-6.113 to 4.054 1/ps" in err
+            assert list(out.iterdir()) == []
+        else:
+            delay = float(read_summary(out / "summary.txt")["kk.reconstructed_delay_ps"])
+            assert delay == pytest.approx(0.1466, rel=5e-3)
+
     def test_synthetic_doublet_end_to_end(self, tmp_path):
         # clean, wide-coverage doublet: reconstruction matches the model
         medium = sl.from_target_depth(2.5, 1.0, 6.8, 2 * np.pi / 765e-6, 30.0)
@@ -783,6 +831,17 @@ class TestKK:
 
 
 class TestXcorr:
+    def test_unresolvable_reference_exits_3_naming_the_envelope_dt(self, tmp_path, capsys):
+        # a 0.001 ps reference needs dt <= 6.25e-5 ps; 64-fold resampling, the most within 2^20 samples, reaches 9.4e-4
+        from slowlight import io as sio
+
+        path = tmp_path / "signal.csv"
+        sio.write_envelope_csv(path, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**14, 0.06), duration=3.0))
+        argv = ["xcorr", "--signal-csv", str(path), "--ref-duration-ps", "0.001", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dt = 0.06 ps on 16384 samples, and 64, the largest" in err
+
     def test_metrics_and_delay(self, tmp_path):
         from slowlight import io as sio
 

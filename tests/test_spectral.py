@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
+from slowlight import spectral
 from slowlight.errors import AmbiguousWidthError, GridResolutionError
 from slowlight.spectral import (
     FLAT_TOP_TBP,
@@ -204,6 +205,17 @@ class TestResampleToResolve:
         env = sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=2.0)
         with pytest.raises(ValueError, match="positive"):
             resample_to_resolve(env, 0.0)
+
+    def test_unresolvable_width_refused_before_any_transform(self, monkeypatch):
+        # 1024-fold, the most within 2^20 samples, reaches dt = 5.9e-5 ps; 1e-4 ps needs 6.25e-6
+        env = sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=2.0)
+
+        def refuse(env):
+            raise AssertionError("the envelope was transformed")
+
+        monkeypatch.setattr(spectral, "forward_transform", refuse)
+        with pytest.raises(GridResolutionError, match=r"dt = 0\.06 ps on 1024 samples, and 1024, the largest"):
+            resample_to_resolve(env, 1e-4)
 
 
 class TestWavelengthConversion:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import GridResolutionError
-from slowlight import tdprop
+from slowlight import fdprop, tdprop
 from slowlight.analysis import delay_and_loss
 from slowlight.tdprop import _operator
 
@@ -392,11 +392,11 @@ class TestSolve:
         # the refusal reads the same plan as the solve
         sampled = []
 
-        def spy(medium, omega, chi=tdprop.medium_chi):
+        def spy(medium, omega, chi=fdprop.medium_chi):
             sampled.append(medium.control_intensity)
             return chi(medium, omega)
 
-        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        monkeypatch.setattr(fdprop, "medium_chi", spy)
         sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal, sl.SolverSettings(nz=256))
         assert sampled == [1.0]
 
@@ -602,11 +602,11 @@ class TestControlScan:
         pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
         sampled = []
 
-        def spy(medium, omega, chi=tdprop.medium_chi):
+        def spy(medium, omega, chi=fdprop.medium_chi):
             sampled.append(medium.control_intensity)
             return chi(medium, omega)
 
-        monkeypatch.setattr(tdprop, "medium_chi", spy)
+        monkeypatch.setattr(fdprop, "medium_chi", spy)
         intensities = np.linspace(0.0, 2.0, 9)
         points = sl.delay_vs_control_scan(std_medium, intensities, pulse)
         assert len(points) == 9 and sampled == intensities.tolist()
