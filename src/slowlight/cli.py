@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -55,7 +56,8 @@ def cmd_analytic(args):
     config = load_config(args.config)
     m = config.medium
     started = time.monotonic()
-    count = int(round(args.d0_max / args.d0_step)) + 1
+    # the last row at or below d0_max, within a few ulps: 0.3 / 0.1 reads 2.9999999999999996 and gives 4 rows
+    count = math.floor(args.d0_max / args.d0_step * (1.0 + 4.0 * sys.float_info.epsilon)) + 1
     d0_values = np.arange(count) * args.d0_step
     # delay, loss and DBP are each linear in d0, so one unit-depth medium gives every row
     unit = med.figures_of_merit(med.from_target_depth(1.0, m.gamma_invps, m.delta_invps, m.k0, m.length_mm))
@@ -124,55 +126,48 @@ def _td_fd_check(the_medium, pulse, fd_out):
     return {"metrics.td_fd_l2_error": gap}, warnings
 
 
-def _transfer_for_run(args, the_medium, fgrid):
-    if args.chi_csv:
-        detunings, values = io.read_susceptibility_csv(args.chi_csv)
-        real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
-        imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
-        chi = Susceptibility(grid=fgrid, values=real + 1j * imag)
-    else:
-        chi = fdprop.susceptibility_from_medium(the_medium, fgrid)
-    return fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
+def _chi_for_run(args, the_medium, fgrid):
+    if not args.chi_csv:
+        return fdprop.susceptibility_from_medium(the_medium, fgrid)
+    detunings, values = io.read_susceptibility_csv(args.chi_csv)
+    real = np.interp(fgrid.omegas, detunings, values.real, left=0.0, right=0.0)
+    imag = np.interp(fgrid.omegas, detunings, values.imag, left=0.0, right=0.0)
+    return Susceptibility(grid=fgrid, values=real + 1j * imag)
 
 
 def cmd_propagate(args):
     config = load_config(args.config)
     if config.control.intensity_list:
         raise ConfigError("propagate expects a single control.intensity; use sweep for lists")
-    if args.domain == "td" and args.chi_csv:
+    td, fixed = args.domain == "td", config.control.kind == "constant"
+    if td and args.chi_csv:
         raise ConfigError("the time-domain solver integrates the two-line model; use --domain fd with --chi-csv")
+    if not (td or fixed):
+        raise ConfigError(f"propagate --domain fd assumes constant control; use --domain td for "
+                          f"control.kind = {config.control.kind}")
 
     grid, pulse, base_medium = _set_up(config)
     fgrid = grid.frequency_grid()
     the_medium = base_medium.with_control_intensity(config.control.intensity)
 
     spec_in = forward_transform(pulse)
-    warnings, solver, checks, center = [], {}, {}, {}
-    if args.domain == "td":
-        result = tdprop.solve(the_medium, config.control.build(grid), pulse)
-        out, warnings = result.output, result.warnings
-        solver = {
-            "solver.nz": result.nz,
-            "solver.nz_needed": result.nz_needed,
-            "solver.z_error_estimate": result.z_error_estimate,
-            "solver.peak_coherence": result.peak_coherence,
-        }
-    fixed = args.domain == "fd" or config.control.kind == "constant"  # a shaped control has no fixed-intensity transfer
-    if fixed:
-        transfer = _transfer_for_run(args, the_medium, fgrid)
-        center["metrics.center_transmission"] = transfer.center_transmission()
+    if fixed:  # one transfer, which both domains send the input through
+        chi = _chi_for_run(args, the_medium, fgrid)
+        plan = tdprop._validate_resolution(the_medium, pulse, chi.values) if td else (0, 0)
+        transfer = fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
+        [result] = tdprop._constant(the_medium, pulse, spec_in, [(config.control.intensity, transfer, plan)], td)
         spec_on = spec_in.samples * transfer.values
-        if args.domain == "fd":  # a constant-control TD solve returned this same output
-            out = fdprop._through(pulse, spec_in, transfer)
+        center = transfer.center_transmission()
     else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra
-        spec_on = forward_transform(out).samples
-        zero = fgrid.zero_index
-        center["metrics.center_transmission"] = float(np.abs(spec_on[zero] / spec_in.samples[zero]) ** 2)
+        result = tdprop.solve(the_medium, config.control.build(grid), pulse)
+        spec_on = forward_transform(result.output).samples
+        center = float(np.abs(spec_on[fgrid.zero_index] / spec_in.samples[fgrid.zero_index]) ** 2)
+    out, warnings, checks = result.output, result.warnings, {}
     delay, loss_db_total = analysis.delay_and_loss(pulse, out)
     if loss_db_total > _MAX_LOSS_DB:  # before the width: rounding noise has no single one
         raise ValueError(f"the output is {loss_db_total:.4g} dB below its input; past {_MAX_LOSS_DB:g} dB (an amplitude "
                          "ratio of 1e-15, a few times the input's rounding) it is rounding, not a pulse")
-    if args.domain == "td" and fixed:
+    if td and fixed:
         checks, gap_warnings = _td_fd_check(the_medium, pulse, out)
         warnings = [*warnings, *gap_warnings]
     summary = {
@@ -181,11 +176,13 @@ def cmd_propagate(args):
         "metrics.first_moment_delay_ps": delay,
         "metrics.loss_db": loss_db_total,
         "metrics.output_fwhm_ps": out.intensity_fwhm(),
-        **center,
+        "metrics.center_transmission": center,
         "grid.n": grid.n,
         "grid.dt_ps": grid.dt,
-        **solver,
     }
+    if td:
+        summary.update({f"solver.{key}": getattr(result, key)
+                        for key in ("nz", "nz_needed", "z_error_estimate", "peak_coherence")})
     if not args.chi_csv:
         summary.update(_medium_figures(the_medium))
     summary.update(checks)

@@ -269,9 +269,15 @@ def write_susceptibility_csv(path, grid: FrequencyGrid, chi: np.ndarray):
 
 
 def read_susceptibility_csv(path):
-    """Returns (detunings, chi) arrays; the caller resamples as needed."""
+    """Returns (detunings, chi) arrays; the caller resamples as needed.  A
+    passive medium has Im chi >= 0, so a gain medium is refused."""
     _, (w, re, im) = _read_table(path, SUSCEPTIBILITY_HEADER)
     _uniform_step(w, f"detuning axis of {path}")
+    if np.any(im < 0.0):
+        worst = int(np.argmin(im))
+        raise ConfigError(f"susceptibility CSV {path}: Im chi reads {float(im[worst])!r} at detuning "
+                          f"{float(w[worst])!r} 1/ps; a passive medium has Im chi >= 0 (is it gain, or conj(chi) "
+                          "under exp(-i w t)?)")
     return w, re + 1j * im
 
 

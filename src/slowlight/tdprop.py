@@ -30,8 +30,9 @@ Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
 transfer of the chi it samples once for its plan: exact in z with no
 series (nz = 1), and the input bit for bit where that transfer is exactly
-1.  ``delay_vs_control_scan`` plans every point before it solves any,
-then solves them all from one spectrum of the input.
+1.  ``delay_vs_control_scan`` plans every point before it solves any.
+``_constant`` takes the input's spectrum and each point's transfer from
+its caller, which builds each once: ``solve``, the scan, or ``propagate``.
 Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
@@ -222,18 +223,17 @@ def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: f
                        nz=nz, nz_needed=plan[0], z_error_estimate=error, peak_coherence=peak)
 
 
-def _constant(medium: RamanMedium, pulse: ComplexEnvelope, planned, checked: bool = True) -> list[SolveResult]:
-    """One SolveResult per ``(intensity, chi, plan)`` of ``planned``: FD's output
-    through the transfer of that chi, from one forward transform of the input.
+def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, checked=True) -> list[SolveResult]:
+    """One SolveResult per ``(intensity, transfer, plan)`` of ``planned``: FD's
+    output through that transfer from ``spectrum``, the input's transform.
     Checked, the peak coherence at z = 0 and z = L is read from the DFTs of the
     input (once) and the output at unit intensity, then scaled by sqrt(I)."""
-    spectrum = forward_transform(pulse)
     if checked:
         _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
         start = coherence_peak(np.fft.fft(pulse.samples))
     results = []
-    for intensity, chi, plan in planned:
-        output = fdprop._through(pulse, spectrum, fdprop.transfer_function(chi, medium.k0, medium.length_mm))
+    for intensity, transfer, plan in planned:
+        output = fdprop._through(pulse, spectrum, transfer)
         peak = math.sqrt(intensity) * max(start, coherence_peak(np.fft.fft(output.samples))) if checked else 0.0
         results.append(_result(output.samples, pulse, plan, 1, 0.0, peak))
     return results
@@ -284,7 +284,8 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
         )
     if control.envelope is None:
-        return _constant(medium, pulse, [(control.intensity, chi, plan)])[0]
+        transfer = fdprop.transfer_function(chi, medium.k0, medium.length_mm)
+        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, transfer, plan)])[0]
     return _march(medium, control, pulse, plan)
 
 
@@ -310,8 +311,9 @@ def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, chec
     for i in map(float, control_intensities):
         ControlField.constant(i)  # a negative intensity is refused first
         chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
-        planned.append((i, chi, _validate_resolution(medium, pulse, chi.values) if checked else (0, 0)))
-    results = _constant(medium, pulse, planned, checked)
+        plan = _validate_resolution(medium, pulse, chi.values) if checked else (0, 0)
+        planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), plan))
+    results = _constant(medium, pulse, forward_transform(pulse), planned, checked)
     outputs = [result.output for result in results]
     points = [ScanPoint(i, *metrics, tuple(result.warnings))
               for (i, _, _), result, metrics in zip(planned, results, delays_and_losses(pulse, outputs))]

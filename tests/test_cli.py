@@ -392,8 +392,14 @@ class TestAnalytic:
         ratio = delay[mask] / loss[mask]
         assert np.max(np.abs(ratio - ratio[0])) < 1e-9 * abs(ratio[0])
 
-    @pytest.mark.parametrize("flags", [[], ["--d0-max", "100", "--d0-step", "0.001"]], ids=["default", "1e5-rows"])
-    def test_rows_match_the_closed_forms(self, tmp_path, flags):
+    @pytest.mark.parametrize(
+        "flags, rows",
+        [([], 51), (["--d0-max", "100", "--d0-step", "0.001"], 100_001),
+         # no row past --d0-max (4.8, not 5.1), and 0.3 / 0.1 = 2.9999999999999996 still ends at the 4th row
+         (["--d0-max", "5", "--d0-step", "0.3"], 17), (["--d0-max", "0.3", "--d0-step", "0.1"], 4)],
+        ids=["default", "1e5-rows", "step-past-max", "quotient-below-integer"],
+    )
+    def test_rows_match_the_closed_forms(self, tmp_path, flags, rows):
         out = tmp_path / "out"
         assert main(["analytic", "--config", str(write_config(tmp_path)), "--out-dir", str(out), *flags]) == 0
         _, body = read_csv(out / "analytic_sweep.csv")
@@ -408,7 +414,7 @@ class TestAnalytic:
             media = (sl.from_target_depth(x, gamma, delta, 2 * np.pi / 765e-6, 30.0) for x in d0)
             figures = [sl.figures_of_merit(m) for m in media]
             oracles.append(np.array([(f.group_delay_ps, f.loss_db, f.delay_bandwidth_product) for f in figures]))
-        assert d0.size == (100_001 if flags else 51)
+        assert d0.size == rows
         for expected in oracles:
             assert np.all(np.abs(body[:, 1:] - expected) <= 1e-15 * np.abs(expected))
 
@@ -441,12 +447,51 @@ class TestPropagate:
         for name in ("input_envelope.csv", "output_envelope.csv", "spectrum_on.csv", "spectrum_off.csv"):
             assert (out / name).exists()
 
-    def test_fd_run_transforms_the_input_once(self, tmp_path, monkeypatch):
-        # the output goes through the transfer from the input spectrum the run already holds
-        seen = spy_forward_transforms(monkeypatch)
-        assert main(["propagate", "--config", str(write_config(tmp_path)), "--domain", "fd",
-                     "--out-dir", str(tmp_path / "out")]) == 0
-        assert len(seen) == 1
+    @pytest.mark.parametrize("domain, chi_samples", [("fd", 1), ("td", 2)], ids=["fd", "td"])
+    def test_constant_run_transforms_the_input_once(self, tmp_path, monkeypatch, domain, chi_samples):
+        # one chi, one transfer and one input spectrum give the output, spectrum_on.csv and the centre
+        # transmission in both domains; in TD only the check march samples chi again
+        seen, transfers, sampled = spy_forward_transforms(monkeypatch), [], []
+
+        def spy_transfer(chi, k0, length_mm, build=fdprop.transfer_function):
+            transfers.append(chi)
+            return build(chi, k0, length_mm)
+
+        def spy_chi(medium, omega, chi=fdprop.medium_chi):
+            sampled.append(medium.control_intensity)
+            return chi(medium, omega)
+
+        monkeypatch.setattr(fdprop, "transfer_function", spy_transfer)
+        monkeypatch.setattr(fdprop, "medium_chi", spy_chi)
+        argv = ["propagate", "--config", str(EXAMPLE), "--domain", domain, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert (len(seen), len(transfers), len(sampled)) == (1, 1, chi_samples)
+
+    def test_fd_refuses_a_shaped_control(self, tmp_path, capsys):
+        # FD has no time-varying control: the shape would be dropped without a word
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, CONFIG.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0"))
+        assert main(["propagate", "--config", str(cfg), "--domain", "fd", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: propagate --domain fd assumes constant control; "
+                                           "use --domain td for control.kind = gaussian\n")
+        assert list(out.iterdir()) == []
+
+    def test_gain_medium_from_chi_csv_is_refused(self, tmp_path, capsys):
+        # a kk output read under the opposite Fourier convention arrives as conj(chi): gain, not absorption
+        assert main(["kk", "--absorption-csv", str(ktp_absorption_path()), "--center-nm", "765.85", "--lambda0-nm",
+                     "765.0", "--length-mm", "30.0", "--force-taper", "--out-dir", str(tmp_path / "kk")]) == 0
+        header, *rows = (tmp_path / "kk" / "susceptibility.csv").read_text().splitlines()
+        table = np.array([[float(x) for x in row.split(",")] for row in rows])
+        conjugated = tmp_path / "conj.csv"
+        conjugated.write_text("\n".join([header, *("%.17g,%.17g,%.17g" % (w, re, -im) for w, re, im in table)]) + "\n")
+        detuning, _, peak = table[np.argmax(table[:, 2])].tolist()
+        assert main(["propagate", "--config", str(EXAMPLE), "--domain", "fd", "--chi-csv", str(conjugated),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: susceptibility CSV {conjugated}: Im chi reads {-peak!r} "
+                              f"at detuning {detuning!r} 1/ps; ")
 
     def test_control_off_identity(self, tmp_path):
         # H is exactly unity with the control off, so both domains return the pulse itself:

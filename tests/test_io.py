@@ -40,7 +40,7 @@ def test_envelope_requires_uniform_time(tmp_path):
 
 def test_susceptibility_round_trip(tmp_path):
     grid = sl.TimeGrid.centered(2**9, 0.1).frequency_grid()
-    chi = np.exp(1j * grid.omegas) / (1.0 + grid.omegas**2)
+    chi = (np.exp(1j * grid.omegas) + 1j) / (1.0 + grid.omegas**2)  # passive: Im chi = (1 + sin w) / (1 + w^2)
     path = tmp_path / "chi.csv"
     io.write_susceptibility_csv(path, grid, chi)
     text = path.read_text()
