@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, fdprop, io, medium as med, tdprop
 from .config import _NON_NEGATIVE, _POSITIVE, _SAMPLE_COUNT, _WAVELENGTH, SimulationConfig, _read, load_config
 from .config import wavenumber
-from .errors import ConfigError, SlowLightError
+from .errors import AmbiguousWidthError, ConfigError, SlowLightError
 from .kramers_kronig import (
     Susceptibility,
     group_delay_from_susceptibility,
@@ -58,7 +58,7 @@ def cmd_analytic(args):
     started = time.monotonic()
     # the last row at or below d0_max, within a few ulps: 0.3 / 0.1 reads 2.9999999999999996 and gives 4 rows
     count = math.floor(args.d0_max / args.d0_step * (1.0 + 4.0 * sys.float_info.epsilon)) + 1
-    d0_values = np.arange(count) * args.d0_step
+    d0_values = np.minimum(np.arange(count) * args.d0_step, args.d0_max)  # 3 * 0.1 is 0.30000000000000004
     # delay, loss and DBP are each linear in d0, so one unit-depth medium gives every row
     unit = med.figures_of_merit(med.from_target_depth(1.0, m.gamma_invps, m.delta_invps, m.k0, m.length_mm))
     d0_unity = 1.0 / unit.delay_bandwidth_product
@@ -114,13 +114,13 @@ def _set_up(config: SimulationConfig):
     return grid, config.signal.build(grid), config.medium.build()
 
 
-def _td_fd_check(the_medium, pulse, fd_out):
+def _td_fd_check(the_medium, pulse, fd_out, plan):
     """The summary key of the relative L2 gap between ``fd_out``, the FD
     output at the medium's control intensity, and the Taylor march of a
-    shaped control run there under an envelope of ones; and a warning past
-    _TD_FD_L2_BUDGET."""
+    shaped control run there under an envelope of ones, on ``plan``, the
+    run's own; and a warning past _TD_FD_L2_BUDGET."""
     ones = tdprop.ControlField(the_medium.control_intensity, np.ones(pulse.grid.n))
-    gap = analysis.relative_l2_error(tdprop.solve(the_medium, ones, pulse).output, fd_out)
+    gap = analysis.relative_l2_error(tdprop._march(the_medium, ones, pulse, plan).output, fd_out)
     warnings = [f"the TD output differs from the FD output by {gap:.3g} relative L2 "
                 f"(> {_TD_FD_L2_BUDGET:g}), so the TD solve is not confirmed here"] if gap > _TD_FD_L2_BUDGET else []
     return {"metrics.td_fd_l2_error": gap}, warnings
@@ -167,15 +167,19 @@ def cmd_propagate(args):
     if loss_db_total > _MAX_LOSS_DB:  # before the width: rounding noise has no single one
         raise ValueError(f"the output is {loss_db_total:.4g} dB below its input; past {_MAX_LOSS_DB:g} dB (an amplitude "
                          "ratio of 1e-15, a few times the input's rounding) it is rounding, not a pulse")
+    try:
+        width = out.intensity_fwhm()
+    except AmbiguousWidthError as exc:
+        raise AmbiguousWidthError(f"the output envelope has no single intensity FWHM: {exc}") from None
     if td and fixed:
-        checks, gap_warnings = _td_fd_check(the_medium, pulse, out)
+        checks, gap_warnings = _td_fd_check(the_medium, pulse, out, plan)
         warnings = [*warnings, *gap_warnings]
     summary = {
         "run.command": f"propagate.{args.domain}",
         "run.chi_source": "csv" if args.chi_csv else "model",
         "metrics.first_moment_delay_ps": delay,
         "metrics.loss_db": loss_db_total,
-        "metrics.output_fwhm_ps": out.intensity_fwhm(),
+        "metrics.output_fwhm_ps": width,
         "metrics.center_transmission": center,
         "grid.n": grid.n,
         "grid.dt_ps": grid.dt,
@@ -203,7 +207,7 @@ def cmd_sweep(args):
         raise ConfigError("sweep assumes constant control during each point")
 
     _, pulse, base_medium = _set_up(config)
-    points, outputs = tdprop._scan(base_medium, intensities, pulse, checked=args.domain == "td")
+    points, solved = tdprop._scan(base_medium, intensities, pulse, checked=args.domain == "td")
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3 and any(p.intensity > 0 for p in points):  # else no slope to fit
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
@@ -212,9 +216,9 @@ def cmd_sweep(args):
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
-        top_point, top_output = max(zip(points, outputs), key=lambda pair: pair[0].intensity)
+        top_point, (top_output, top_plan) = max(zip(points, solved), key=lambda pair: pair[0].intensity)
         top = top_point.intensity
-        check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_output)
+        check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_output, top_plan)
         summary.update(check)
         warnings += [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"

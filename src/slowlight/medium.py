@@ -6,11 +6,12 @@ The medium consists of two Raman absorption lines at detunings -Delta/2
 and +Delta/2 from the two-photon midpoint.  Each line contributes a
 Lorentzian of strength ``c = g * |E_c|^2`` to the susceptibility
 
-    chi(w) = (i/k0) * sum_nu  c_nu / (Gamma_nu - i*(w - center_nu))
+    chi(w) = (i/k0) * sum_nu  c_nu s_nu(w),  s_nu(w) = 1 / (Gamma_nu - i*(w - center_nu))
 
 so Im(chi) >= 0 (absorption, never gain) and the dispersion between the
-lines is normal: the transparency window slows pulses down.  The on-line
-peak optical depth of one line is d0 = L * c / Gamma.
+lines is normal: the transparency window slows pulses down.  The line
+response s_nu is written once, here, for chi and the time-domain operator.
+The on-line peak optical depth of one line is d0 = L * c / Gamma.
 """
 
 from __future__ import annotations
@@ -109,13 +110,15 @@ def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_m
     return symmetric_doublet(d0 * gamma / length_mm, gamma, delta, k0, length_mm)
 
 
+def _line_responses(medium: RamanMedium, omega) -> list:
+    """Each line's response 1 / (Gamma_nu - i (omega - c_nu)) at ``omega``, in line order."""
+    w = np.asarray(omega, dtype=float)
+    return [1.0 / (line.linewidth - 1j * (w - line.center_detuning)) for line in medium.lines]
+
+
 def chi(medium: RamanMedium, omega) -> np.ndarray | complex:
     """Complex linear susceptibility at detuning ``omega`` (scalar or array)."""
-    w = np.asarray(omega, dtype=float)
-    out = np.zeros(w.shape, dtype=complex)
-    for line, c in zip(medium.lines, medium.line_strengths):
-        out += c / (line.linewidth - 1j * (w - line.center_detuning))
-    out *= 1j / medium.k0
+    out = sum(c * s for c, s in zip(medium.line_strengths, _line_responses(medium, omega))) * (1j / medium.k0)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return complex(out)
     return out

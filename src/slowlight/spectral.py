@@ -217,12 +217,16 @@ def synthesize_pulse(
 
     fgrid = grid.frequency_grid()
     w = fgrid.omegas
-    if shape == "gaussian":
-        # spectral intensity FWHM = width
-        mag = np.exp(-2.0 * np.log(2.0) * (w / width) ** 2)
-    else:
-        mag = (np.abs(w) <= width / 2.0).astype(float)
-    phase = 0.5 * quadratic_spectral_phase * w**2
+    with np.errstate(over="ignore"):  # an exponent past the float range is exp(-inf) = 0; a phase is refused
+        if shape == "gaussian":
+            # spectral intensity FWHM = width
+            mag = np.exp(-2.0 * np.log(2.0) * (w / width) ** 2)
+        else:
+            mag = (np.abs(w) <= width / 2.0).astype(float)
+        phase = 0.5 * quadratic_spectral_phase * w**2
+    if not np.all(np.isfinite(phase)):
+        raise GridResolutionError(f"spectral phase curvature {quadratic_spectral_phase:g} ps^2 puts the phase past "
+                                  f"the float range on this grid, whose |omega| reaches {np.max(np.abs(w)):.4g} 1/ps")
     spec = SpectralEnvelope(grid=fgrid, samples=mag * np.exp(1j * phase))
     env = inverse_transform(spec)
     energy = env.energy()

@@ -18,13 +18,13 @@ linear A that does not depend on z.  The window is one period, as it is
 for the FD transfer function, so each coherence ODE is solved on the DFT
 modes of the tau grid: a drive mode at detuning omega is answered exactly
 by line nu's response s_nu(omega) = 1 / (Gamma_nu - i (omega - c_nu)),
-c_nu = -+Delta/2 its centre, the Fourier pseudo-spectral method
-(Trefethen, "Spectral Methods in MATLAB", SIAM 2000).  Both lines are
-driven by Ec* E and emit through Ec, so A = diag(Ec) C diag(Ec*) with C
-circulant (Davis, "Circulant Matrices", 1979), and under any control one
-application of A is Ec ifft(lambda fft(Ec* E)), with
-lambda = -sum_nu (g_nu / 2) s_nu the eigenvalues of C: i k0 chi / 2 at
-unit intensity, the FD exponent per unit length.
+c_nu = -+Delta/2 its centre, which ``medium`` gives chi too: the Fourier
+pseudo-spectral method (Trefethen, "Spectral Methods in MATLAB", SIAM
+2000).  Both lines are driven by Ec* E and emit through Ec, so
+A = diag(Ec) C diag(Ec*) with C circulant (Davis, "Circulant Matrices",
+1979), and under any control one application of A is Ec ifft(lambda
+fft(Ec* E)), with lambda = -sum_nu (g_nu / 2) s_nu the eigenvalues of C:
+i k0 chi / 2 at unit intensity, the FD exponent per unit length.
 
 Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
@@ -38,8 +38,8 @@ Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 substeps as keep each one's phase to 4, each until a term is negligible,
 so it is exact in z to rounding; in tau it errs only by the part of the
 drive's spectrum that lies past the band edge.  Run with an envelope of
-ones, that march is the check beside a constant-control output: its gap
-to FD's output is what the CLI reports as ``metrics.td_fd_l2_error``.
+ones on a constant-control run's own plan, that march is the check beside
+its output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from . import fdprop
 from .analysis import delays_and_losses
 from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
-from .medium import RamanMedium
+from .medium import RamanMedium, _line_responses
 from .spectral import ComplexEnvelope, TimeGrid, forward_transform, interpolated_fwhm
 
 _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
@@ -96,8 +96,8 @@ class ControlField:
     def flat_top(cls, grid: TimeGrid, fwhm_ps: float, intensity: float, order: int = 4) -> "ControlField":
         """Super-Gaussian (flat-topped) intensity envelope, centered at t = 0."""
         _require(_POSITIVE, "control FWHM", fwhm_ps)
-        t = grid.times
-        amp = np.exp(-np.log(2.0) * (2.0 * t / fwhm_ps) ** (2 * order))
+        with np.errstate(over="ignore"):  # an exponent past the float range is exp(-inf) = 0
+            amp = np.exp(-np.log(2.0) * (2.0 * grid.times / fwhm_ps) ** (2 * order))
         return cls(intensity=intensity, envelope=amp.astype(complex))
 
     def amplitude(self, n: int) -> float | np.ndarray:
@@ -179,7 +179,7 @@ def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     """A at control amplitude ``ec`` (a scalar, or one per sample) as
     ``(apply, eigenvalues, coherence_peak)``.  ``eigenvalues`` are those of
     the circulant C, lambda_j = -sum_nu (g_nu / 2) s_nu(omega_j) with
-    s_nu = 1 / (Gamma_nu - i (omega - c_nu)) line nu's response, so
+    s_nu = 1 / (Gamma_nu - i (omega - c_nu)) line nu's response in medium, so
     lambda_j = i k0 chi(omega_j) / 2 at unit intensity, FD's exponent per
     unit length; omega_j is FD's detuning on DFT bin j.
     ``apply(e_field, out, peak=False)`` writes A e_field =
@@ -189,8 +189,7 @@ def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     fft(conj(ec) E): line nu's coherence is ifft(i k_nu s_nu spectrum)."""
     n = grid.n
     omegas = grid.frequency_grid().omegas[(n // 2 - np.arange(n)) % n]  # fft(E)_j = S(omega_j) / dt up to a phase
-    responses = [(line.strength_per_intensity, 1.0 / (line.linewidth - 1j * (omegas - line.center_detuning)))
-                 for line in medium.lines]
+    responses = list(zip((line.strength_per_intensity for line in medium.lines), _line_responses(medium, omegas)))
     eigenvalues = -sum(g / 2.0 * s for g, s in responses)
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
     coherence_symbols = [1j * math.sqrt(g / 2.0) * s for g, s in responses]
@@ -304,7 +303,7 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
 
 
 def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
-    """The points of ``delay_vs_control_scan`` and the output behind each.
+    """The points of ``delay_vs_control_scan`` and the (output, plan) behind each.
     Unchecked, as in an FD sweep, no point is planned, so none is refused,
     and no coherence is read, so none is warned about."""
     fgrid, planned = pulse.grid.frequency_grid(), []
@@ -317,7 +316,7 @@ def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, chec
     outputs = [result.output for result in results]
     points = [ScanPoint(i, *metrics, tuple(result.warnings))
               for (i, _, _), result, metrics in zip(planned, results, delays_and_losses(pulse, outputs))]
-    return points, outputs
+    return points, [(output, plan) for output, (_, _, plan) in zip(outputs, planned)]
 
 
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:

@@ -1,4 +1,5 @@
 import gc
+import os
 import re
 import runpy
 import subprocess
@@ -38,12 +39,15 @@ nz = 256
 """
 
 
-EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE = ROOT / "configs" / "example.ini"
+# a spawned interpreter imports slowlight from this checkout, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args):
     cmd = [sys.executable, "-m", "slowlight", *map(str, args)]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, env=ENV)
 
 
 def write_config(tmp_path, text=CONFIG, name="run.ini"):
@@ -80,9 +84,20 @@ def spy_forward_transforms(monkeypatch):
     return seen
 
 
+def spy_plans(monkeypatch, plans):
+    """Append to ``plans`` each plan ``tdprop._validate_resolution`` makes."""
+    validate = tdprop._validate_resolution
+
+    def spy(medium, pulse, chi):
+        plans.append(validate(medium, pulse, chi))
+        return plans[-1]
+
+    monkeypatch.setattr(tdprop, "_validate_resolution", spy)
+
+
 def test_import_leaves_scipy_out():
     code = "import sys, slowlight; assert 'scipy' not in sys.modules, 'scipy imported'"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
     assert cp.returncode == 0, cp.stderr
 
 
@@ -109,7 +124,7 @@ def test_profiled_run_prints_its_stats_and_writes_its_outputs(tmp_path):
     out = tmp_path / "out"
     cmd = [sys.executable, "-m", "cProfile", "-m", "slowlight", "analytic", "--config", str(write_config(tmp_path)),
            "--out-dir", str(out)]
-    cp = subprocess.run(cmd, capture_output=True, text=True)
+    cp = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
     assert cp.returncode == 0, cp.stderr
     assert "function calls" in cp.stdout and "Ordered by" in cp.stdout
     assert (out / "analytic_sweep.csv").is_file()
@@ -319,8 +334,42 @@ def test_ambiguous_width_exits_3_with_one_short_line(tmp_path, capsys, domain):
     cfg = write_config(tmp_path, CONFIG.replace("bandwidth_invps = 1.8", "bandwidth_invps = 1.8\ngdd_ps2 = 1e300"))
     assert main(["propagate", "--domain", domain, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: found 9 half-maximum crossing pairs, the first (")
-    assert "np.float64" not in err and len(err) < 200
+    cause = "error: the output envelope has no single intensity FWHM: "
+    assert err.count("\n") == 1 and err.startswith(cause + "found 9 half-maximum crossing pairs, the first (")
+    assert "np.float64" not in err and len(err) - len(cause) < 200
+
+
+@pytest.mark.parametrize("fwhm_ps", ["0.2", "0.5", "1.0"])
+def test_td_output_split_by_a_short_control_exits_3_naming_the_output(tmp_path, capsys, fwhm_ps):
+    # a flat-topped control shorter than the 3 ps signal cuts its output in two, so the output has no one width
+    cfg = write_config(tmp_path, CONFIG.replace("kind = constant", f"kind = flat_top\nfwhm_ps = {fwhm_ps}"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["propagate", "--domain", "td", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: the output envelope has no single intensity FWHM: found 2 half-maximum crossing pairs")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "flat_top"])
+def test_control_shorter_than_the_float_range_runs_without_a_warning(tmp_path, capsys, kind):
+    # (2 t / 1e-300)^2 overflows: the envelope is exp(-inf) = 0 there, with no RuntimeWarning, which the suite
+    # turns into an error
+    cfg = write_config(tmp_path, CONFIG.replace("kind = constant", f"kind = {kind}\nfwhm_ps = 1e-300"))
+    assert main(["propagate", "--domain", "td", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_phase_curvature_past_the_float_range_exits_3_naming_it(tmp_path, capsys):
+    # 0.5 * 1e306 * omega^2 overflows at the grid's edge detunings: the curvature is the cause, not a lack of energy
+    cfg = write_config(tmp_path, CONFIG.replace("bandwidth_invps = 1.8", "bandwidth_invps = 1.8\ngdd_ps2 = 1e306"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["propagate", "--config", str(cfg), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: spectral phase curvature 1e+306 ps^2 ")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -395,7 +444,8 @@ class TestAnalytic:
     @pytest.mark.parametrize(
         "flags, rows",
         [([], 51), (["--d0-max", "100", "--d0-step", "0.001"], 100_001),
-         # no row past --d0-max (4.8, not 5.1), and 0.3 / 0.1 = 2.9999999999999996 still ends at the 4th row
+         # no row past --d0-max (4.8, not 5.1), and 0.3 / 0.1 = 2.9999999999999996 still ends at the 4th row,
+         # 0.3 itself rather than 3 * 0.1 = 0.30000000000000004
          (["--d0-max", "5", "--d0-step", "0.3"], 17), (["--d0-max", "0.3", "--d0-step", "0.1"], 4)],
         ids=["default", "1e5-rows", "step-past-max", "quotient-below-integer"],
     )
@@ -415,6 +465,7 @@ class TestAnalytic:
             figures = [sl.figures_of_merit(m) for m in media]
             oracles.append(np.array([(f.group_delay_ps, f.loss_db, f.delay_bandwidth_product) for f in figures]))
         assert d0.size == rows
+        assert d0.max() <= float(flags[1] if flags else 5.0)  # the --d0-max of the run
         for expected in oracles:
             assert np.all(np.abs(body[:, 1:] - expected) <= 1e-15 * np.abs(expected))
 
@@ -447,11 +498,11 @@ class TestPropagate:
         for name in ("input_envelope.csv", "output_envelope.csv", "spectrum_on.csv", "spectrum_off.csv"):
             assert (out / name).exists()
 
-    @pytest.mark.parametrize("domain, chi_samples", [("fd", 1), ("td", 2)], ids=["fd", "td"])
-    def test_constant_run_transforms_the_input_once(self, tmp_path, monkeypatch, domain, chi_samples):
+    @pytest.mark.parametrize("domain", ["fd", "td"])
+    def test_constant_run_transforms_the_input_once(self, tmp_path, monkeypatch, domain):
         # one chi, one transfer and one input spectrum give the output, spectrum_on.csv and the centre
-        # transmission in both domains; in TD only the check march samples chi again
-        seen, transfers, sampled = spy_forward_transforms(monkeypatch), [], []
+        # transmission in both domains; in TD that chi is planned once, and the check marches on that plan
+        seen, transfers, sampled, plans = spy_forward_transforms(monkeypatch), [], [], []
 
         def spy_transfer(chi, k0, length_mm, build=fdprop.transfer_function):
             transfers.append(chi)
@@ -463,9 +514,10 @@ class TestPropagate:
 
         monkeypatch.setattr(fdprop, "transfer_function", spy_transfer)
         monkeypatch.setattr(fdprop, "medium_chi", spy_chi)
+        spy_plans(monkeypatch, plans)
         argv = ["propagate", "--config", str(EXAMPLE), "--domain", domain, "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 0
-        assert (len(seen), len(transfers), len(sampled)) == (1, 1, chi_samples)
+        assert (len(seen), len(transfers), len(sampled), len(plans)) == (1, 1, 1, domain == "td")
 
     def test_fd_refuses_a_shaped_control(self, tmp_path, capsys):
         # FD has no time-varying control: the shape would be dropped without a word
@@ -799,19 +851,21 @@ class TestSweep:
         assert scans[0] == scans[1]
 
     def test_td_sweep_solves_each_point_once(self, tmp_path, monkeypatch):
-        # chi is sampled once per point, at its own intensity, and the TD-FD check reads the top point's
-        # output from the scan; only the check march at that point samples chi again
-        sampled = []
+        # chi is sampled and planned once per point, at its own intensity, and the TD-FD check reads the
+        # top point's output and plan from the scan
+        sampled, plans = [], []
 
         def spy(medium, omega, chi=fdprop.medium_chi):
             sampled.append(medium.control_intensity)
             return chi(medium, omega)
 
         monkeypatch.setattr(fdprop, "medium_chi", spy)
+        spy_plans(monkeypatch, plans)
         text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0")
         assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
                      "--out-dir", str(tmp_path / "out")]) == 0
-        assert sampled == [0.0, 0.5, 1.0, 1.0]
+        assert sampled == [0.0, 0.5, 1.0]
+        assert len(plans) == 3
 
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -886,6 +940,18 @@ class TestXcorr:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "dt = 0.06 ps on 16384 samples, and 64, the largest" in err
+
+    def test_reference_past_the_float_range_exits_3_without_a_warning(self, tmp_path, capsys):
+        # the reference's Gaussian exponent overflows off its centre: exp(-inf) = 0 with no RuntimeWarning, which
+        # the suite turns into an error, before the one line that refuses a reference wider than the correlation
+        from slowlight import io as sio
+
+        path = tmp_path / "signal.csv"
+        sio.write_envelope_csv(path, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=3.0))
+        argv = ["xcorr", "--signal-csv", str(path), "--ref-duration-ps", "1e300", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must exceed the reference width 1e+300" in err
 
     def test_metrics_and_delay(self, tmp_path):
         from slowlight import io as sio

@@ -251,6 +251,26 @@ class TestOperator:
         expected = 0.5j * K0 * sl.chi(medium, bin_detunings(grid))
         assert np.max(np.abs(eigenvalues - expected) / np.abs(expected)) <= 1e-15
 
+    def test_chi_and_the_eigenvalues_weight_the_same_line_responses(self, monkeypatch):
+        # medium writes each line's response once: on the DFT-bin detunings, chi is i/k0 times the
+        # strength-weighted sum of the very responses the eigenvalues -sum (g/2) s are built from, bit for bit
+        grid = sl.TimeGrid.centered(2**10, 0.06)
+        lines = (sl.RamanLine(-DELTA / 2, 0.7, 0.2), sl.RamanLine(DELTA / 2, 1.3, 0.05))
+        medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=LENGTH, k0=K0)
+        seen = []
+
+        def spy(medium, omega, responses=tdprop._line_responses):
+            seen.append((omega, responses(medium, omega)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(tdprop, "_line_responses", spy)
+        _, eigenvalues, _ = _operator(medium, 1.0, grid)
+        [(omegas, (s_lo, s_hi))] = seen
+        (g_lo, g_hi), (c_lo, c_hi) = (line.strength_per_intensity for line in lines), medium.line_strengths
+        assert np.array_equal(omegas, bin_detunings(grid))
+        assert np.array_equal(sl.chi(medium, omegas), (c_lo * s_lo + c_hi * s_hi) * (1j / K0))
+        assert np.array_equal(eigenvalues, -(g_lo / 2.0 * s_lo + g_hi / 2.0 * s_hi))
+
     @settings(max_examples=20, deadline=None)
     @given(
         log2_n=st.integers(3, 12),
