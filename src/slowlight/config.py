@@ -26,6 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import errors, spectral
 from .errors import ConfigError
+from .io import _read_text
 from .medium import RamanMedium, symmetric_doublet
 from .spectral import PULSE_SHAPES, ComplexEnvelope, TimeGrid, synthesize_pulse
 from .spectral import _MIN_SAMPLES_PER_FWHM, _transform_limited_duration
@@ -236,12 +237,9 @@ def _load_section(cls, name: str, given):
 def load_config(path) -> SimulationConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            parser.read_file(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        parser.read_string(_read_text(path), source=str(path))
+    except configparser.Error as exc:  # its text names the file and the line, over several lines
+        raise ConfigError(f"malformed config: {' '.join(str(exc).split())}") from exc
 
     # older resolved_config.ini files carry [solver] nz = <int> and scheme = midpoint, which no run reads
     for key, text in parser.items("solver") if parser.has_section("solver") else ():

@@ -17,10 +17,12 @@ Each file is streamed as bytes into a temp file beside it, a block of
 memory for one block and a failed write leaves neither file behind.
 
 Tables under one block are formatted by ``%``; numpy encodes larger ones
-a block at a time.  For each cell it estimates ``e10 = floor(log10|x|)``
-and forms ``|x| 10**(16 - e10)`` as an exact double-double (Dekker's split
-product with a double-double power of ten), so the 17-digit integer and its
-fraction are known to within 2**-47.  It rounds to nearest, moves a carry
+a block at a time.  For each cell it takes the decade ``e10`` exactly:
+``floor(log10|x|)`` corrected against the least doubles at or above
+``10**e10`` and ``10**(e10 + 1)``.  It forms ``|x| 10**(16 - e10)`` as an
+exact double-double (Dekker's split product with a double-double power of
+ten, from the same table), so the 17-digit integer and its fraction are
+known to within 2**-47.  It rounds to nearest, moves a carry
 to the next decade, and lays out the digits, sign, ``0.000`` prefix, ``.``
 and ``e+dd`` suffix as ``%.17g`` does.  Cells it cannot prove take their
 text from ``%``, once per distinct value: zeros, nan, inf, ``|x|`` outside
@@ -92,7 +94,7 @@ def _table_chunks(header: str, columns):
 _WIDTH = 48
 _BLOCK_ROWS = 2048
 _FAST = (1e-280, 1e280)
-_E_MIN, _E_MAX = -282, 282  # the e10 the fast path meets, re-solve included
+_E_MIN, _E_MAX = -282, 282  # the e10 the fast path meets, a carry included
 _TIE = 2.0**-30  # far above the 2**-47 error of the scaled product
 _SPLIT = 134217729.0  # 2**27 + 1
 _NO_DOT = 17  # past the last dot slot: no "." in the digits
@@ -109,9 +111,10 @@ def _words(rows) -> np.ndarray:
 @functools.cache
 def _encoder_tables():
     """Read-only tables of the encoder, built once from Python ints (int / int
-    and float(int) round correctly):
+    rounds correctly):
 
-    hi, lo    double-double 10**(16 - e10) for _E_MIN <= e10 <= _E_MAX
+    hi, lo    double-double 10**p for _E_MIN <= p <= 16 - _E_MIN
+    least     the least double at or above 10**p
     quads     the 10**4 four-digit groups, "d.d.d.d."
     zeros     trailing zeros of each group (4 for 0000)
     heads     sign, "0.000" prefix of length 0 or 2..5, first digit and "."
@@ -119,18 +122,14 @@ def _encoder_tables():
     suffixes  "e+dd" / "e-ddd" per e10, empty where %g prints fixed
     """
     hi, lo = [], []
-    for e10 in range(_E_MIN, _E_MAX + 1):
-        p = 16 - e10
-        if p >= 0:
-            exact = 10**p
-            head = float(exact)
-            lo.append(float(exact - int(head)))
-        else:
-            scale = 10**-p
-            head = 1 / scale
-            num, den = head.as_integer_ratio()
-            lo.append((den - num * scale) / (den * scale))
+    for p in range(_E_MIN, 17 - _E_MIN):
+        num, den = 10 ** max(p, 0), 10 ** max(-p, 0)
+        head = num / den
+        head_num, head_den = head.as_integer_ratio()
         hi.append(head)
+        lo.append((num * head_den - head_num * den) / (den * head_den))
+    hi, lo = np.array(hi), np.array(lo)
+    least = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
     # group abcd as axes (a, b, c, d) of a 10**4 grid
     quads = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
     trailing = np.zeros((10, 10, 10, 10), np.int8)
@@ -156,7 +155,7 @@ def _encoder_tables():
     suffixes = _words([
         b"" if -4 <= e10 < 17 else b"e%+03d" % e10 for e10 in range(_E_MIN, _E_MAX + 1)
     ])[:, 0]
-    tables = np.array(hi), np.array(lo), quads, zeros, heads, masks, suffixes
+    tables = hi, lo, least, quads, zeros, heads, masks, suffixes
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -171,14 +170,15 @@ def _split(v):
 
 def _scaled(a, e10):
     """(D, frac) with D + frac = a 10**(16 - e10) to within 2**-47, where
-    D is an int64 and 0 <= frac <= 1, for D in [1e16, 1e17)."""
+    D is an int64 and 0 <= frac <= 1, for a in [10**e10, 10**(e10 + 1))."""
     hi, lo = _encoder_tables()[:2]
-    h = hi[e10 - _E_MIN]
+    row = 16 - e10 - _E_MIN
+    h = hi[row]
     product = a * h
     a_head, a_tail = _split(a)
     h_head, h_tail = _split(h)
     error = ((a_head * h_head - product) + a_head * h_tail + a_tail * h_head) + a_tail * h_tail
-    tail = error + a * lo[e10 - _E_MIN]
+    tail = error + a * lo[row]
     whole = np.floor(tail)
     return product.astype(np.int64) + whole.astype(np.int64), tail - whole
 
@@ -189,26 +189,17 @@ def _encode_cells(x) -> np.ndarray:
     a = np.abs(x)
     fast = (a > _FAST[0]) & (a < _FAST[1])
     a = np.where(fast, a, 1.0)
+    least, quads, zeros, heads, masks, suffixes = _encoder_tables()[2:]
     e10 = np.floor(np.log10(a)).astype(np.int64)
+    # the decade exactly, 10**e10 <= a < 10**(e10 + 1): floor(log10) is one off next to a power of ten
+    e10 += (a >= least[e10 + 1 - _E_MIN]).astype(np.int64) - (a < least[e10 - _E_MIN])
     digits, frac = _scaled(a, e10)
-    # log10 can miss the decade by one next to a power of ten
-    shift = (digits >= 10**17).astype(np.int64) - (digits < 10**16)
-    again = np.flatnonzero(shift)
-    if again.size:
-        e10[again] += shift[again]
-        digits[again], frac[again] = _scaled(a[again], e10[again])
-        # past the far end of the new decade too: |x| is 10**k to within the
-        # error, which both decades print as 1e16 in the upper one
-        bounced = again[(digits[again] < 10**16) | (digits[again] >= 10**17)]
-        e10[bounced] += shift[bounced] < 0
-        digits[bounced], frac[bounced] = 10**16, 0.0
     fast &= np.abs(frac - 0.5) > _TIE
     digits += frac > 0.5
     carry = digits == 10**17
     digits[carry] = 10**16
     e10 += carry
 
-    _, _, quads, zeros, heads, masks, suffixes = _encoder_tables()
     top, rest = np.divmod(digits, 10**16)
     groups = []
     for half in np.divmod(rest, 10**8):
@@ -315,26 +306,29 @@ def write_summary(path, entries: dict):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _open_csv(path):
+def _read_text(path) -> str:
+    """The text of the UTF-8 input file ``path``; ConfigError naming the
+    file when it cannot be opened or decoded."""
     try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_table(path, *headers: str):
     """(header, columns) of a CSV whose header is one of ``headers``."""
-    with _open_csv(path) as handle:
-        header = handle.readline().strip()
-        if header not in headers:
-            expected = " or ".join(map(repr, headers))
-            raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
-                body = np.loadtxt(handle, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"malformed CSV {path}: {exc}") from None
+    header, _, body = _read_text(path).partition("\n")
+    header = header.strip()
+    if header not in headers:
+        expected = " or ".join(map(repr, headers))
+        raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
+            body = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"malformed CSV {path}: {exc}") from None
     if body.size == 0:
         raise ConfigError(f"malformed CSV {path}: no data rows")
     if body.shape[1] != len(header.split(",")):

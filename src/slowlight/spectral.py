@@ -216,6 +216,9 @@ def synthesize_pulse(
         )
 
     fgrid = grid.frequency_grid()
+    on_grid = f"on the grid of {grid.n} samples at dt = {grid.dt:.4g} ps"
+    if not np.isfinite(fgrid.domega):
+        raise GridResolutionError(f"the detuning axis overflows the float range {on_grid}")
     w = fgrid.omegas
     with np.errstate(over="ignore"):  # an exponent past the float range is exp(-inf) = 0; a phase is refused
         if shape == "gaussian":
@@ -223,15 +226,16 @@ def synthesize_pulse(
             mag = np.exp(-2.0 * np.log(2.0) * (w / width) ** 2)
         else:
             mag = (np.abs(w) <= width / 2.0).astype(float)
-        phase = 0.5 * quadratic_spectral_phase * w**2
+        phase = 0.5 * quadratic_spectral_phase * w**2 if quadratic_spectral_phase else 0.0
     if not np.all(np.isfinite(phase)):
         raise GridResolutionError(f"spectral phase curvature {quadratic_spectral_phase:g} ps^2 puts the phase past "
                                   f"the float range on this grid, whose |omega| reaches {np.max(np.abs(w)):.4g} 1/ps")
     spec = SpectralEnvelope(grid=fgrid, samples=mag * np.exp(1j * phase))
     env = inverse_transform(spec)
-    energy = env.energy()
-    if not energy > 0:  # nan where the detuning axis squared overflows
-        raise GridResolutionError("synthesized pulse has no energy on this grid")
+    with np.errstate(over="ignore"):  # an energy past the float range is inf, refused below
+        energy = env.energy()
+    if not 0 < energy < np.inf:
+        raise GridResolutionError(f"synthesized pulse energy {energy:g} is not positive and finite {on_grid}")
     env.samples = env.samples / np.sqrt(energy)
     return env
 

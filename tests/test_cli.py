@@ -223,6 +223,35 @@ def test_header_only_csv_exits_2_with_one_line(tmp_path, argv, header):
     assert cp.stderr == f"error: malformed CSV {path}: no data rows\n"
 
 
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["xcorr", "--signal-csv", "{bad}"], "time_ps,re,im"),
+        (["xcorr", "--signal-csv", "{signal}", "--off-csv", "{bad}"], "time_ps,re,im"),
+        (["propagate", "--config", "{config}", "--chi-csv", "{bad}"], "detuning_invps,chi_re,chi_im"),
+        ([arg.replace("{csv}", "{bad}") for arg in KK_ARGV], "wavelength_nm,absorption"),
+        (["analytic", "--config", "{bad}"], None),
+        (["propagate", "--config", "{bad}"], None),
+        (["sweep", "--config", "{bad}"], None),
+    ],
+    ids=["xcorr-signal", "xcorr-off", "chi-csv", "kk", "analytic-config", "propagate-config", "sweep-config"],
+)
+def test_input_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, argv, header):
+    bad = tmp_path / "bad"
+    if header is None:
+        bad.write_bytes(b"# \xe9\n" + CONFIG.encode())
+    else:
+        bad.write_bytes(_csv(header).encode().replace(b"\n", b"\xff\n", 1))  # in the header line
+    signal = tmp_path / "signal.csv"
+    sl.io.write_envelope_csv(signal, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=3.0))
+    fill = {"bad": bad, "signal": signal, "config": write_config(tmp_path)}
+    out = tmp_path / "out"
+    assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
 def test_bad_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, under):
     def refuse(*args):
@@ -298,11 +327,14 @@ INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e
         (["propagate", "--domain", "fd"], [("dt_ps = 0.06", "dt_ps = 0.001")], 2),
         (["propagate", "--domain", "fd"], [("dt_ps = 0.06", "dt_ps = 1e-300")], 2),
         (["propagate", "--domain", "td"], [("n = 16384", "n = 8")], 2),
+        (["propagate", "--domain", "fd"], AS_LIST, 2),
+        (["sweep", "--domain", "fd"], AS_LIST + [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")], 2),
+        (["analytic"], [("length_mm = 30.0\n", "")], 2),
     ],
     ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
          "fd-centroid", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
          "analytic-count-memory", "fd-grid-memory", "fd-window-1e-6", "fd-window-0.001", "fd-window-1e-300",
-         "td-window-n-8"],
+         "td-window-n-8", "propagate-intensity-list", "sweep-gaussian-control", "analytic-no-length"],
 )
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     text = CONFIG
@@ -311,7 +343,18 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     out = tmp_path / "out"
     out.mkdir()
     assert main([*argv, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_line_without_equals_is_one_line_naming_the_file_and_the_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONFIG.replace("[grid]\n", "[grid]\nn 16384\n"))
+    out = tmp_path / "out"
+    assert main(["analytic", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    line_number = CONFIG.splitlines().index("[grid]") + 2
+    assert capsys.readouterr().err == (f"error: malformed config: Source contains parsing errors: '{cfg}' "
+                                       f"[line {line_number}]: 'n 16384\\n'\n")
     assert list(out.iterdir()) == []
 
 
@@ -952,6 +995,18 @@ class TestXcorr:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must exceed the reference width 1e+300" in err
+
+    def test_off_csv_on_another_grid_exits_2_writing_nothing(self, tmp_path, capsys):
+        from slowlight import io as sio
+
+        paths = {dt: tmp_path / f"dt-{dt}.csv" for dt in (0.06, 0.05)}
+        for dt, path in paths.items():
+            sio.write_envelope_csv(path, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, dt), duration=3.0))
+        out = tmp_path / "out"
+        argv = ["xcorr", "--signal-csv", str(paths[0.06]), "--off-csv", str(paths[0.05]), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: on and off envelope CSVs must share a time grid\n"
+        assert list(out.iterdir()) == []
 
     def test_metrics_and_delay(self, tmp_path):
         from slowlight import io as sio

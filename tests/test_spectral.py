@@ -166,6 +166,22 @@ class TestPulseSynthesis:
         window = np.abs(t) < grid.span / 16
         assert np.max(np.abs(env.samples[window] - sinc[window])) < 0.02 * peak
 
+    @pytest.mark.parametrize(
+        "dt, bandwidth, cause",
+        [
+            (1e-320, 1e300, "the detuning axis overflows"),  # domega = 2 pi / (n dt) is inf
+            (1e-170, 1e150, "synthesized pulse energy inf "),  # omega^2 and the samples' squares overflow
+            (1e300, 5e-302, "synthesized pulse energy 0 "),  # the samples' squares underflow
+        ],
+    )
+    def test_grid_past_the_float_range_is_refused_naming_the_grid(self, dt, bandwidth, cause):
+        # without a warning, which the suite turns into an error, and without blaming a zero phase curvature
+        grid = sl.TimeGrid.centered(16, dt)
+        with pytest.raises(GridResolutionError) as refused:
+            sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=bandwidth)
+        assert str(refused.value).startswith(cause)
+        assert str(refused.value).endswith(f"on the grid of 16 samples at dt = {dt:.4g} ps")
+
     def test_grid_too_coarse_rejected(self):
         grid = sl.TimeGrid.centered(2**8, 0.5)
         with pytest.raises(GridResolutionError, match="dt"):
