@@ -53,15 +53,19 @@ ABSORPTION_HEADERS = ("wavelength_nm,absorption", "wavelength_nm,optical_depth")
 
 
 def _atomic_write(path, chunks):
-    """Write the byte strings ``chunks`` to ``path`` by a temp file and a rename."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
+    """Write the byte strings ``chunks`` to ``path`` by a temp file and a
+    rename; an OSError that stops it names ``path``, not the temp file."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -310,7 +314,7 @@ def _read_text(path) -> str:
     """The text of the UTF-8 input file ``path``; ConfigError naming the
     file when it cannot be opened or decoded."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # a leading byte-order mark is dropped
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc

@@ -162,6 +162,13 @@ def forward_transform(env: ComplexEnvelope) -> SpectralEnvelope:
     return SpectralEnvelope(grid=fgrid, samples=samples)
 
 
+def _dft_order(n: int) -> np.ndarray:
+    """The detuning index of each DFT bin: ``np.fft.fft(E)[j]`` is
+    ``forward_transform(E).samples[k] / dt`` up to a phase of k alone, for
+    ``k = _dft_order(n)[j] = (n/2 - j) mod n``."""
+    return (n // 2 - np.arange(n)) % n
+
+
 def inverse_transform(spec: SpectralEnvelope) -> ComplexEnvelope:
     """Exact inverse of :func:`forward_transform`."""
     fgrid = spec.grid

@@ -54,7 +54,7 @@ from . import fdprop
 from .analysis import delays_and_losses
 from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
 from .medium import RamanMedium, _line_responses
-from .spectral import ComplexEnvelope, TimeGrid, forward_transform, interpolated_fwhm
+from .spectral import ComplexEnvelope, TimeGrid, _dft_order, forward_transform, interpolated_fwhm
 
 _WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
@@ -188,7 +188,7 @@ def _operator(medium: RamanMedium, ec, grid: TimeGrid):
     ``coherence_peak(spectrum)`` is that peak for the drive spectrum
     fft(conj(ec) E): line nu's coherence is ifft(i k_nu s_nu spectrum)."""
     n = grid.n
-    omegas = grid.frequency_grid().omegas[(n // 2 - np.arange(n)) % n]  # fft(E)_j = S(omega_j) / dt up to a phase
+    omegas = grid.frequency_grid().omegas[_dft_order(n)]
     responses = list(zip((line.strength_per_intensity for line in medium.lines), _line_responses(medium, omegas)))
     eigenvalues = -sum(g / 2.0 * s for g, s in responses)
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
@@ -225,15 +225,16 @@ def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: f
 def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, checked=True) -> list[SolveResult]:
     """One SolveResult per ``(intensity, transfer, plan)`` of ``planned``: FD's
     output through that transfer from ``spectrum``, the input's transform.
-    Checked, the peak coherence at z = 0 and z = L is read from the DFTs of the
-    input (once) and the output at unit intensity, then scaled by sqrt(I)."""
+    Checked, the peak coherence at z = 0 and z = L is read at unit intensity from the input's
+    DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
     if checked:
         _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
-        start = coherence_peak(np.fft.fft(pulse.samples))
+        drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
+        start = coherence_peak(drive)
     results = []
     for intensity, transfer, plan in planned:
         output = fdprop._through(pulse, spectrum, transfer)
-        peak = math.sqrt(intensity) * max(start, coherence_peak(np.fft.fft(output.samples))) if checked else 0.0
+        peak = math.sqrt(intensity) * max(start, coherence_peak(drive * transfer.values[bins])) if checked else 0.0
         results.append(_result(output.samples, pulse, plan, 1, 0.0, peak))
     return results
 
@@ -308,7 +309,6 @@ def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, chec
     and no coherence is read, so none is warned about."""
     fgrid, planned = pulse.grid.frequency_grid(), []
     for i in map(float, control_intensities):
-        ControlField.constant(i)  # a negative intensity is refused first
         chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
         plan = _validate_resolution(medium, pulse, chi.values) if checked else (0, 0)
         planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), plan))

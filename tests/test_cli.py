@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import re
@@ -264,6 +265,43 @@ def test_bad_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, unde
     assert main([*argv, "--out-dir", str(a_file / under)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: --out-dir")
+
+
+@pytest.mark.parametrize(
+    "argv, blocked, written",
+    [
+        (["analytic"], "summary.txt", ["analytic_sweep.csv"]),
+        (["propagate", "--domain", "fd"], "output_envelope.csv", ["input_envelope.csv"]),
+    ],
+    ids=["analytic-summary", "propagate-output-envelope"],
+)
+def test_unwritable_output_exits_2_naming_the_file(tmp_path, capsys, argv, blocked, written):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)  # a directory where the output goes
+    assert main([*argv, "--config", str(write_config(tmp_path)), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / blocked}: {os.strerror(errno.EISDIR)}"]
+    # the files written before it stay; no temp file is left
+    assert sorted(path.name for path in out.iterdir()) == sorted([blocked, *written])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["propagate", "--domain", "fd", "--config", "{input}"], ["xcorr", "--signal-csv", "{input}"]],
+    ids=["config", "envelope-csv"],
+)
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, argv):
+    path = tmp_path / "input"
+    if argv[0] == "xcorr":
+        sl.io.write_envelope_csv(path, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=3.0))
+    else:
+        write_config(tmp_path, name=path.name)
+    plain, outputs = path.read_bytes(), []
+    for text in (plain, "\ufeff".encode() + plain):  # one path, so both summaries name the same input
+        path.write_bytes(text)
+        out = tmp_path / f"out{len(outputs)}"
+        assert main([arg.format(input=path) for arg in argv] + ["--out-dir", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
 
 
 # the arguments each subcommand requires besides the flag under test

@@ -11,6 +11,7 @@ import slowlight as sl
 from slowlight.errors import GridResolutionError
 from slowlight import fdprop, tdprop
 from slowlight.analysis import delay_and_loss
+from slowlight.spectral import _dft_order
 from slowlight.tdprop import _operator
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
@@ -303,6 +304,47 @@ class TestOperator:
             for line in medium.lines)
         assert rel_l2(out, expected) < 1e-14
         assert peak == pytest.approx(expected_peak, rel=1e-14, abs=0.0)
+
+
+class TestConstant:
+    @pytest.mark.parametrize("intensity", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n", [8, 1024, 16384])
+    def test_output_dft_is_the_input_dft_times_the_transfer(self, std_medium, n, intensity):
+        # the z = L drive the coherence check reads; t_start's phase cancels on any grid
+        grid = sl.TimeGrid(t_start=-0.37 * n * 0.06, dt=0.06, n=n)
+        pulse = random_field(grid, n)
+        medium = std_medium.with_control_intensity(intensity)
+        chi = fdprop.susceptibility_from_medium(medium, grid.frequency_grid())
+        transfer = fdprop.transfer_function(chi, medium.k0, medium.length_mm)
+        output = fdprop._through(pulse, sl.forward_transform(pulse), transfer)
+        drive = np.fft.fft(pulse.samples) * transfer.values[_dft_order(n)]
+        if intensity == 0.0:
+            assert np.array_equal(drive, np.fft.fft(output.samples))
+        assert rel_l2(drive, np.fft.fft(output.samples)) <= 1e-14
+
+    def test_checked_nine_point_scan_transforms_in_constant(self, std_medium, monkeypatch):
+        # one fft of the input, one inverse transform per output, two iffts per coherence read
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
+        counts, inside, constant = {"fft": 0, "ifft": 0}, [], tdprop._constant
+
+        def counted(name, transform):
+            def spy(*args, **kwargs):
+                counts[name] += len(inside)
+                return transform(*args, **kwargs)
+            return spy
+
+        def spy_constant(*args, **kwargs):
+            inside.append(1)
+            try:
+                return constant(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        for name in counts:
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(tdprop, "_constant", spy_constant)
+        assert len(sl.delay_vs_control_scan(std_medium, np.linspace(0.25, 2.0, 9), pulse)) == 9
+        assert counts == {"fft": 10, "ifft": 20}
 
 
 class TestSolve:
