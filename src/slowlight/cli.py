@@ -114,13 +114,13 @@ def _set_up(config: SimulationConfig):
     return grid, config.signal.build(grid), config.medium.build()
 
 
-def _td_fd_check(the_medium, pulse, fd_out, plan):
-    """The summary key of the relative L2 gap between ``fd_out``, the FD
-    output at the medium's control intensity, and the Taylor march of a
-    shaped control run there under an envelope of ones, on ``plan``, the
-    run's own; and a warning past _TD_FD_L2_BUDGET."""
-    ones = tdprop.ControlField(the_medium.control_intensity, np.ones(pulse.grid.n))
-    gap = analysis.relative_l2_error(tdprop._march(the_medium, ones, pulse, plan).output, fd_out)
+def _td_fd_check(the_medium, pulse, result):
+    """The summary key of the relative L2 gap between ``result``'s output,
+    FD's at the medium's control intensity, and the Taylor march a shaped
+    control runs, at that intensity's amplitude on ``result.nz_needed``; and
+    a warning past _TD_FD_L2_BUDGET."""
+    march = tdprop._march(the_medium, math.sqrt(the_medium.control_intensity), pulse, result.nz_needed)
+    gap = analysis.relative_l2_error(march.output, result.output)
     warnings = [f"the TD output differs from the FD output by {gap:.3g} relative L2 "
                 f"(> {_TD_FD_L2_BUDGET:g}), so the TD solve is not confirmed here"] if gap > _TD_FD_L2_BUDGET else []
     return {"metrics.td_fd_l2_error": gap}, warnings
@@ -153,9 +153,9 @@ def cmd_propagate(args):
     spec_in = forward_transform(pulse)
     if fixed:  # one transfer, which both domains send the input through
         chi = _chi_for_run(args, the_medium, fgrid)
-        plan = tdprop._validate_resolution(the_medium, pulse, chi.values) if td else (0, 0)
+        nz_needed = tdprop._validate_resolution(the_medium, pulse, chi.values) if td else 0
         transfer = fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
-        [result] = tdprop._constant(the_medium, pulse, spec_in, [(config.control.intensity, transfer, plan)], td)
+        [result] = tdprop._constant(the_medium, pulse, spec_in, [(config.control.intensity, transfer, nz_needed)], td)
         spec_on = spec_in.samples * transfer.values
         center = transfer.center_transmission()
     else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra
@@ -172,7 +172,7 @@ def cmd_propagate(args):
     except AmbiguousWidthError as exc:
         raise AmbiguousWidthError(f"the output envelope has no single intensity FWHM: {exc}") from None
     if td and fixed:
-        checks, gap_warnings = _td_fd_check(the_medium, pulse, out, plan)
+        checks, gap_warnings = _td_fd_check(the_medium, pulse, result)
         warnings = [*warnings, *gap_warnings]
     summary = {
         "run.command": f"propagate.{args.domain}",
@@ -207,7 +207,7 @@ def cmd_sweep(args):
         raise ConfigError("sweep assumes constant control during each point")
 
     _, pulse, base_medium = _set_up(config)
-    points, solved = tdprop._scan(base_medium, intensities, pulse, checked=args.domain == "td")
+    points, results = tdprop._scan(base_medium, intensities, pulse, checked=args.domain == "td")
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3 and any(p.intensity > 0 for p in points):  # else no slope to fit
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
@@ -216,9 +216,9 @@ def cmd_sweep(args):
     summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
-        top_point, (top_output, top_plan) = max(zip(points, solved), key=lambda pair: pair[0].intensity)
+        top_point, top_result = max(zip(points, results), key=lambda pair: pair[0].intensity)
         top = top_point.intensity
-        check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_output, top_plan)
+        check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_result)
         summary.update(check)
         warnings += [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import os
-import tempfile
 import warnings
 
 import numpy as np
@@ -53,12 +52,13 @@ ABSORPTION_HEADERS = ("wavelength_nm,absorption", "wavelength_nm,optical_depth")
 
 
 def _atomic_write(path, chunks):
-    """Write the byte strings ``chunks`` to ``path`` by a temp file and a
-    rename; an OSError that stops it names ``path``, not the temp file."""
+    """Write the byte strings ``chunks`` to ``path`` by a new temp file (mode
+    0o666 less the umask) and a rename; an OSError that stops it names ``path``, not the temp file."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "wb") as handle:
+        name = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}.part")
+        with open(name, "xb") as handle:
+            tmp = name
             handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:

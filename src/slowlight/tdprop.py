@@ -28,18 +28,18 @@ i k0 chi / 2 at unit intensity, the FD exponent per unit length.
 
 Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
-transfer of the chi it samples once for its plan: exact in z with no
+transfer of the chi it samples once for nz_needed too: exact in z with no
 series (nz = 1), and the input bit for bit where that transfer is exactly
-1.  ``delay_vs_control_scan`` plans every point before it solves any.
+1.  ``delay_vs_control_scan`` checks every point before it solves any.
 ``_constant`` takes the input's spectrum and each point's transfer from
 its caller, which builds each once: ``solve``, the scan, or ``propagate``.
 Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
 so it is exact in z to rounding; in tau it errs only by the part of the
-drive's spectrum that lies past the band edge.  Run with an envelope of
-ones on a constant-control run's own plan, that march is the check beside
-its output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
+drive's spectrum that lies past the band edge.  Run at a constant-control
+run's own amplitude on its nz_needed, that march is the check beside its
+output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
 """
 
 from __future__ import annotations
@@ -155,11 +155,10 @@ def _max_beat_dt(splitting: float) -> float:
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.ndarray):
-    """The plan (nz_needed, substeps) for ``chi`` sampled on the grid: the
-    fewest z steps of phase at most _MAX_STEP_PHASE and of phase at most
-    _MAX_SUBSTEP_PHASE at its peak.  GridResolutionError if dt misses the
-    beat or past _MAX_SUBSTEPS substeps."""
+def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.ndarray) -> int:
+    """nz_needed for ``chi`` sampled on the grid: the fewest z steps of phase
+    at most _MAX_STEP_PHASE at its peak.  GridResolutionError if dt misses
+    the beat or the march would take past _MAX_SUBSTEPS substeps."""
     dt = pulse.grid.dt
     dt_max = _max_beat_dt(medium.splitting)
     if dt > dt_max:
@@ -171,8 +170,7 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.nd
     if not phase <= _MAX_SUBSTEPS * _MAX_SUBSTEP_PHASE:  # an infinite phase too
         raise GridResolutionError(f"the solve would take {phase / _MAX_SUBSTEP_PHASE:.3g} z substeps, "
                                   f"more than the {_MAX_SUBSTEPS:.3g} any run could finish")
-    nz_needed = math.ceil(phase / _MAX_STEP_PHASE)
-    return nz_needed, max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
+    return math.ceil(phase / _MAX_STEP_PHASE)
 
 
 def _operator(medium: RamanMedium, ec, grid: TimeGrid):
@@ -215,15 +213,14 @@ def _weak_signal(peak: float) -> list[str]:
             "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
 
 
-def _result(samples: np.ndarray, pulse: ComplexEnvelope, plan, nz: int, error: float, peak: float, warnings=()):
+def _result(samples: np.ndarray, pulse: ComplexEnvelope, nz: int, nz_needed: int, error: float, peak: float):
     """The SolveResult of a solve, warned about if ``peak`` passes the weak-signal limit."""
-    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples),
-                       warnings=_weak_signal(peak) + list(warnings),
-                       nz=nz, nz_needed=plan[0], z_error_estimate=error, peak_coherence=peak)
+    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=_weak_signal(peak),
+                       nz=nz, nz_needed=nz_needed, z_error_estimate=error, peak_coherence=peak)
 
 
 def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, checked=True) -> list[SolveResult]:
-    """One SolveResult per ``(intensity, transfer, plan)`` of ``planned``: FD's
+    """One SolveResult per ``(intensity, transfer, nz_needed)`` of ``planned``: FD's
     output through that transfer from ``spectrum``, the input's transform.
     Checked, the peak coherence at z = 0 and z = L is read at unit intensity from the input's
     DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
@@ -232,25 +229,26 @@ def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, ch
         drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
         start = coherence_peak(drive)
     results = []
-    for intensity, transfer, plan in planned:
+    for intensity, transfer, nz_needed in planned:
         output = fdprop._through(pulse, spectrum, transfer)
         peak = math.sqrt(intensity) * max(start, coherence_peak(drive * transfer.values[bins])) if checked else 0.0
-        results.append(_result(output.samples, pulse, plan, 1, 0.0, peak))
+        results.append(_result(output.samples, pulse, 1, nz_needed, 0.0, peak))
     return results
 
 
-def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, plan) -> SolveResult:
-    """E(L) = exp(L A) E(0) under a shaped control, in equal z substeps, as
-    many as ``plan`` = (nz_needed, substeps) of _validate_resolution gives,
-    each a Taylor sum of exp(dz A) until a term falls to _TERM_TOLERANCE of
-    ||E||.  The weak-signal check reads the coherences at the start of each
-    substep and at z = L."""
-    apply, _, _ = _operator(medium, control.amplitude(pulse.grid.n), pulse.grid)
+def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> SolveResult:
+    """E(L) = exp(L A) E(0) at control amplitude ``ec`` (a scalar, or one per
+    sample) in equal z substeps, ``nz_needed`` steps of _MAX_STEP_PHASE
+    regrouped into as few of _MAX_SUBSTEP_PHASE, each a Taylor sum of
+    exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  The weak-signal
+    check reads the coherences at the start of each substep and at z = L."""
+    apply, _, _ = _operator(medium, ec, pulse.grid)
+    substeps = max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
     e_field = pulse.samples.copy()
     term = np.empty_like(e_field)
     peak = error = 0.0
-    dz = medium.length_mm / plan[1]
-    for _ in range(plan[1]):
+    dz = medium.length_mm / substeps
+    for _ in range(substeps):
         peak = max(peak, apply(e_field, term, peak=True))  # the field's coherences, not the terms'
         for m in range(1, _MAX_TERMS + 1):
             term *= dz / m
@@ -262,7 +260,7 @@ def _march(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope, p
             apply(term, term)
         error = max(error, last)
     peak = max(peak, apply(e_field, term, peak=True))
-    return _result(e_field, pulse, plan, plan[1], error, peak, _control_duration_warning(control, pulse))
+    return _result(e_field, pulse, substeps, nz_needed, error, peak)
 
 
 def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
@@ -278,15 +276,17 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     """
     medium = medium.with_control_intensity(control.intensity)
     chi = fdprop.susceptibility_from_medium(medium, pulse.grid.frequency_grid())
-    plan = _validate_resolution(medium, pulse, chi.values)
-    if settings is not None and settings.nz < plan[0]:
+    nz_needed = _validate_resolution(medium, pulse, chi.values)
+    if settings is not None and settings.nz < nz_needed:
         raise GridResolutionError(
-            f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {plan[0]} (got {settings.nz})"
+            f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
         )
     if control.envelope is None:
         transfer = fdprop.transfer_function(chi, medium.k0, medium.length_mm)
-        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, transfer, plan)])[0]
-    return _march(medium, control, pulse, plan)
+        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, transfer, nz_needed)])[0]
+    result = _march(medium, control.amplitude(pulse.grid.n), pulse, nz_needed)
+    result.warnings += _control_duration_warning(control, pulse)
+    return result
 
 
 def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
@@ -304,19 +304,18 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
 
 
 def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
-    """The points of ``delay_vs_control_scan`` and the (output, plan) behind each.
-    Unchecked, as in an FD sweep, no point is planned, so none is refused,
-    and no coherence is read, so none is warned about."""
+    """The points of ``delay_vs_control_scan`` and the SolveResult behind each.
+    Unchecked, as in an FD sweep, no point's resolution is checked, so none
+    is refused, and no coherence is read, so none is warned about."""
     fgrid, planned = pulse.grid.frequency_grid(), []
     for i in map(float, control_intensities):
         chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
-        plan = _validate_resolution(medium, pulse, chi.values) if checked else (0, 0)
-        planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), plan))
+        nz_needed = _validate_resolution(medium, pulse, chi.values) if checked else 0
+        planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), nz_needed))
     results = _constant(medium, pulse, forward_transform(pulse), planned, checked)
-    outputs = [result.output for result in results]
-    points = [ScanPoint(i, *metrics, tuple(result.warnings))
-              for (i, _, _), result, metrics in zip(planned, results, delays_and_losses(pulse, outputs))]
-    return points, [(output, plan) for output, (_, _, plan) in zip(outputs, planned)]
+    metrics = delays_and_losses(pulse, [result.output for result in results])
+    points = [ScanPoint(i, *m, tuple(result.warnings)) for (i, _, _), result, m in zip(planned, results, metrics)]
+    return points, results
 
 
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:

@@ -1,5 +1,6 @@
 import errno
 import gc
+import math
 import os
 import re
 import runpy
@@ -86,7 +87,7 @@ def spy_forward_transforms(monkeypatch):
 
 
 def spy_plans(monkeypatch, plans):
-    """Append to ``plans`` each plan ``tdprop._validate_resolution`` makes."""
+    """Append to ``plans`` each nz_needed ``tdprop._validate_resolution`` returns."""
     validate = tdprop._validate_resolution
 
     def spy(medium, pulse, chi):
@@ -94,6 +95,18 @@ def spy_plans(monkeypatch, plans):
         return plans[-1]
 
     monkeypatch.setattr(tdprop, "_validate_resolution", spy)
+
+
+def spy_marches(monkeypatch):
+    """The ``(amplitude, nz_needed)`` of each ``tdprop._march`` call."""
+    calls, march = [], tdprop._march
+
+    def spy(medium, ec, pulse, nz_needed):
+        calls.append((ec, nz_needed))
+        return march(medium, ec, pulse, nz_needed)
+
+    monkeypatch.setattr(tdprop, "_march", spy)
+    return calls
 
 
 def test_import_leaves_scipy_out():
@@ -282,6 +295,18 @@ def test_unwritable_output_exits_2_naming_the_file(tmp_path, capsys, argv, block
     assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out / blocked}: {os.strerror(errno.EISDIR)}"]
     # the files written before it stay; no temp file is left
     assert sorted(path.name for path in out.iterdir()) == sorted([blocked, *written])
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["analytic", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+    assert modes == dict.fromkeys(["analytic_sweep.csv", "summary.txt", "resolved_config.ini"], mode)
 
 
 @pytest.mark.parametrize(
@@ -582,7 +607,7 @@ class TestPropagate:
     @pytest.mark.parametrize("domain", ["fd", "td"])
     def test_constant_run_transforms_the_input_once(self, tmp_path, monkeypatch, domain):
         # one chi, one transfer and one input spectrum give the output, spectrum_on.csv and the centre
-        # transmission in both domains; in TD that chi is planned once, and the check marches on that plan
+        # transmission in both domains; in TD that chi gives nz_needed once, and the check marches on it
         seen, transfers, sampled, plans = spy_forward_transforms(monkeypatch), [], [], []
 
         def spy_transfer(chi, k0, length_mm, build=fdprop.transfer_function):
@@ -599,6 +624,11 @@ class TestPropagate:
         argv = ["propagate", "--config", str(EXAMPLE), "--domain", domain, "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 0
         assert (len(seen), len(transfers), len(sampled), len(plans)) == (1, 1, 1, domain == "td")
+
+    def test_td_fd_check_marches_once_at_the_run_amplitude(self, tmp_path, monkeypatch):
+        calls, out = spy_marches(monkeypatch), tmp_path / "out"
+        assert main(["propagate", "--config", str(EXAMPLE), "--domain", "td", "--out-dir", str(out)]) == 0
+        assert calls == [(1.0, int(read_summary(out / "summary.txt")["solver.nz_needed"]))]
 
     def test_fd_refuses_a_shaped_control(self, tmp_path, capsys):
         # FD has no time-varying control: the shape would be dropped without a word
@@ -932,8 +962,8 @@ class TestSweep:
         assert scans[0] == scans[1]
 
     def test_td_sweep_solves_each_point_once(self, tmp_path, monkeypatch):
-        # chi is sampled and planned once per point, at its own intensity, and the TD-FD check reads the
-        # top point's output and plan from the scan
+        # chi is sampled and checked once per point, at its own intensity, and the TD-FD check reads the
+        # top point's output and nz_needed from the scan
         sampled, plans = [], []
 
         def spy(medium, omega, chi=fdprop.medium_chi):
@@ -947,6 +977,14 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert sampled == [0.0, 0.5, 1.0]
         assert len(plans) == 3
+
+    def test_td_sweep_checks_the_top_point_once(self, tmp_path, monkeypatch):
+        plans, calls = [], spy_marches(monkeypatch)
+        spy_plans(monkeypatch, plans)
+        text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 2.0, 0.5, 0.0")
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [(math.sqrt(2.0), plans[0])]
 
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1033,6 +1071,12 @@ class TestXcorr:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must exceed the reference width 1e+300" in err
+
+    def test_one_row_envelope_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "signal.csv"
+        path.write_text("time_ps,re,im\n0,1,0\n")
+        assert main(["xcorr", "--signal-csv", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: time axis of {path} needs at least 2 samples\n"
 
     def test_off_csv_on_another_grid_exits_2_writing_nothing(self, tmp_path, capsys):
         from slowlight import io as sio

@@ -170,6 +170,13 @@ NON_FINITE_INPUTS = {
 }
 
 
+def test_lines_off_the_splitting_refused():
+    lines = (sl.RamanLine(-3.0, GAMMA, 1.0), sl.RamanLine(3.4, GAMMA, 1.0))
+    message = r"lines must sit at -Delta/2 and \+Delta/2; got centers -3.0 and 3.4 for Delta = 6.8"
+    with pytest.raises(ValueError, match=message):
+        sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=1.0, k0=1.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("build", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
 def test_constructors_refuse_non_finite(build, value):

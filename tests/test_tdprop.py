@@ -437,6 +437,23 @@ class TestSolve:
         result = sl.solve(std_medium, control, pulse)
         assert any("control" in w for w in result.warnings)
 
+    def test_loud_signal_under_a_short_control_warns_twice(self, std_medium):
+        # the march's weak-signal warning comes first, then solve's control-duration warning
+        grid = sl.TimeGrid.centered(2**13, 0.02)
+        pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
+        loud = sl.ComplexEnvelope(grid=grid, samples=10.0 * pulse.samples)
+        result = sl.solve(std_medium, sl.ControlField.gaussian(grid, fwhm_ps=3.0, intensity=1.0), loud)
+        assert result.peak_coherence == pytest.approx(0.436, abs=5e-4)
+        assert len(result.warnings) == 2
+        assert result.warnings[0].startswith("coherence amplitude reached 0.436 (> 0.1)")
+        assert result.warnings[1].startswith("control intensity FWHM")
+
+    def test_envelope_off_the_grid_refused(self, std_medium):
+        grid = sl.TimeGrid.centered(2**10, 0.06)
+        pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
+        with pytest.raises(ValueError, match=r"control envelope has \(10,\) samples, grid has 1024"):
+            sl.solve(std_medium, sl.ControlField(1.0, envelope=np.ones(10)), pulse)
+
     def test_coarse_time_step_refused(self, std_medium):
         grid = sl.TimeGrid.centered(2**10, 0.2)  # > 2 pi / (8 Delta)
         pulse = sl.ComplexEnvelope(grid=grid, samples=np.exp(-grid.times**2).astype(complex))
