@@ -46,22 +46,17 @@ probe_grid = sl.TimeGrid.centered(2**13, 0.03)
 probe = sl.synthesize_pulse("gaussian", probe_grid, duration=2.0)
 control = sl.ControlField.gaussian(probe_grid, 60.0, 1.0)
 applications = 0
-operator = sl.tdprop._operator
+apply = sl.tdprop._apply
 
 
-def counted_operator(*args):
-    """The solve's operator, with each application of A counted."""
-    apply, *rest = operator(*args)
-
-    def counted_apply(*apply_args, **kwargs):
-        global applications
-        applications += 1
-        return apply(*apply_args, **kwargs)
-
-    return counted_apply, *rest
+def counted_apply(*args):
+    """One application of A by the solve, counted."""
+    global applications
+    applications += 1
+    return apply(*args)
 
 
-sl.tdprop._operator = counted_operator
+sl.tdprop._apply = counted_apply
 for d0 in (0.5, 1.0, 2.5):
     depth_medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
     applications = 0
@@ -70,7 +65,7 @@ for d0 in (0.5, 1.0, 2.5):
         f"  d0 = {d0:3.1f}: {result.nz} substep(s) (nz_needed = {result.nz_needed} equal steps of phase < 0.1), "
         f"{applications} applications of A, last term {result.z_error_estimate:.1e}"
     )
-sl.tdprop._operator = operator
+sl.tdprop._apply = apply
 
 print("\n4-ps flat-topped control vs constant control (0.65-ps signal):")
 short_grid = sl.TimeGrid.centered(2**13, 0.02)

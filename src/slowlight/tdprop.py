@@ -68,9 +68,10 @@ _MAX_SUBSTEPS = 10**9  # refused: at 0.4 ms a substep on 8 samples, over four da
 class ControlField:
     """Control pulse: constant intensity or a shaped envelope.
 
-    ``envelope`` holds a complex amplitude shape with unit peak magnitude
-    (or None for constant control); the physical amplitude is
-    ``sqrt(intensity) * envelope``.
+    ``envelope`` holds a complex amplitude shape (or None for constant
+    control); the physical amplitude is ``sqrt(intensity) * envelope``, so
+    ``intensity`` is the peak intensity only when the envelope's peak
+    magnitude is 1, as ``flat_top`` and ``gaussian`` build it.
     """
 
     intensity: float
@@ -94,10 +95,11 @@ class ControlField:
 
     @classmethod
     def flat_top(cls, grid: TimeGrid, fwhm_ps: float, intensity: float, order: int = 4) -> "ControlField":
-        """Super-Gaussian (flat-topped) intensity envelope, centered at t = 0."""
+        """Super-Gaussian (flat-topped) intensity envelope with the given FWHM,
+        centered at t = 0: the amplitude exp(-(ln2 / 2) (2t / fwhm)^(2 order))."""
         _require(_POSITIVE, "control FWHM", fwhm_ps)
         with np.errstate(over="ignore"):  # an exponent past the float range is exp(-inf) = 0
-            amp = np.exp(-np.log(2.0) * (2.0 * grid.times / fwhm_ps) ** (2 * order))
+            amp = np.exp(-np.log(2.0) / 2.0 * (2.0 * grid.times / fwhm_ps) ** (2 * order))
         return cls(intensity=intensity, envelope=amp.astype(complex))
 
     def amplitude(self, n: int) -> float | np.ndarray:
@@ -173,38 +175,33 @@ def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.nd
     return math.ceil(phase / _MAX_STEP_PHASE)
 
 
-def _operator(medium: RamanMedium, ec, grid: TimeGrid):
-    """A at control amplitude ``ec`` (a scalar, or one per sample) as
-    ``(apply, eigenvalues, coherence_peak)``.  ``eigenvalues`` are those of
-    the circulant C, lambda_j = -sum_nu (g_nu / 2) s_nu(omega_j) with
-    s_nu = 1 / (Gamma_nu - i (omega - c_nu)) line nu's response in medium, so
-    lambda_j = i k0 chi(omega_j) / 2 at unit intensity, FD's exponent per
-    unit length; omega_j is FD's detuning on DFT bin j.
-    ``apply(e_field, out, peak=False)`` writes A e_field =
-    ec ifft(lambda fft(conj(ec) e_field)) into out (out may be e_field) and,
-    if ``peak``, returns the peak magnitude of the two coherences.
-    ``coherence_peak(spectrum)`` is that peak for the drive spectrum
-    fft(conj(ec) E): line nu's coherence is ifft(i k_nu s_nu spectrum)."""
-    n = grid.n
-    omegas = grid.frequency_grid().omegas[_dft_order(n)]
+def _symbols(medium: RamanMedium, grid: TimeGrid):
+    """``(eigenvalues, coherence_symbols)`` on the DFT bins of ``grid``, which no
+    control amplitude changes: lambda_j = -sum_nu (g_nu / 2) s_nu(omega_j), the
+    eigenvalues of the circulant C, with s_nu = 1 / (Gamma_nu - i (omega - c_nu))
+    line nu's response in medium, so lambda_j = i k0 chi(omega_j) / 2 at unit
+    intensity, FD's exponent per unit length at FD's detuning omega_j of bin j;
+    line nu's coherence is ifft(i k_nu s_nu spectrum) for the drive fft(conj(Ec) E)."""
+    omegas = grid.frequency_grid().omegas[_dft_order(grid.n)]
     responses = list(zip((line.strength_per_intensity for line in medium.lines), _line_responses(medium, omegas)))
-    eigenvalues = -sum(g / 2.0 * s for g, s in responses)
     # coupling split k_nu = b_nu = sqrt(g_nu / 2); only the product is physical
-    coherence_symbols = [1j * math.sqrt(g / 2.0) * s for g, s in responses]
-    drive = np.conj(ec)
+    return -sum(g / 2.0 * s for g, s in responses), [1j * math.sqrt(g / 2.0) * s for g, s in responses]
 
-    def coherence_peak(spectrum: np.ndarray) -> float:
-        coherence = np.empty_like(spectrum)  # one buffer for both lines: large temporaries cost page faults
-        return max(float(np.max(np.abs(np.fft.ifft(np.multiply(symbol, spectrum, out=coherence), out=coherence))))
-                   for symbol in coherence_symbols)
 
-    def apply(e_field: np.ndarray, out: np.ndarray, peak: bool = False):
-        spectrum = np.fft.fft(np.multiply(drive, e_field, out=out))  # out doubles as the scratch
-        np.fft.ifft(np.multiply(eigenvalues, spectrum, out=out), out=out)
-        out *= ec
-        return coherence_peak(spectrum) if peak else None
+def _apply(eigenvalues: np.ndarray, ec, e_field: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write A e_field = ec ifft(lambda fft(conj(ec) e_field)) into ``out`` (which may be
+    e_field) at control amplitude ``ec``, and return the drive spectrum fft(conj(ec) e_field)."""
+    spectrum = np.fft.fft(np.multiply(np.conj(ec), e_field, out=out))  # out doubles as the scratch
+    np.fft.ifft(np.multiply(eigenvalues, spectrum, out=out), out=out)
+    out *= ec
+    return spectrum
 
-    return apply, eigenvalues, coherence_peak
+
+def _coherence_peak(coherence_symbols, spectrum: np.ndarray) -> float:
+    """The peak magnitude of the two coherences the drive spectrum ``spectrum`` raises."""
+    coherence = np.empty_like(spectrum)  # one buffer for both lines: large temporaries cost page faults
+    return max(float(np.max(np.abs(np.fft.ifft(np.multiply(symbol, spectrum, out=coherence), out=coherence))))
+               for symbol in coherence_symbols)
 
 
 def _weak_signal(peak: float) -> list[str]:
@@ -225,14 +222,14 @@ def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, ch
     Checked, the peak coherence at z = 0 and z = L is read at unit intensity from the input's
     DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
     if checked:
-        _, _, coherence_peak = _operator(medium, 1.0, pulse.grid)
+        _, symbols = _symbols(medium, pulse.grid)
         drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
-        start = coherence_peak(drive)
+        start = _coherence_peak(symbols, drive)
     results = []
     for intensity, transfer, nz_needed in planned:
         output = fdprop._through(pulse, spectrum, transfer)
-        peak = math.sqrt(intensity) * max(start, coherence_peak(drive * transfer.values[bins])) if checked else 0.0
-        results.append(_result(output.samples, pulse, 1, nz_needed, 0.0, peak))
+        peak = max(start, _coherence_peak(symbols, drive * transfer.values[bins])) if checked else 0.0
+        results.append(_result(output.samples, pulse, 1, nz_needed, 0.0, math.sqrt(intensity) * peak))
     return results
 
 
@@ -241,15 +238,16 @@ def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> S
     sample) in equal z substeps, ``nz_needed`` steps of _MAX_STEP_PHASE
     regrouped into as few of _MAX_SUBSTEP_PHASE, each a Taylor sum of
     exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  The weak-signal
-    check reads the coherences at the start of each substep and at z = L."""
-    apply, _, _ = _operator(medium, ec, pulse.grid)
+    check reads the coherences at the start of each substep, from the drive
+    spectrum of its first application, and at z = L, from one more FFT."""
+    eigenvalues, symbols = _symbols(medium, pulse.grid)
     substeps = max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
     e_field = pulse.samples.copy()
     term = np.empty_like(e_field)
     peak = error = 0.0
     dz = medium.length_mm / substeps
     for _ in range(substeps):
-        peak = max(peak, apply(e_field, term, peak=True))  # the field's coherences, not the terms'
+        peak = max(peak, _coherence_peak(symbols, _apply(eigenvalues, ec, e_field, term)))
         for m in range(1, _MAX_TERMS + 1):
             term *= dz / m
             e_field += term
@@ -257,9 +255,9 @@ def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> S
             last = float(np.linalg.norm(term) / norm) if norm else 0.0
             if not last > _TERM_TOLERANCE:
                 break
-            apply(term, term)
+            _apply(eigenvalues, ec, term, term)
         error = max(error, last)
-    peak = max(peak, apply(e_field, term, peak=True))
+    peak = max(peak, _coherence_peak(symbols, np.fft.fft(np.conj(ec) * e_field)))
     return _result(e_field, pulse, substeps, nz_needed, error, peak)
 
 

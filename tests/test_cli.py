@@ -434,6 +434,24 @@ def test_td_run_with_an_absorbed_fd_reference_exits_3_with_one_line(tmp_path, ca
     assert capsys.readouterr().err == expected
 
 
+@pytest.mark.parametrize("command, edits", [
+    ("propagate", []),
+    ("propagate", [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")]),
+    ("sweep", [("intensity = 1.0", "intensity_list = 0.25, 0.5, 1.0, 2.0")]),
+], ids=["constant", "gaussian", "sweep"])
+def test_td_run_past_the_substep_limit_exits_3_before_any_march(tmp_path, capsys, monkeypatch, command, edits):
+    # at d0 = 1e12 the march would take 3e10 substeps and more: the chi sample alone refuses the run
+    text = EXAMPLE.read_text().replace("d0 = 2.5", "d0 = 1e12")
+    for old, new in edits:
+        text = text.replace(old, new)
+    calls, out = spy_marches(monkeypatch), tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--domain", "td", "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == 3
+    assert re.fullmatch(r"error: the solve would take \S+ z substeps, more than the 1e\+09 any run could finish\n",
+                        capsys.readouterr().err)
+    assert calls == [] and list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("domain", ["fd", "td"])
 def test_ambiguous_width_exits_3_with_one_short_line(tmp_path, capsys, domain):
     # a huge chirp spreads the pulse over the window in 9 lobes; the message gives the count and the outer pairs

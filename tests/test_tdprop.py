@@ -11,8 +11,8 @@ import slowlight as sl
 from slowlight.errors import GridResolutionError
 from slowlight import fdprop, tdprop
 from slowlight.analysis import delay_and_loss
-from slowlight.spectral import _dft_order
-from slowlight.tdprop import _operator
+from slowlight.spectral import _dft_order, interpolated_fwhm
+from slowlight.tdprop import _apply, _coherence_peak, _symbols
 
 from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
 
@@ -92,28 +92,22 @@ def scan_operator(medium, ec, grid):
     return apply
 
 
-def scan_symbol_operator(medium, ec, grid):
-    """``_operator`` with the scan symbol in place of the medium's response:
-    ``(apply, eigenvalues, coherence_peak)`` as ``_operator`` returns them,
-    so a solve run with it in place is the solve of that symbol."""
+def scan_symbols(medium, grid):
+    """``_symbols`` with the scan symbol in place of the medium's response, so
+    a solve run with it in place is the solve of that symbol."""
     inverse_z = np.exp(-2j * np.pi * np.fft.fftfreq(grid.n))
     symbols = []
     for line, beat in zip(medium.lines, (-0.5j, 0.5j)):
         c_prev, c_curr, e = _scan_weights(line.linewidth + beat * medium.splitting, grid.dt)
         symbols.append((line.strength_per_intensity, (c_curr + c_prev * inverse_z) / (1.0 - e * inverse_z)))
-    eigenvalues = -sum(g / 2.0 * s for g, s in symbols)
-    coherence_symbols = [1j * math.sqrt(g / 2.0) * s for g, s in symbols]
-    drive = np.conj(ec)
+    return -sum(g / 2.0 * s for g, s in symbols), [1j * math.sqrt(g / 2.0) * s for g, s in symbols]
 
-    def coherence_peak(spectrum):
-        return max(float(np.max(np.abs(np.fft.ifft(symbol * spectrum)))) for symbol in coherence_symbols)
 
-    def apply(e_field, out, peak=False):
-        spectrum = np.fft.fft(drive * e_field)
-        out[:] = ec * np.fft.ifft(eigenvalues * spectrum)
-        return coherence_peak(spectrum) if peak else None
-
-    return apply, eigenvalues, coherence_peak
+def apply_with_peak(symbols, ec, e_field):
+    """A e_field from ``_apply`` on ``symbols``, and the peak coherence it reads."""
+    eigenvalues, coherence_symbols = symbols
+    out = np.empty(e_field.size, dtype=complex)
+    return out, _coherence_peak(coherence_symbols, _apply(eigenvalues, ec, e_field, out))
 
 
 def bin_detunings(grid):
@@ -228,9 +222,7 @@ class TestOperator:
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
         ec = control_amplitude(grid, envelope, seed)
         e_field = random_field(grid, seed).samples
-        apply, _, _ = scan_symbol_operator(medium, ec, grid)
-        out = np.empty(grid.n, dtype=complex)
-        peak = apply(e_field, out, peak=True)
+        out, peak = apply_with_peak(scan_symbols(medium, grid), ec, e_field)
         expected, expected_peak = scan_operator(medium, ec, grid)(e_field)
         assert rel_l2(out, expected) < 1e-14
         assert peak == pytest.approx(expected_peak, rel=1e-14, abs=0.0)
@@ -248,7 +240,7 @@ class TestOperator:
         gamma_lo, g_lo, gamma_hi, g_hi = lines
         lines = (sl.RamanLine(-DELTA / 2, gamma_lo, g_lo), sl.RamanLine(DELTA / 2, gamma_hi, g_hi))
         medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=LENGTH, k0=K0)
-        _, eigenvalues, _ = _operator(medium, 1.0, grid)
+        eigenvalues, _ = _symbols(medium, grid)
         expected = 0.5j * K0 * sl.chi(medium, bin_detunings(grid))
         assert np.max(np.abs(eigenvalues - expected) / np.abs(expected)) <= 1e-15
 
@@ -265,7 +257,7 @@ class TestOperator:
             return seen[-1][1]
 
         monkeypatch.setattr(tdprop, "_line_responses", spy)
-        _, eigenvalues, _ = _operator(medium, 1.0, grid)
+        eigenvalues, _ = _symbols(medium, grid)
         [(omegas, (s_lo, s_hi))] = seen
         (g_lo, g_hi), (c_lo, c_hi) = (line.strength_per_intensity for line in lines), medium.line_strengths
         assert np.array_equal(omegas, bin_detunings(grid))
@@ -288,9 +280,7 @@ class TestOperator:
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
         ec = control_amplitude(grid, envelope, seed)
         e_field = random_field(grid, seed).samples
-        apply, _, _ = _operator(medium, ec, grid)
-        out = np.empty(grid.n, dtype=complex)
-        peak = apply(e_field, out, peak=True)
+        out, peak = apply_with_peak(_symbols(medium, grid), ec, e_field)
         spectrum = sl.forward_transform(sl.ComplexEnvelope(grid=grid, samples=np.conj(ec) * e_field))
         omegas = spectrum.grid.omegas
 
@@ -345,6 +335,19 @@ class TestConstant:
         monkeypatch.setattr(tdprop, "_constant", spy_constant)
         assert len(sl.delay_vs_control_scan(std_medium, np.linspace(0.25, 2.0, 9), pulse)) == 9
         assert counts == {"fft": 10, "ifft": 20}
+
+
+class TestControlField:
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.sampled_from([1, 4, 8]), fwhm_ps=st.floats(3.0, 60.0))
+    @example(order=1, fwhm_ps=3.0)
+    @example(order=8, fwhm_ps=60.0)
+    def test_fwhm_is_the_intensity_fwhm(self, order, fwhm_ps):
+        # the Gaussian is order 1; the peak sample, at t = 0, is 1, so intensity is the peak intensity
+        grid = sl.TimeGrid.centered(2**13, 0.02)
+        envelope = sl.ControlField.flat_top(grid, fwhm_ps, 1.0, order=order).envelope
+        assert np.max(np.abs(envelope)) == 1.0
+        assert interpolated_fwhm(grid.times, np.abs(envelope) ** 2) == pytest.approx(fwhm_ps, rel=1e-3)
 
 
 class TestSolve:
@@ -435,7 +438,9 @@ class TestSolve:
         pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
         control = sl.ControlField.gaussian(grid, fwhm_ps=3.0, intensity=1.0)
         result = sl.solve(std_medium, control, pulse)
-        assert any("control" in w for w in result.warnings)
+        # the warning measures |envelope|^2, whose FWHM is the fwhm_ps the control was built with
+        assert result.warnings == ["control intensity FWHM 3 ps is not long compared to the signal (2 ps), "
+                                   "so the fixed-intensity picture may not apply"]
 
     def test_loud_signal_under_a_short_control_warns_twice(self, std_medium):
         # the march's weak-signal warning comes first, then solve's control-duration warning
@@ -443,9 +448,9 @@ class TestSolve:
         pulse = sl.synthesize_pulse("gaussian", grid, duration=2.0)
         loud = sl.ComplexEnvelope(grid=grid, samples=10.0 * pulse.samples)
         result = sl.solve(std_medium, sl.ControlField.gaussian(grid, fwhm_ps=3.0, intensity=1.0), loud)
-        assert result.peak_coherence == pytest.approx(0.436, abs=5e-4)
+        assert result.peak_coherence == pytest.approx(0.426, abs=5e-4)
         assert len(result.warnings) == 2
-        assert result.warnings[0].startswith("coherence amplitude reached 0.436 (> 0.1)")
+        assert result.warnings[0].startswith("coherence amplitude reached 0.426 (> 0.1)")
         assert result.warnings[1].startswith("control intensity FWHM")
 
     def test_envelope_off_the_grid_refused(self, std_medium):
@@ -535,7 +540,7 @@ class TestSolve:
                 control = (sl.ControlField(intensity=1.0, envelope=np.ones(grid.n)) if kind == "ones"
                            else sl.ControlField.gaussian(grid, 60.0, 1.0))
                 with monkeypatch.context() as patch:
-                    patch.setattr(tdprop, "_operator", scan_symbol_operator)
+                    patch.setattr(tdprop, "_symbols", scan_symbols)
                     scan = sl.solve(std_medium, control, pulse)
                 gaps.append(rel_l2(scan.output.samples, sl.solve(std_medium, control, pulse).output.samples))
             orders = np.log2(np.divide(gaps[:-1], gaps[1:]))
