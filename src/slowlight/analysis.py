@@ -17,6 +17,7 @@ from .errors import _FINITE, _NON_NEGATIVE, _require
 from .spectral import ComplexEnvelope, interpolated_fwhm, moment_centroid
 
 _ABSORPTION_FLOOR = 1e-6  # off-spectrum level, relative to its peak, below which A is not taken
+_MAX_LOSS_DB = 300.0  # an amplitude ratio of 1e-15: a few times the rounding of the input, not a pulse
 
 
 @dataclass
@@ -60,24 +61,17 @@ def first_moment_delay(on: CorrelationCurve, off: CorrelationCurve) -> float:
 
 def delay_and_loss(reference: ComplexEnvelope, output: ComplexEnvelope) -> tuple[float, float]:
     """Delay (ps) and loss (dB) of ``output`` against ``reference``: the
-    intensity-centroid shift and -10 log10 of the energy ratio."""
-    return delays_and_losses(reference, [output])[0]
-
-
-def delays_and_losses(reference: ComplexEnvelope, outputs) -> list[tuple[float, float]]:
-    """``delay_and_loss`` of each of ``outputs`` (any iterable, read once),
-    with the reference's centroid and energy taken once."""
-    centroid, energy = reference.centroid(), reference.energy()
-    rows = []
-    for output in outputs:
-        output_energy = output.energy()
-        if output_energy == 0:
-            raise ValueError("the output has no energy: the whole pulse was absorbed")
-        delay = output.centroid() - centroid
-        loss = -10.0 * np.log10(output_energy / energy)
-        # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
-        rows.append((float(delay), float(loss) + 0.0))
-    return rows
+    intensity-centroid shift and -10 log10 of the energy ratio.  ValueError
+    for an output with no energy or more than _MAX_LOSS_DB below ``reference``."""
+    output_energy = output.energy()
+    if output_energy == 0:
+        raise ValueError("the output has no energy: the whole pulse was absorbed")
+    loss = -10.0 * np.log10(output_energy / reference.energy())
+    if loss > _MAX_LOSS_DB:
+        raise ValueError(f"the output is {loss:.4g} dB below its input; past {_MAX_LOSS_DB:g} dB (an amplitude "
+                         "ratio of 1e-15, a few times the input's rounding) it is rounding, not a pulse")
+    # + 0.0 turns the -0.0 of a lossless run into 0.0 and moves nothing else
+    return float(output.centroid() - reference.centroid()), float(loss) + 0.0
 
 
 def relative_l2_error(envelope: ComplexEnvelope, reference: ComplexEnvelope) -> float:

@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fdprop
-from .analysis import delays_and_losses
+from .analysis import delay_and_loss
 from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, GridResolutionError, _require
 from .medium import RamanMedium, _line_responses
 from .spectral import ComplexEnvelope, TimeGrid, _dft_order, forward_transform, interpolated_fwhm
@@ -233,6 +233,11 @@ def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, ch
     return results
 
 
+def _norm(x: np.ndarray) -> float:
+    """||x||_2 without BLAS, whose threads would split the sum, so its bits follow no thread count."""
+    return math.sqrt(np.einsum("i,i", x.view(float), x.view(float)))
+
+
 def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> SolveResult:
     """E(L) = exp(L A) E(0) at control amplitude ``ec`` (a scalar, or one per
     sample) in equal z substeps, ``nz_needed`` steps of _MAX_STEP_PHASE
@@ -251,8 +256,8 @@ def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> S
         for m in range(1, _MAX_TERMS + 1):
             term *= dz / m
             e_field += term
-            norm = np.linalg.norm(e_field)  # zero only for an all-zero field, whose series is exactly zero
-            last = float(np.linalg.norm(term) / norm) if norm else 0.0
+            norm = _norm(e_field)  # zero only for an all-zero field, whose series is exactly zero
+            last = _norm(term) / norm if norm else 0.0
             if not last > _TERM_TOLERANCE:
                 break
             _apply(eigenvalues, ec, term, term)
@@ -303,16 +308,20 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
 
 def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
     """The points of ``delay_vs_control_scan`` and the SolveResult behind each.
-    Unchecked, as in an FD sweep, no point's resolution is checked, so none
-    is refused, and no coherence is read, so none is warned about."""
+    Unchecked, as in an FD sweep, no resolution is checked and no coherence
+    read: only ``delay_and_loss`` refuses a point, prefixed with its intensity."""
     fgrid, planned = pulse.grid.frequency_grid(), []
     for i in map(float, control_intensities):
         chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
         nz_needed = _validate_resolution(medium, pulse, chi.values) if checked else 0
         planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), nz_needed))
     results = _constant(medium, pulse, forward_transform(pulse), planned, checked)
-    metrics = delays_and_losses(pulse, [result.output for result in results])
-    points = [ScanPoint(i, *m, tuple(result.warnings)) for (i, _, _), result, m in zip(planned, results, metrics)]
+    points = []
+    for (i, _, _), result in zip(planned, results):
+        try:
+            points.append(ScanPoint(i, *delay_and_loss(pulse, result.output), tuple(result.warnings)))
+        except ValueError as exc:
+            raise ValueError(f"intensity {i!r}: {exc}") from None
     return points, results
 
 
@@ -323,8 +332,8 @@ def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: Compl
     in order, is checked against that sample and refused as its own
     ``solve`` would be.  Only then is every point solved, as its own
     ``solve``: FD's output through the transfer of that same sample, with
-    the same warnings.  ``analysis.delays_and_losses`` measures each point
-    against the input: the intensity-centroid shift and the energy ratio
-    in dB.
+    the same warnings.  ``analysis.delay_and_loss`` measures each point
+    against the input and refuses, naming its intensity, what it refuses
+    in ``propagate``: no energy, or more than 300 dB of loss.
     """
     return _scan(medium, control_intensities, pulse)[0]

@@ -132,6 +132,13 @@ class TestDelayAndLoss:
         with pytest.raises(ValueError, match="output has no energy"):
             delay_and_loss(pulse, absorbed)
 
+    def test_output_past_300_db_is_refused_naming_the_loss(self, grid):
+        # an amplitude ratio of 1e-14 is 280 dB down and still a pulse; 1e-16 is 320 dB, rounding
+        pulse = gaussian_pulse(grid, 1.0)
+        assert delay_and_loss(pulse, sl.ComplexEnvelope(grid=grid, samples=1e-14 * pulse.samples))[1] < 300.0
+        with pytest.raises(ValueError, match=r"^the output is 320 dB below its input; past 300 dB"):
+            delay_and_loss(pulse, sl.ComplexEnvelope(grid=grid, samples=1e-16 * pulse.samples))
+
 
 class TestWidths:
     def test_gaussian_fwhm(self, grid):

@@ -430,7 +430,10 @@ def test_td_run_with_an_absorbed_fd_reference_exits_3_with_one_line(tmp_path, ca
         text = text.replace("intensity = 1.0", "intensity_list = 0.5, 1.0")
     cfg = write_config(tmp_path, text)
     assert main([command, "--domain", "td", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
-    expected = "error: the output has no energy: the whole pulse was absorbed\n"
+    expected = {"propagate": "error: the output has no energy: the whole pulse was absorbed\n",
+                # the sweep's first point is 1938 dB down: rounding, refused before the second's zero energy
+                "sweep": "error: intensity 0.5: the output is 1938 dB below its input; past 300 dB (an amplitude "
+                         "ratio of 1e-15, a few times the input's rounding) it is rounding, not a pulse\n"}[command]
     assert capsys.readouterr().err == expected
 
 
@@ -530,17 +533,24 @@ def test_output_282_db_down_still_runs(tmp_path, grid):
     assert float(read_summary(tmp_path / "out" / "summary.txt")["metrics.loss_db"]) == pytest.approx(282.4, abs=0.1)
 
 
-@pytest.mark.parametrize("domain", ["fd", "td"])
+@pytest.mark.parametrize("command, domain",
+                         [("propagate", "fd"), ("propagate", "td"), ("sweep", "fd"), ("sweep", "td")],
+                         ids=["fd", "td", "sweep-fd", "sweep-td"])
 @pytest.mark.parametrize("grid", _GRIDS)
 @pytest.mark.parametrize("d0", ["450.0", "500.0"])
-def test_output_past_300_db_exits_3_naming_the_loss(tmp_path, capsys, d0, grid, domain):
-    # 313-320 dB down the output is rounding of the input, with no single width on either grid
-    cfg = _deep_config(tmp_path, d0, grid)
-    assert main(["propagate", "--domain", domain, "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+def test_output_past_300_db_exits_3_naming_the_loss(tmp_path, capsys, d0, grid, command, domain):
+    # 313-320 dB down the output is rounding of the input, with no single width on either grid;
+    # a sweep's point at half the intensity is half as far down and passes, and the line names the one refused
+    cfg, out = _deep_config(tmp_path, d0, grid), tmp_path / "out"
+    if command == "sweep":
+        cfg.write_text(cfg.read_text().replace("intensity = 1.0", "intensity_list = 0.5, 1.0"))
+    assert main([command, "--domain", domain, "--config", str(cfg), "--out-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert re.fullmatch(r"error: the output is 3[12]\d\.\d dB below its input; past 300 dB \(an amplitude ratio "
-                        r"of 1e-15, a few times the input's rounding\) it is rounding, not a pulse\n", err), err
+    point = r"intensity 1\.0: " if command == "sweep" else ""
+    assert re.fullmatch(rf"error: {point}the output is 3[12]\d\.\d dB below its input; past 300 dB \(an amplitude "
+                        r"ratio of 1e-15, a few times the input's rounding\) it is rounding, not a pulse\n", err), err
+    assert list(out.iterdir()) == []
 
 
 class TestAnalytic:
@@ -840,6 +850,21 @@ class TestPropagate:
         assert "differs from the FD output" not in summary["warnings"]
         tau_g = float(summary["figures.group_delay_ps"])
         assert float(summary["metrics.first_moment_delay_ps"]) == pytest.approx(tau_g, rel=0.03)
+
+    def test_td_march_does_not_follow_the_blas_thread_count(self, tmp_path):
+        # at n = 16384 OpenBLAS splits a vector norm across its threads, so a BLAS norm in the march
+        # wrote solver.z_error_estimate = 2.3907084695898448e-17 under one thread and ...436e-17 under two
+        text = EXAMPLE.read_text().replace("d0 = 2.5", "d0 = 1.0")
+        cfg = write_config(tmp_path, text.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60.0"))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            cmd = [sys.executable, "-m", "slowlight", "propagate", "--domain", "td", "--config", str(cfg),
+                   "--out-dir", str(out)]
+            cp = subprocess.run(cmd, capture_output=True, text=True, env={**ENV, "OPENBLAS_NUM_THREADS": threads})
+            assert cp.returncode == 0, cp.stderr
+            outputs.append([(out / name).read_bytes() for name in ("summary.txt", "output_envelope.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_td_fd_gap_past_the_budget_warns(self, tmp_path):
         # the check march and FD's closed form take one exponent, so the gap is rounding until the

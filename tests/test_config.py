@@ -206,7 +206,7 @@ RESOLVED_VARIANTS = {
     "gaussian_control": [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")],
     "no_control": [("[control]\nkind = constant\nintensity = 1.0\n", "")],
     "no_grid": [("[grid]\nn = 16384\ndt_ps = 0.06\n", "")],
-    "no_solver": [("[solver]\nnz = 256\n", "")],
+    "legacy_solver": [("dt_ps = 0.06\n", "dt_ps = 0.06\n\n[solver]\nnz = 256\n")],
     "dt_omitted": [("dt_ps = 0.06\n", "")],
     "gdd_zero": [("gdd_ps2 = 0.0", "gdd_ps2 = 0")],
 }
@@ -242,11 +242,10 @@ def test_legacy_solver_scheme(tmp_path):
     """resolved_config.ini files once carried a [solver] section of an integer
     ``nz`` and ``scheme = midpoint``; any such section loads to the config of
     none, while a non-integer nz or any other key or scheme is refused."""
-    bare = load_config(write(tmp_path, EXAMPLE.replace("[solver]\nnz = 256\n", "")))
+    bare = load_config(write(tmp_path, EXAMPLE))
     for section in ("nz = 256\nscheme = midpoint\n", "nz = 8\n", "scheme = midpoint\n", ""):
-        legacy = EXAMPLE.replace("nz = 256\n", section)
-        assert load_config(write(tmp_path, legacy)) == bare
+        assert load_config(write(tmp_path, f"{EXAMPLE}\n[solver]\n{section}")) == bare
     for section, message in (("scheme = rk4", "unknown key 'scheme'"), ("nz = 2.5", "key solver.nz"),
                              ("order = 2", "unknown key 'order'")):
         with pytest.raises(ConfigError, match=message):
-            load_config(write(tmp_path, EXAMPLE.replace("nz = 256", section)))
+            load_config(write(tmp_path, f"{EXAMPLE}\n[solver]\n{section}\n"))

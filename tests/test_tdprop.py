@@ -713,6 +713,12 @@ class TestControlScan:
         with pytest.raises(ValueError, match="non-negative"):
             sl.delay_vs_control_scan(std_medium, [-1.0], flattop_signal)
 
+    def test_output_past_300_db_is_refused_naming_its_intensity(self, std_medium):
+        # at I = 1000 the output is 326 dB down, rounding of the input, refused as its own propagate is
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
+        with pytest.raises(ValueError, match=r"^intensity 1000\.0: the output is 3\d\d\.\d dB below its input"):
+            sl.delay_vs_control_scan(std_medium, [0.5, 1000.0], pulse)
+
     def test_zero_intensity_row(self, std_medium, flattop_signal):
         points = sl.delay_vs_control_scan(std_medium, [0.0], flattop_signal)
         assert points[0].delay_ps == 0.0
