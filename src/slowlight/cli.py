@@ -151,10 +151,8 @@ def cmd_propagate(args):
 
     spec_in = forward_transform(pulse)
     if fixed:  # one transfer, which both domains send the input through
-        chi = _chi_for_run(args, the_medium, fgrid)
-        nz_needed = tdprop._validate_resolution(the_medium, pulse, chi.values) if td else 0
-        transfer = fdprop.transfer_function(chi, the_medium.k0, the_medium.length_mm)
-        [result] = tdprop._constant(the_medium, pulse, spec_in, [(config.control.intensity, transfer, nz_needed)], td)
+        chis = [(config.control.intensity, _chi_for_run(args, the_medium, fgrid))]
+        [(result, transfer)] = tdprop._constant(the_medium, pulse, spec_in, chis, td)
         spec_on = spec_in.samples * transfer.values
         center = transfer.center_transmission()
     else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra

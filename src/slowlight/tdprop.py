@@ -30,9 +30,9 @@ Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
 transfer of the chi it samples once for nz_needed too: exact in z with no
 series (nz = 1), and the input bit for bit where that transfer is exactly
-1.  ``delay_vs_control_scan`` checks every point before it solves any.
-``_constant`` takes the input's spectrum and each point's transfer from
-its caller, which builds each once: ``solve``, the scan, or ``propagate``.
+1.  ``_constant`` solves every constant-control point, for ``solve``, the
+scan and ``propagate``: given the input's spectrum and each point's chi,
+it builds each transfer once and, checked, refuses a chi before any solve.
 Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
@@ -204,32 +204,31 @@ def _coherence_peak(coherence_symbols, spectrum: np.ndarray) -> float:
                for symbol in coherence_symbols)
 
 
-def _weak_signal(peak: float) -> list[str]:
-    """The warning of a coherence peak past the weak-signal limit, if it passes it."""
-    return [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
-            "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
-
-
 def _result(samples: np.ndarray, pulse: ComplexEnvelope, nz: int, nz_needed: int, error: float, peak: float):
     """The SolveResult of a solve, warned about if ``peak`` passes the weak-signal limit."""
-    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=_weak_signal(peak),
+    warnings = [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
+                "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
+    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=warnings,
                        nz=nz, nz_needed=nz_needed, z_error_estimate=error, peak_coherence=peak)
 
 
-def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, planned, checked=True) -> list[SolveResult]:
-    """One SolveResult per ``(intensity, transfer, nz_needed)`` of ``planned``: FD's
-    output through that transfer from ``spectrum``, the input's transform.
-    Checked, the peak coherence at z = 0 and z = L is read at unit intensity from the input's
+def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, chis, checked=True):
+    """One ``(SolveResult, transfer)`` per ``(intensity, chi)`` of ``chis``: FD's output
+    through the transfer of that chi from ``spectrum``, the input's transform.  Checked,
+    every chi, in order, is refused where ``solve`` would refuse it before any point is
+    solved, and the peak coherence at z = 0 and z = L is read at unit intensity from the input's
     DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
+    planned = [(intensity, _validate_resolution(medium, pulse, chi.values) if checked else 0,
+                fdprop.transfer_function(chi, medium.k0, medium.length_mm)) for intensity, chi in chis]
     if checked:
         _, symbols = _symbols(medium, pulse.grid)
         drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
         start = _coherence_peak(symbols, drive)
     results = []
-    for intensity, transfer, nz_needed in planned:
+    for intensity, nz_needed, transfer in planned:
         output = fdprop._through(pulse, spectrum, transfer)
         peak = max(start, _coherence_peak(symbols, drive * transfer.values[bins])) if checked else 0.0
-        results.append(_result(output.samples, pulse, 1, nz_needed, 0.0, math.sqrt(intensity) * peak))
+        results.append((_result(output.samples, pulse, 1, nz_needed, 0.0, math.sqrt(intensity) * peak), transfer))
     return results
 
 
@@ -285,8 +284,7 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
         )
     if control.envelope is None:
-        transfer = fdprop.transfer_function(chi, medium.k0, medium.length_mm)
-        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, transfer, nz_needed)])[0]
+        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, chi)])[0][0]
     result = _march(medium, control.amplitude(pulse.grid.n), pulse, nz_needed)
     result.warnings += _control_duration_warning(control, pulse)
     return result
@@ -307,17 +305,14 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
 
 
 def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
-    """The points of ``delay_vs_control_scan`` and the SolveResult behind each.
-    Unchecked, as in an FD sweep, no resolution is checked and no coherence
-    read: only ``delay_and_loss`` refuses a point, prefixed with its intensity."""
-    fgrid, planned = pulse.grid.frequency_grid(), []
-    for i in map(float, control_intensities):
-        chi = fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)
-        nz_needed = _validate_resolution(medium, pulse, chi.values) if checked else 0
-        planned.append((i, fdprop.transfer_function(chi, medium.k0, medium.length_mm), nz_needed))
-    results = _constant(medium, pulse, forward_transform(pulse), planned, checked)
+    """The points of ``delay_vs_control_scan`` and the SolveResult behind each, each chi sampled
+    as ``_constant`` reaches it.  Unchecked, as in an FD sweep, no resolution is checked and no
+    coherence read: only ``delay_and_loss`` refuses a point, prefixed with its intensity."""
+    fgrid, intensities = pulse.grid.frequency_grid(), list(map(float, control_intensities))
+    chis = ((i, fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)) for i in intensities)
+    results = [result for result, _ in _constant(medium, pulse, forward_transform(pulse), chis, checked)]
     points = []
-    for (i, _, _), result in zip(planned, results):
+    for i, result in zip(intensities, results):
         try:
             points.append(ScanPoint(i, *delay_and_loss(pulse, result.output), tuple(result.warnings)))
         except ValueError as exc:
@@ -329,10 +324,10 @@ def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: Compl
     """First-moment delay and loss versus (constant) control intensity.
 
     chi is sampled once per point, at its own intensity, and each point,
-    in order, is checked against that sample and refused as its own
-    ``solve`` would be.  Only then is every point solved, as its own
-    ``solve``: FD's output through the transfer of that same sample, with
-    the same warnings.  ``analysis.delay_and_loss`` measures each point
+    in order, is checked against that sample, refused as its own ``solve``
+    would be, and given the transfer of that sample.  Only then is every
+    point solved, as its own ``solve``: FD's output through that transfer,
+    with the same warnings.  ``analysis.delay_and_loss`` measures each point
     against the input and refuses, naming its intensity, what it refuses
     in ``propagate``: no energy, or more than 300 dB of loss.
     """

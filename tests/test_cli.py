@@ -711,7 +711,7 @@ class TestPropagate:
         cp = run_cli("propagate", "--config", cfg, "--out-dir", out, "--domain", "td")
         assert cp.returncode == 0, cp.stderr
         summary = read_summary(out / "summary.txt")
-        # the Taylor march under an envelope of ones against FD's closed form leaves rounding (4.8e-16),
+        # the Taylor march at the run's own amplitude against FD's closed form leaves rounding (4.7e-16),
         # never 0: perfbench bounds this metric
         assert 0.0 < float(summary["metrics.td_fd_l2_error"]) < 1e-14
 
@@ -1020,6 +1020,19 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert sampled == [0.0, 0.5, 1.0]
         assert len(plans) == 3
+
+    def test_td_sweep_refuses_a_later_point_before_solving_any(self, tmp_path, capsys, monkeypatch):
+        # every point is checked, in order, before the first is sent through its transfer
+        solved = []
+        monkeypatch.setattr(fdprop, "_through", lambda *args: solved.append(args))
+        text = EXAMPLE.read_text().replace("intensity = 1.0", "intensity_list = 0.5, 1e12")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: the solve would take 3.25e+11 z substeps, "
+                                           "more than the 1e+09 any run could finish\n")
+        assert solved == [] and list(out.iterdir()) == []
 
     def test_td_sweep_checks_the_top_point_once(self, tmp_path, monkeypatch):
         plans, calls = [], spy_marches(monkeypatch)

@@ -719,6 +719,14 @@ class TestControlScan:
         with pytest.raises(ValueError, match=r"^intensity 1000\.0: the output is 3\d\d\.\d dB below its input"):
             sl.delay_vs_control_scan(std_medium, [0.5, 1000.0], pulse)
 
+    def test_later_point_past_the_substep_limit_is_refused_before_any_solve(self, std_medium, monkeypatch):
+        pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
+        solved = []
+        monkeypatch.setattr(fdprop, "_through", lambda *args: solved.append(args))
+        with pytest.raises(GridResolutionError, match="the solve would take 3.25e\\+11 z substeps"):
+            sl.delay_vs_control_scan(std_medium, [0.5, 1e12], pulse)
+        assert solved == []
+
     def test_zero_intensity_row(self, std_medium, flattop_signal):
         points = sl.delay_vs_control_scan(std_medium, [0.0], flattop_signal)
         assert points[0].delay_ps == 0.0
