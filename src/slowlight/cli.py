@@ -207,7 +207,7 @@ def cmd_sweep(args):
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
         summary["linearity.slope_ps_per_intensity"] = slope
         summary["linearity.residual_ratio"] = residual
-    summary["metrics.max_delay_ps"] = max((p.delay_ps for p in points), default=0.0)
+    summary["metrics.max_delay_ps"] = max(p.delay_ps for p in points)
     warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
         top_point, top_result = max(zip(points, results), key=lambda pair: pair[0].intensity)

@@ -186,7 +186,7 @@ def kk_real_from_imag(depth: OpticalDepthSpectrum, k0: float, length_mm: float) 
     _require(_POSITIVE, "k0", k0)
     _require(_POSITIVE, "length", length_mm)
     d = depth.depth
-    peak = float(np.max(d)) if d.size else 0.0
+    peak = float(np.max(d))
     if peak == 0.0:
         return Susceptibility(grid=depth.grid, values=np.zeros(depth.grid.n, dtype=complex))
     edge = max(d[0], d[-1])

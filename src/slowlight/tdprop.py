@@ -37,9 +37,13 @@ Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
 so it is exact in z to rounding; in tau it errs only by the part of the
-drive's spectrum that lies past the band edge.  Run at a constant-control
-run's own amplitude on its nz_needed, that march is the check beside its
-output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
+drive's spectrum past the band edge, for which its one grid rule, dt <=
+2*pi/(8*Delta), is a proxy: on example.ini's medium an 8-ps order-8 flat-top
+control moves the output by 4.8e-10, 1.5e-6 and 9.6e-4 relative L2 at dt =
+0.1, 0.2 and 0.4 ps against dt = 0.05, a 60-ps Gaussian one by at most
+1.6e-16.  A constant control takes every grid FD takes.  The march run at
+a constant-control run's own amplitude on its nz_needed is the check beside
+its output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
 """
 
 from __future__ import annotations
@@ -153,21 +157,13 @@ class ScanPoint(NamedTuple):
 
 
 def _max_beat_dt(splitting: float) -> float:
-    """Largest time step that resolves the two-photon beat, 2*pi/(8*Delta)."""
+    """Largest time step a shaped control is marched at, 2*pi/(8*Delta): eight per beat period."""
     return 2.0 * np.pi / (8.0 * splitting)
 
 
-def _validate_resolution(medium: RamanMedium, pulse: ComplexEnvelope, chi: np.ndarray) -> int:
-    """nz_needed for ``chi`` sampled on the grid: the fewest z steps of phase
-    at most _MAX_STEP_PHASE at its peak.  GridResolutionError if dt misses
-    the beat or the march would take past _MAX_SUBSTEPS substeps."""
-    dt = pulse.grid.dt
-    dt_max = _max_beat_dt(medium.splitting)
-    if dt > dt_max:
-        raise GridResolutionError(
-            f"time step {dt:.4g} ps does not resolve the two-photon beat; "
-            f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps"
-        )
+def _validate_resolution(medium: RamanMedium, chi: np.ndarray) -> int:
+    """nz_needed for ``chi`` sampled on the grid: the fewest z steps of phase at most
+    _MAX_STEP_PHASE at its peak; GridResolutionError past _MAX_SUBSTEPS substeps."""
     phase = medium.k0 * float(np.max(np.abs(chi))) * medium.length_mm / 2.0  # of exp(L A)
     if not phase <= _MAX_SUBSTEPS * _MAX_SUBSTEP_PHASE:  # an infinite phase too
         raise GridResolutionError(f"the solve would take {phase / _MAX_SUBSTEP_PHASE:.3g} z substeps, "
@@ -218,7 +214,7 @@ def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, chis, check
     every chi, in order, is refused where ``solve`` would refuse it before any point is
     solved, and the peak coherence at z = 0 and z = L is read at unit intensity from the input's
     DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
-    planned = [(intensity, _validate_resolution(medium, pulse, chi.values) if checked else 0,
+    planned = [(intensity, _validate_resolution(medium, chi.values) if checked else 0,
                 fdprop.transfer_function(chi, medium.k0, medium.length_mm)) for intensity, chi in chis]
     if checked:
         _, symbols = _symbols(medium, pulse.grid)
@@ -275,10 +271,14 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     fixed (weak-signal regime).  A warning is attached if the coherence
     amplitudes grow beyond 0.1 in the field units of the input.  Given
     settings, an nz below nz_needed is refused; no setting changes the result.
+    Only a shaped control refuses a dt past 2*pi/(8*Delta), before chi is sampled.
     """
     medium = medium.with_control_intensity(control.intensity)
+    if control.envelope is not None and pulse.grid.dt > (dt_max := _max_beat_dt(medium.splitting)):
+        raise GridResolutionError(f"time step {pulse.grid.dt:.4g} ps does not resolve the two-photon beat; "
+                                  f"need dt <= 2*pi/(8*Delta) = {dt_max:.4g} ps")
     chi = fdprop.susceptibility_from_medium(medium, pulse.grid.frequency_grid())
-    nz_needed = _validate_resolution(medium, pulse, chi.values)
+    nz_needed = _validate_resolution(medium, chi.values)
     if settings is not None and settings.nz < nz_needed:
         raise GridResolutionError(
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
@@ -323,12 +323,11 @@ def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, chec
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    chi is sampled once per point, at its own intensity, and each point,
-    in order, is checked against that sample, refused as its own ``solve``
-    would be, and given the transfer of that sample.  Only then is every
-    point solved, as its own ``solve``: FD's output through that transfer,
-    with the same warnings.  ``analysis.delay_and_loss`` measures each point
-    against the input and refuses, naming its intensity, what it refuses
-    in ``propagate``: no energy, or more than 300 dB of loss.
+    Each point's chi is sampled once, at its own intensity, checked in order
+    as its own ``solve`` would check it, and given its transfer; only then is
+    every point solved, as its own ``solve``: FD's output through that
+    transfer, with the same warnings.  ``analysis.delay_and_loss`` measures
+    each point against the input and refuses, naming its intensity, what it
+    refuses in ``propagate``: no energy, or more than 300 dB of loss.
     """
     return _scan(medium, control_intensities, pulse)[0]

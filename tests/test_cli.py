@@ -90,8 +90,8 @@ def spy_plans(monkeypatch, plans):
     """Append to ``plans`` each nz_needed ``tdprop._validate_resolution`` returns."""
     validate = tdprop._validate_resolution
 
-    def spy(medium, pulse, chi):
-        plans.append(validate(medium, pulse, chi))
+    def spy(medium, chi):
+        plans.append(validate(medium, chi))
         return plans[-1]
 
     monkeypatch.setattr(tdprop, "_validate_resolution", spy)
@@ -411,6 +411,23 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, old, new, message", [
+    ("propagate", "kind = constant", "kind = constant\nfwhm_ps = 60.0",
+     "keys control.kind = constant and control.fwhm_ps: a constant control has no width"),
+    ("sweep", "intensity = 1.0", "intensity = 7.0\nintensity_list = 0.5, 1.0",
+     "keys control.intensity and control.intensity_list: give one, intensity for propagate or intensity_list "
+     "for sweep"),
+], ids=["fwhm-under-constant", "intensity-beside-list"])
+def test_a_key_no_run_reads_exits_2_naming_both_keys(tmp_path, capsys, command, old, new, message):
+    # the run would drop the key, yet write it back to resolved_config.ini
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_config(tmp_path, EXAMPLE.read_text().replace(old, new))
+    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
 def test_line_without_equals_is_one_line_naming_the_file_and_the_line(tmp_path, capsys):
     cfg = write_config(tmp_path, CONFIG.replace("[grid]\n", "[grid]\nn 16384\n"))
     out = tmp_path / "out"
@@ -704,6 +721,32 @@ class TestPropagate:
                          "--out-dir", str(tmp_path / domain)]) == 0
         for name in ("output_envelope.csv", "spectrum_on.csv"):
             assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command, edits, names", [
+        ("propagate", [], ("output_envelope.csv", "spectrum_on.csv")),
+        ("sweep", [("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0, 2.0")], ("intensity_scan.csv",)),
+    ], ids=["propagate", "sweep"])
+    def test_constant_control_td_takes_a_time_step_past_the_beat(self, tmp_path, command, edits, names):
+        # only a shaped control is held to 2 pi / (8 Delta): TD takes every grid FD takes and writes FD's bytes
+        text = EXAMPLE.read_text().replace("dt_ps = 0.06", "dt_ps = 0.15")
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = write_config(tmp_path, text)
+        for domain in ("fd", "td"):
+            assert main([command, "--config", str(cfg), "--domain", domain, "--out-dir", str(tmp_path / domain)]) == 0
+        for name in names:
+            assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes(), name
+        assert float(read_summary(tmp_path / "td" / "summary.txt")["metrics.td_fd_l2_error"]) < 1e-14
+
+    def test_shaped_control_past_the_beat_exits_3_with_one_line(self, tmp_path, capsys):
+        text = EXAMPLE.read_text().replace("dt_ps = 0.06", "dt_ps = 0.15")
+        cfg = write_config(tmp_path, text.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60"))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: time step 0.15 ps does not resolve the two-photon beat; "
+                                           "need dt <= 2*pi/(8*Delta) = 0.1155 ps\n")
+        assert list(out.iterdir()) == []
 
     def test_td_cross_check(self, tmp_path):
         cfg = write_config(tmp_path)

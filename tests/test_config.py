@@ -201,7 +201,6 @@ RESOLVED_VARIANTS = {
     "example": [],
     "g_per_intensity": [("d0 = 2.5", "g_per_intensity = 0.30000000000000004")],
     "duration_ps": [("bandwidth_invps = 1.8", "duration_ps = 3.1")],
-    "intensity_list_with_intensity": [("intensity = 1.0", "intensity = 1.0\nintensity_list = 0, 0.5, 1e-3")],
     "intensity_list_only": [("intensity = 1.0", "intensity_list = 0.25, 2")],
     "gaussian_control": [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")],
     "no_control": [("[control]\nkind = constant\nintensity = 1.0\n", "")],
@@ -223,6 +222,15 @@ def test_resolved_config_bytes_pinned(tmp_path, name):
     assert config.resolved_ini() == pinned["resolved_ini"]
     assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
     assert load_config(write(tmp_path, pinned["resolved_ini"])).resolved_ini() == pinned["resolved_ini"]
+
+
+def test_resolved_config_with_intensity_beside_list_is_refused(tmp_path):
+    """A sweep once wrote the control.intensity it ignored beside its
+    control.intensity_list (the pinned ``intensity_list_with_intensity``
+    bytes); such a file is refused like the config it came from."""
+    pinned = json.loads((Path(__file__).parent / "data" / "resolved_config.json").read_text())
+    with pytest.raises(ConfigError, match=r"^keys control\.intensity and control\.intensity_list: give one"):
+        load_config(write(tmp_path, pinned["intensity_list_with_intensity"]["resolved_ini"]))
 
 
 @pytest.mark.parametrize("name", list(RESOLVED_VARIANTS))

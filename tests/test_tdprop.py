@@ -459,11 +459,25 @@ class TestSolve:
         with pytest.raises(ValueError, match=r"control envelope has \(10,\) samples, grid has 1024"):
             sl.solve(std_medium, sl.ControlField(1.0, envelope=np.ones(10)), pulse)
 
-    def test_coarse_time_step_refused(self, std_medium):
+    def test_coarse_time_step_refused(self, std_medium, monkeypatch):
+        # a shaped control's march is held to 2 pi / (8 Delta), checked before chi is sampled
         grid = sl.TimeGrid.centered(2**10, 0.2)  # > 2 pi / (8 Delta)
         pulse = sl.ComplexEnvelope(grid=grid, samples=np.exp(-grid.times**2).astype(complex))
-        with pytest.raises(GridResolutionError, match="dt"):
-            sl.solve(std_medium, sl.ControlField.constant(1.0), pulse)
+        sampled = []
+        monkeypatch.setattr(fdprop, "medium_chi", lambda *args: sampled.append(args))
+        with pytest.raises(GridResolutionError, match=r"^time step 0\.2 ps does not resolve the two-photon beat; "
+                                                      r"need dt <= 2\*pi/\(8\*Delta\) = 0\.1155 ps$"):
+            sl.solve(std_medium, sl.ControlField.gaussian(grid, fwhm_ps=60.0, intensity=1.0), pulse)
+        assert sampled == []
+
+    def test_constant_control_takes_a_time_step_past_the_beat(self, std_medium):
+        # FD's output on any grid FD takes, and the check march agrees with it there to rounding
+        grid = sl.TimeGrid.centered(2**12, 0.2)
+        pulse = sl.synthesize_pulse("gaussian", grid, duration=4.0)
+        result = sl.solve(std_medium, sl.ControlField.constant(1.0), pulse)
+        assert np.array_equal(result.output.samples, fd_reference(std_medium, pulse).samples)
+        assert rel_l2(tdprop._march(std_medium, 1.0, pulse, result.nz_needed).output.samples,
+                      result.output.samples) < 1e-14
 
     def test_insufficient_z_steps_refused(self):
         medium = sl.from_target_depth(50.0, GAMMA, DELTA, K0, LENGTH)
@@ -490,7 +504,7 @@ class TestSolve:
         assert std_medium.k0 * chi_max * std_medium.length_mm / 2.0 == 2.0
         validate = tdprop._validate_resolution
         monkeypatch.setattr(tdprop, "_validate_resolution",
-                            lambda medium, pulse, chi: validate(medium, pulse, np.array([chi_max])))
+                            lambda medium, chi: validate(medium, np.array([chi_max])))
         pulse = sl.synthesize_pulse("gaussian", signal_grid, duration=2.0)
         control = sl.ControlField.constant(1.0)
         assert sl.solve(std_medium, control, pulse, sl.SolverSettings(nz=20)).nz_needed == 20
@@ -694,6 +708,15 @@ class TestControlScan:
         intensities = np.linspace(0.0, 2.0, 9)
         points = sl.delay_vs_control_scan(std_medium, intensities, pulse)
         assert len(points) == 9 and sampled == intensities.tolist()
+
+    def test_scan_takes_a_time_step_past_the_beat(self, std_medium):
+        # each point is FD's output through its own transfer, as on a finer grid
+        grid = sl.TimeGrid.centered(2**12, 0.2)
+        pulse = sl.synthesize_pulse("gaussian", grid, duration=4.0)
+        intensities = [0.0, 0.5, 1.0, 2.0]
+        rows = [(i, *delay_and_loss(pulse, fd_reference(std_medium.with_control_intensity(i), pulse)))
+                for i in intensities]
+        assert [tuple(p[:3]) for p in sl.delay_vs_control_scan(std_medium, intensities, pulse)] == rows
 
     def test_nine_point_scan_memory(self, std_medium, flattop_signal):
         # the scan's outputs, DFT, eigenvalues and work arrays at n = 16384 stay below 10 MB
