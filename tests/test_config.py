@@ -201,6 +201,7 @@ RESOLVED_VARIANTS = {
     "example": [],
     "g_per_intensity": [("d0 = 2.5", "g_per_intensity = 0.30000000000000004")],
     "duration_ps": [("bandwidth_invps = 1.8", "duration_ps = 3.1")],
+    "intensity_list_with_intensity": [("intensity = 1.0", "intensity = 1.0\nintensity_list = 0, 0.5, 1e-3")],
     "intensity_list_only": [("intensity = 1.0", "intensity_list = 0.25, 2")],
     "gaussian_control": [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")],
     "no_control": [("[control]\nkind = constant\nintensity = 1.0\n", "")],
@@ -208,6 +209,13 @@ RESOLVED_VARIANTS = {
     "legacy_solver": [("dt_ps = 0.06\n", "dt_ps = 0.06\n\n[solver]\nnz = 256\n")],
     "dt_omitted": [("dt_ps = 0.06\n", "")],
     "gdd_zero": [("gdd_ps2 = 0.0", "gdd_ps2 = 0")],
+}
+
+# Pinned variants that no longer load.  A sweep once wrote the
+# control.intensity it ignored beside its control.intensity_list; that config
+# and its pinned resolved_config.ini bytes are both refused in one line.
+REFUSED_VARIANTS = {
+    "intensity_list_with_intensity": r"^keys control\.intensity and control\.intensity_list: give one",
 }
 
 
@@ -218,19 +226,15 @@ def test_resolved_config_bytes_pinned(tmp_path, name):
     for old, new in RESOLVED_VARIANTS[name]:
         assert old in text
         text = text.replace(old, new)
+    if name in REFUSED_VARIANTS:
+        for source in (text, pinned["resolved_ini"]):
+            with pytest.raises(ConfigError, match=REFUSED_VARIANTS[name]):
+                load_config(write(tmp_path, source))
+        return
     config = load_config(write(tmp_path, text))
     assert config.resolved_ini() == pinned["resolved_ini"]
     assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
     assert load_config(write(tmp_path, pinned["resolved_ini"])).resolved_ini() == pinned["resolved_ini"]
-
-
-def test_resolved_config_with_intensity_beside_list_is_refused(tmp_path):
-    """A sweep once wrote the control.intensity it ignored beside its
-    control.intensity_list (the pinned ``intensity_list_with_intensity``
-    bytes); such a file is refused like the config it came from."""
-    pinned = json.loads((Path(__file__).parent / "data" / "resolved_config.json").read_text())
-    with pytest.raises(ConfigError, match=r"^keys control\.intensity and control\.intensity_list: give one"):
-        load_config(write(tmp_path, pinned["intensity_list_with_intensity"]["resolved_ini"]))
 
 
 @pytest.mark.parametrize("name", list(RESOLVED_VARIANTS))
@@ -240,6 +244,10 @@ def test_loaded_config_is_the_resolved_config(tmp_path, name):
     text = EXAMPLE
     for old, new in RESOLVED_VARIANTS[name]:
         text = text.replace(old, new)
+    if name in REFUSED_VARIANTS:
+        with pytest.raises(ConfigError, match=REFUSED_VARIANTS[name]):
+            load_config(write(tmp_path, text))
+        return
     config = load_config(write(tmp_path, text))
     resolved = tmp_path / "resolved.ini"
     resolved.write_text(config.resolved_ini())
