@@ -142,9 +142,6 @@ class ControlConfig:
         # a key no run would read is refused, not written back to resolved_config.ini
         if self.kind == "constant" and self.fwhm_ps is not None:
             raise ConfigError("keys control.kind = constant and control.fwhm_ps: a constant control has no width")
-        if self.intensity is not None and self.intensity_list:
-            raise ConfigError("keys control.intensity and control.intensity_list: give one, "
-                              "intensity for propagate or intensity_list for sweep")
         if self.intensity is None and not self.intensity_list:
             self.intensity = 1.0
 

@@ -38,12 +38,11 @@ Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 substeps as keep each one's phase to 4, each until a term is negligible,
 so it is exact in z to rounding; in tau it errs only by the part of the
 drive's spectrum past the band edge, for which its one grid rule, dt <=
-2*pi/(8*Delta), is a proxy: on example.ini's medium an 8-ps order-8 flat-top
-control moves the output by 4.8e-10, 1.5e-6 and 9.6e-4 relative L2 at dt =
-0.1, 0.2 and 0.4 ps against dt = 0.05, a 60-ps Gaussian one by at most
-1.6e-16.  A constant control takes every grid FD takes.  The march run at
-a constant-control run's own amplitude on its nz_needed is the check beside
-its output: its gap to FD's output is the CLI's ``metrics.td_fd_l2_error``.
+2*pi/(8*Delta), is a proxy blind to the control's shape (ROADMAP item 9
+gives its measured misses).  A constant control takes every grid FD takes.
+The march run at a constant-control run's own amplitude on its nz_needed is
+the check beside its output: its gap to FD's output is the CLI's
+``metrics.td_fd_l2_error``.
 """
 
 from __future__ import annotations
@@ -271,7 +270,8 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     fixed (weak-signal regime).  A warning is attached if the coherence
     amplitudes grow beyond 0.1 in the field units of the input.  Given
     settings, an nz below nz_needed is refused; no setting changes the result.
-    Only a shaped control refuses a dt past 2*pi/(8*Delta), before chi is sampled.
+    Only a shaped control refuses a dt past 2*pi/(8*Delta), the proxy for its error
+    in tau, and before chi is sampled.
     """
     medium = medium.with_control_intensity(control.intensity)
     if control.envelope is not None and pulse.grid.dt > (dt_max := _max_beat_dt(medium.splitting)):

@@ -393,11 +393,15 @@ INF_COUPLING = [("d0 = 2.5", "d0 = 1e308"), ("length_mm = 30.0", "length_mm = 1e
         (["propagate", "--domain", "fd"], AS_LIST, 2),
         (["sweep", "--domain", "fd"], AS_LIST + [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")], 2),
         (["analytic"], [("length_mm = 30.0\n", "")], 2),
+        # a shaped control past the two-photon beat rule, 2 pi / (8 Delta) = 0.1155 ps
+        (["propagate", "--domain", "td"], [("dt_ps = 0.06", "dt_ps = 0.15"),
+                                           ("kind = constant", "kind = gaussian\nfwhm_ps = 60")], 3),
     ],
     ids=["analytic-no-window", "fd-no-window", "td-no-window", "sweep-no-window", "analytic-no-grid-step",
          "fd-centroid", "analytic-inf-coupling", "fd-inf-coupling", "analytic-count-overflow",
          "analytic-count-memory", "fd-grid-memory", "fd-window-1e-6", "fd-window-0.001", "fd-window-1e-300",
-         "td-window-n-8", "propagate-intensity-list", "sweep-gaussian-control", "analytic-no-length"],
+         "td-window-n-8", "propagate-intensity-list", "sweep-gaussian-control", "analytic-no-length",
+         "td-shaped-past-beat"],
 )
 def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     text = CONFIG
@@ -411,20 +415,14 @@ def test_failed_run_writes_nothing(tmp_path, capsys, argv, edits, code):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command, old, new, message", [
-    ("propagate", "kind = constant", "kind = constant\nfwhm_ps = 60.0",
-     "keys control.kind = constant and control.fwhm_ps: a constant control has no width"),
-    ("sweep", "intensity = 1.0", "intensity = 7.0\nintensity_list = 0.5, 1.0",
-     "keys control.intensity and control.intensity_list: give one, intensity for propagate or intensity_list "
-     "for sweep"),
-], ids=["fwhm-under-constant", "intensity-beside-list"])
-def test_a_key_no_run_reads_exits_2_naming_both_keys(tmp_path, capsys, command, old, new, message):
+def test_fwhm_under_a_constant_control_exits_2_naming_both_keys(tmp_path, capsys):
     # the run would drop the key, yet write it back to resolved_config.ini
     out = tmp_path / "out"
     out.mkdir()
-    cfg = write_config(tmp_path, EXAMPLE.read_text().replace(old, new))
-    assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    cfg = write_config(tmp_path, EXAMPLE.read_text().replace("kind = constant", "kind = constant\nfwhm_ps = 60.0"))
+    assert main(["propagate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: keys control.kind = constant and control.fwhm_ps: "
+                                       "a constant control has no width\n")
     assert list(out.iterdir()) == []
 
 
@@ -715,38 +713,26 @@ class TestPropagate:
         assert summary["metrics.td_fd_l2_error"] == "0"
 
     def test_constant_control_td_writes_the_fd_bytes(self, tmp_path):
-        # a constant-control TD solve returns FD's output, and its spectrum is the input's times H
-        for domain in ("fd", "td"):
-            assert main(["propagate", "--config", str(EXAMPLE), "--domain", domain,
-                         "--out-dir", str(tmp_path / domain)]) == 0
-        for name in ("output_envelope.csv", "spectrum_on.csv"):
-            assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes(), name
+        # a constant-control TD solve returns FD's output, and its spectrum is the input's times H,
+        # also at dt = 0.15 ps, past the beat rule a shaped control keeps
+        for dt_ps in ("0.06", "0.15"):
+            cfg = write_config(tmp_path, EXAMPLE.read_text().replace("dt_ps = 0.06", f"dt_ps = {dt_ps}"))
+            for domain in ("fd", "td"):
+                assert main(["propagate", "--config", str(cfg), "--domain", domain,
+                             "--out-dir", str(tmp_path / dt_ps / domain)]) == 0
+            for name in ("output_envelope.csv", "spectrum_on.csv"):
+                assert (tmp_path / dt_ps / "td" / name).read_bytes() == (tmp_path / dt_ps / "fd" / name).read_bytes()
+            assert float(read_summary(tmp_path / dt_ps / "td" / "summary.txt")["metrics.td_fd_l2_error"]) < 1e-14
 
-    @pytest.mark.parametrize("command, edits, names", [
-        ("propagate", [], ("output_envelope.csv", "spectrum_on.csv")),
-        ("sweep", [("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0, 2.0")], ("intensity_scan.csv",)),
-    ], ids=["propagate", "sweep"])
-    def test_constant_control_td_takes_a_time_step_past_the_beat(self, tmp_path, command, edits, names):
-        # only a shaped control is held to 2 pi / (8 Delta): TD takes every grid FD takes and writes FD's bytes
+    def test_constant_control_td_sweep_takes_a_time_step_past_the_beat(self, tmp_path):
+        # only a shaped control is held to 2 pi / (8 Delta): a TD sweep takes every grid FD takes
         text = EXAMPLE.read_text().replace("dt_ps = 0.06", "dt_ps = 0.15")
-        for old, new in edits:
-            text = text.replace(old, new)
-        cfg = write_config(tmp_path, text)
+        cfg = write_config(tmp_path, text.replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0, 2.0"))
         for domain in ("fd", "td"):
-            assert main([command, "--config", str(cfg), "--domain", domain, "--out-dir", str(tmp_path / domain)]) == 0
-        for name in names:
-            assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes(), name
+            assert main(["sweep", "--config", str(cfg), "--domain", domain, "--out-dir", str(tmp_path / domain)]) == 0
+        name = "intensity_scan.csv"
+        assert (tmp_path / "td" / name).read_bytes() == (tmp_path / "fd" / name).read_bytes()
         assert float(read_summary(tmp_path / "td" / "summary.txt")["metrics.td_fd_l2_error"]) < 1e-14
-
-    def test_shaped_control_past_the_beat_exits_3_with_one_line(self, tmp_path, capsys):
-        text = EXAMPLE.read_text().replace("dt_ps = 0.06", "dt_ps = 0.15")
-        cfg = write_config(tmp_path, text.replace("kind = constant", "kind = gaussian\nfwhm_ps = 60"))
-        out = tmp_path / "out"
-        out.mkdir()
-        assert main(["propagate", "--config", str(cfg), "--domain", "td", "--out-dir", str(out)]) == 3
-        assert capsys.readouterr().err == ("error: time step 0.15 ps does not resolve the two-photon beat; "
-                                           "need dt <= 2*pi/(8*Delta) = 0.1155 ps\n")
-        assert list(out.iterdir()) == []
 
     def test_td_cross_check(self, tmp_path):
         cfg = write_config(tmp_path)

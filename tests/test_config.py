@@ -211,13 +211,6 @@ RESOLVED_VARIANTS = {
     "gdd_zero": [("gdd_ps2 = 0.0", "gdd_ps2 = 0")],
 }
 
-# Pinned variants that no longer load.  A sweep once wrote the
-# control.intensity it ignored beside its control.intensity_list; that config
-# and its pinned resolved_config.ini bytes are both refused in one line.
-REFUSED_VARIANTS = {
-    "intensity_list_with_intensity": r"^keys control\.intensity and control\.intensity_list: give one",
-}
-
 
 @pytest.mark.parametrize("name", list(RESOLVED_VARIANTS))
 def test_resolved_config_bytes_pinned(tmp_path, name):
@@ -226,11 +219,6 @@ def test_resolved_config_bytes_pinned(tmp_path, name):
     for old, new in RESOLVED_VARIANTS[name]:
         assert old in text
         text = text.replace(old, new)
-    if name in REFUSED_VARIANTS:
-        for source in (text, pinned["resolved_ini"]):
-            with pytest.raises(ConfigError, match=REFUSED_VARIANTS[name]):
-                load_config(write(tmp_path, source))
-        return
     config = load_config(write(tmp_path, text))
     assert config.resolved_ini() == pinned["resolved_ini"]
     assert list(config.flat_items().items()) == list(pinned["flat_items"].items())
@@ -244,10 +232,6 @@ def test_loaded_config_is_the_resolved_config(tmp_path, name):
     text = EXAMPLE
     for old, new in RESOLVED_VARIANTS[name]:
         text = text.replace(old, new)
-    if name in REFUSED_VARIANTS:
-        with pytest.raises(ConfigError, match=REFUSED_VARIANTS[name]):
-            load_config(write(tmp_path, text))
-        return
     config = load_config(write(tmp_path, text))
     resolved = tmp_path / "resolved.ini"
     resolved.write_text(config.resolved_ini())
