@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import os
-import warnings
 
 import numpy as np
 
@@ -321,20 +320,19 @@ def _read_text(path) -> str:
 
 
 def _read_table(path, *headers: str):
-    """(header, columns) of a CSV whose header is one of ``headers``."""
+    """(header, columns) of a CSV: a header line, one of ``headers``, then rows
+    of comma-separated numbers.  Empty lines are skipped; ``#`` starts no comment."""
     header, _, body = _read_text(path).partition("\n")
     header = header.strip()
     if header not in headers:
         expected = " or ".join(map(repr, headers))
         raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
+    if not body or body.isspace():  # not strip(): that copies the body
+        raise ConfigError(f"malformed CSV {path}: no data rows")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
-            body = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        body = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ConfigError(f"malformed CSV {path}: {exc}") from None
-    if body.size == 0:
-        raise ConfigError(f"malformed CSV {path}: no data rows")
     if body.shape[1] != len(header.split(",")):
         raise ConfigError(f"malformed CSV {path}: expected {header!r} columns")
     if not np.all(np.isfinite(body)):

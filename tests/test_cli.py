@@ -182,6 +182,14 @@ def _csv(header, rows=16, bad=None):
 
 KK_ARGV = ["kk", "--absorption-csv", "{csv}", "--center-nm", "765.85", "--lambda0-nm", "765", "--length-mm", "30"]
 
+# the three CSV inputs, each with its argv and header
+CSV_READERS = [
+    (KK_ARGV, "wavelength_nm,absorption"),
+    (["propagate", "--config", "{config}", "--chi-csv", "{csv}"], "detuning_invps,chi_re,chi_im"),
+    (["xcorr", "--signal-csv", "{csv}"], "time_ps,re,im"),
+]
+CSV_READER_IDS = ["kk", "chi-csv", "xcorr"]
+
 # absorption records kk cannot use, each refused with the file's name
 BAD_RECORDS = {
     "kk-one-record": "wavelength_nm,absorption\n765,0.1\n",
@@ -205,36 +213,35 @@ BAD_RECORDS = {
         (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im", rows=100)),
         (["xcorr", "--signal-csv", "{csv}"], _csv("time_ps,re,im").replace("\n765.0,", "\n765.5,")),
         *((KK_ARGV, text) for text in BAD_RECORDS.values()),
+        # "#" starts no comment: a note row or a flagged cell is malformed like any other
+        *((argv, text) for argv, header in CSV_READERS
+          for text in (_csv(header).replace("\n", "\n# note\n", 1), _csv(header, bad="0.5  # flagged"))),
     ],
-    ids=["kk-inf", "chi-nan", "non-numeric", "rows-not-power-of-two", "non-uniform-axis", *BAD_RECORDS],
+    ids=["kk-inf", "chi-nan", "non-numeric", "rows-not-power-of-two", "non-uniform-axis", *BAD_RECORDS,
+         *(f"{name}-{case}" for name in CSV_READER_IDS for case in ("hash-row", "hash-tail"))],
 )
 def test_bad_csv_exits_2(tmp_path, capsys, argv, text):
     path = tmp_path / "input.csv"
     path.write_text(text)
     fill = {"csv": path, "config": write_config(tmp_path)}
-    assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
     assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "argv, header",
-    [
-        (KK_ARGV, "wavelength_nm,absorption"),
-        (["propagate", "--config", "{config}", "--chi-csv", "{csv}"], "detuning_invps,chi_re,chi_im"),
-        (["xcorr", "--signal-csv", "{csv}"], "time_ps,re,im"),
-    ],
-    ids=["kk", "chi-csv", "xcorr"],
-)
+@pytest.mark.parametrize("argv, header", CSV_READERS, ids=CSV_READER_IDS)
 def test_header_only_csv_exits_2_with_one_line(tmp_path, argv, header):
     # a separate process, so that a warning numpy prints would reach stderr
     path = tmp_path / "input.csv"
-    path.write_text(header + "\n")
     fill = {"csv": path, "config": write_config(tmp_path)}
-    cp = run_cli(*[arg.format(**fill) for arg in argv], "--out-dir", tmp_path / "out")
-    assert cp.returncode == 2
-    assert cp.stderr == f"error: malformed CSV {path}: no data rows\n"
+    for body in ["", "\n\n", " \n\t\n  "]:  # header only, blank lines, whitespace-only lines
+        path.write_text(header + "\n" + body)
+        cp = run_cli(*[arg.format(**fill) for arg in argv], "--out-dir", tmp_path / "out")
+        assert cp.returncode == 2
+        assert cp.stderr == f"error: malformed CSV {path}: no data rows\n"
 
 
 @pytest.mark.parametrize(
