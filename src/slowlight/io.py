@@ -329,15 +329,31 @@ def _read_table(path, *headers: str):
         raise ConfigError(f"unexpected CSV header {header!r} in {path}; expected {expected}")
     if not body or body.isspace():  # not strip(): that copies the body
         raise ConfigError(f"malformed CSV {path}: no data rows")
+    lines, width = body.split("\n"), len(header.split(","))  # not splitlines(): a form feed ends no line
     try:
-        body = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ConfigError(f"malformed CSV {path}: {exc}") from None
-    if body.shape[1] != len(header.split(",")):
-        raise ConfigError(f"malformed CSV {path}: expected {header!r} columns")
+        body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        body = None
+    if body is None or body.shape[1] != width:
+        raise ConfigError(f"malformed CSV {path}: {_row_fault(lines, width)}")
     if not np.all(np.isfinite(body)):
         raise ConfigError(f"malformed CSV {path}: a value is nan or infinite")
     return header, tuple(body.T)
+
+
+def _row_fault(lines, width: int) -> str:
+    """The first of the body ``lines`` that is not ``width`` numbers, by its line in the
+    file: the header is line 1, and the empty lines np.loadtxt skips are counted."""
+    for number, line in enumerate(lines, start=2):
+        cells = line.split(",") if line else []
+        if cells and len(cells) != width:
+            return f"line {number} has {len(cells)} cell{'s' * (len(cells) != 1)}, the header has {width} columns"
+        for cell in cells:
+            try:  # float() takes what np.loadtxt takes, and also underscores and non-ASCII digits
+                float(cell if cell.isascii() and "_" not in cell else "?")
+            except ValueError:
+                return f"line {number}: {cell!r} is not a number"
+    return f"a row is not {width} numbers"
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:

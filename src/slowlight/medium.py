@@ -2,8 +2,11 @@
 of merit (peak optical depth, group delay, loss, delay per loss,
 delay-bandwidth product).
 
-The medium consists of two Raman absorption lines at detunings -Delta/2
-and +Delta/2 from the two-photon midpoint.  Each line contributes a
+The medium consists of two Raman absorption lines.  The detuning origin
+is their two-photon midpoint, so they sit at -Delta/2 and +Delta/2 by
+construction and a ``RamanLine`` takes only ``(linewidth,
+strength_per_intensity)``; records whose fitted lines are off-centre are
+re-centred by choosing ``kk --center-nm``.  Each line contributes a
 Lorentzian of strength ``c = g * |E_c|^2`` to the susceptibility
 
     chi(w) = (i/k0) * sum_nu  c_nu s_nu(w),  s_nu(w) = 1 / (Gamma_nu - i*(w - center_nu))
@@ -29,14 +32,12 @@ _SYMMETRY_RTOL = 1e-9
 class RamanLine:
     """One Raman absorption line.
 
-    center_detuning : line position relative to the two-photon midpoint (1/ps)
-    linewidth       : Lorentzian half width Gamma (1/ps)
+    linewidth : Lorentzian half width Gamma (1/ps)
     strength_per_intensity : effective coupling per unit control intensity;
         the line strength is ``strength_per_intensity * control_intensity``
         and carries units of 1/(ps*mm) per intensity unit.
     """
 
-    center_detuning: float
     linewidth: float
     strength_per_intensity: float
 
@@ -66,14 +67,6 @@ class RamanMedium:
         for what, value in (("splitting", self.splitting), ("length", self.length_mm), ("k0", self.k0)):
             _require(_POSITIVE, what, value)
         _require(_NON_NEGATIVE, "control intensity", self.control_intensity)
-        lo, hi = self.lines
-        half = self.splitting / 2.0
-        if not (np.isclose(lo.center_detuning, -half, rtol=0, atol=1e-12 * max(1.0, half))
-                and np.isclose(hi.center_detuning, half, rtol=0, atol=1e-12 * max(1.0, half))):
-            raise ValueError(
-                "lines must sit at -Delta/2 and +Delta/2; got centers "
-                f"{lo.center_detuning} and {hi.center_detuning} for Delta = {self.splitting}"
-            )
 
     @property
     def line_strengths(self) -> tuple[float, float]:
@@ -94,9 +87,7 @@ class RamanMedium:
 def symmetric_doublet(g: float, gamma: float, delta: float, k0: float, length_mm: float) -> RamanMedium:
     """Two lines of equal linewidth ``gamma`` and coupling ``g`` at -delta/2
     and +delta/2."""
-    half = delta / 2.0
-    lines = (RamanLine(-half, gamma, g), RamanLine(+half, gamma, g))
-    return RamanMedium(lines=lines, splitting=delta, length_mm=length_mm, k0=k0)
+    return RamanMedium(lines=(RamanLine(gamma, g), RamanLine(gamma, g)), splitting=delta, length_mm=length_mm, k0=k0)
 
 
 def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_mm: float) -> RamanMedium:
@@ -111,9 +102,11 @@ def from_target_depth(d0: float, gamma: float, delta: float, k0: float, length_m
 
 
 def _line_responses(medium: RamanMedium, omega) -> list:
-    """Each line's response 1 / (Gamma_nu - i (omega - c_nu)) at ``omega``, in line order."""
+    """Each line's response 1 / (Gamma_nu - i (omega - center_nu)) at ``omega``, in line order:
+    the centres are -Delta/2 and +Delta/2 by construction."""
     w = np.asarray(omega, dtype=float)
-    return [1.0 / (line.linewidth - 1j * (w - line.center_detuning)) for line in medium.lines]
+    half = medium.splitting / 2.0
+    return [1.0 / (line.linewidth - 1j * (w - center)) for line, center in zip(medium.lines, (-half, +half))]
 
 
 def chi(medium: RamanMedium, omega) -> np.ndarray | complex:

@@ -246,6 +246,36 @@ def test_header_only_csv_exits_2_with_one_line(tmp_path, argv, header):
 
 @pytest.mark.parametrize(
     "argv, header",
+    [*CSV_READERS, (["xcorr", "--signal-csv", "{signal}", "--off-csv", "{csv}"], "time_ps,re,im")],
+    ids=[*CSV_READER_IDS, "xcorr-off"],
+)
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda row: row.rsplit(",", 1)[0] + ",abc", "line 8: 'abc' is not a number"),
+        (lambda row: row.split(",", 1)[0], "line 8 has 1 cell, the header has {width} columns"),
+        (lambda row: " \t\n" + row, "line 8 has 1 cell, the header has {width} columns"),
+    ],
+    ids=["bad-cell", "short-row", "whitespace-line"],
+)
+def test_csv_parse_error_names_the_file_line(tmp_path, capsys, argv, header, fault, message):
+    # the header is line 1 and the empty line 2 is skipped but counted, so body row 6 is line 8
+    lines = _csv(header).splitlines()
+    lines[6] = fault(lines[6])
+    path = tmp_path / "input.csv"
+    path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n")
+    signal = tmp_path / "signal.csv"
+    sl.io.write_envelope_csv(signal, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=3.0))
+    fill = {"csv": path, "signal": signal, "config": write_config(tmp_path)}
+    out = tmp_path / "out"
+    assert main([arg.format(**fill) for arg in argv] + ["--out-dir", str(out)]) == 2
+    width = header.count(",") + 1
+    assert capsys.readouterr().err == f"error: malformed CSV {path}: {message.format(width=width)}\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, header",
     [
         (["xcorr", "--signal-csv", "{bad}"], "time_ps,re,im"),
         (["xcorr", "--signal-csv", "{signal}", "--off-csv", "{bad}"], "time_ps,re,im"),

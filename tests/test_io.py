@@ -67,6 +67,11 @@ def test_absorption_kind_detection(tmp_path):
     wide.write_text("wavelength_nm,absorption\n760,0.2,0.1\n761,0.3,0.1\n")
     with pytest.raises(ConfigError, match="columns"):
         io.read_absorption_csv(wide)
+    # only a newline ends a line: a form feed inside one is a malformed row, not a row break
+    fed = tmp_path / "fed.csv"
+    fed.write_text("wavelength_nm,absorption\n760,0.2\f761,0.3\n762,0.1\n")
+    with pytest.raises(ConfigError, match=r"line 2 has 3 cells, the header has 2 columns$"):
+        io.read_absorption_csv(fed)
 
 
 def test_correlation_and_scan_formats(tmp_path):

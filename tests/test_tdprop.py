@@ -238,7 +238,7 @@ class TestOperator:
         # lambda_j = i k0 chi(omega_j) / 2 at unit intensity, on FD's detuning of each bin, asymmetric lines too
         grid = sl.TimeGrid.centered(2**log2_n, dt)
         gamma_lo, g_lo, gamma_hi, g_hi = lines
-        lines = (sl.RamanLine(-DELTA / 2, gamma_lo, g_lo), sl.RamanLine(DELTA / 2, gamma_hi, g_hi))
+        lines = (sl.RamanLine(gamma_lo, g_lo), sl.RamanLine(gamma_hi, g_hi))
         medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=LENGTH, k0=K0)
         eigenvalues, _ = _symbols(medium, grid)
         expected = 0.5j * K0 * sl.chi(medium, bin_detunings(grid))
@@ -248,7 +248,7 @@ class TestOperator:
         # medium writes each line's response once: on the DFT-bin detunings, chi is i/k0 times the
         # strength-weighted sum of the very responses the eigenvalues -sum (g/2) s are built from, bit for bit
         grid = sl.TimeGrid.centered(2**10, 0.06)
-        lines = (sl.RamanLine(-DELTA / 2, 0.7, 0.2), sl.RamanLine(DELTA / 2, 1.3, 0.05))
+        lines = (sl.RamanLine(0.7, 0.2), sl.RamanLine(1.3, 0.05))
         medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=LENGTH, k0=K0)
         seen = []
 
@@ -290,8 +290,8 @@ class TestOperator:
         expected = ec * through(0.5j * K0 * sl.chi(medium, omegas))
         expected_peak = max(
             float(np.max(np.abs(through(1j * math.sqrt(line.strength_per_intensity / 2.0)
-                                        / (line.linewidth - 1j * (omegas - line.center_detuning))))))
-            for line in medium.lines)
+                                        / (line.linewidth - 1j * (omegas - center))))))
+            for line, center in zip(medium.lines, (-DELTA / 2, +DELTA / 2)))
         assert rel_l2(out, expected) < 1e-14
         assert peak == pytest.approx(expected_peak, rel=1e-14, abs=0.0)
 
@@ -369,8 +369,8 @@ class TestSolve:
         grid = sl.TimeGrid.centered(2**14, 0.02)
         medium = sl.RamanMedium(
             lines=(
-                sl.RamanLine(-DELTA / 2, GAMMA, 0.0),
-                sl.RamanLine(+DELTA / 2, GAMMA, d0 * GAMMA / LENGTH),
+                sl.RamanLine(GAMMA, 0.0),
+                sl.RamanLine(GAMMA, d0 * GAMMA / LENGTH),
             ),
             splitting=DELTA,
             length_mm=LENGTH,
@@ -397,8 +397,8 @@ class TestSolve:
         rng = np.random.default_rng(11)
         for _ in range(5):
             lines = (
-                sl.RamanLine(-DELTA / 2, rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.1)),
-                sl.RamanLine(+DELTA / 2, rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.1)),
+                sl.RamanLine(rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.1)),
+                sl.RamanLine(rng.uniform(0.3, 2.0), rng.uniform(0.0, 0.1)),
             )
             medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=LENGTH, k0=K0)
             result = sl.solve(medium, sl.ControlField.constant(1.0), flattop_signal)
@@ -591,6 +591,57 @@ class TestSolve:
             assert (result.z_error_estimate, result.peak_coherence, result.warnings) == (0.0, 0.0, [])
 
 
+class TestShapedControlReferences:
+    """The shaped-control march against two references it does not build, at
+    example.ini's medium with a 3-ps Gaussian signal on n = 8192, dt = 0.06."""
+
+    GRID = sl.TimeGrid.centered(2**13, 0.06)
+
+    @pytest.mark.parametrize("bins", [50, -50])
+    def test_detuned_control_moves_the_window(self, std_medium, bins):
+        # a control exp(i beta t) of constant amplitude, beta a whole number of detuning bins, moves
+        # the Raman resonance by beta: the output is FD's through chi(omega + beta), exactly
+        pulse = sl.synthesize_pulse("gaussian", self.GRID, duration=3.0)
+        fgrid = self.GRID.frequency_grid()
+        beta = bins * fgrid.domega
+        result = sl.solve(std_medium, sl.ControlField(1.0, envelope=np.exp(1j * beta * self.GRID.times)), pulse)
+
+        def fd(shift):
+            chi = sl.Susceptibility(fgrid, sl.chi(std_medium, fgrid.omegas + shift))
+            return sl.propagate(pulse, sl.transfer_function(chi, K0, LENGTH)).samples
+
+        assert rel_l2(result.output.samples, fd(beta)) < 1e-13  # 2.1e-15
+        assert rel_l2(result.output.samples, fd(-beta)) > 0.1  # 0.23: the sign is seen
+
+    def test_long_control_is_the_frozen_intensity_limit(self, std_medium):
+        # under a Gaussian control much longer than the signal, each sample is the constant-control
+        # output at the control's local intensity; the reference interpolates, sample by sample and
+        # linearly, constant-control outputs on 41 intensities in [0, 1], whose own error (read
+        # against 81) stays below a tenth of the gap at ratio 32.  Gaps 9.18e-4, 2.34e-4, 5.87e-5
+        pulse = sl.synthesize_pulse("gaussian", self.GRID, duration=3.0)
+        samples = np.arange(self.GRID.n)
+
+        def constant_outputs(count):
+            levels = np.linspace(0.0, 1.0, count)
+            return levels, np.array([sl.solve(std_medium, sl.ControlField.constant(i), pulse).output.samples
+                                     for i in levels])
+
+        def frozen(levels, outputs, intensity):
+            k = np.clip(np.searchsorted(levels, intensity), 1, levels.size - 1)
+            w = (intensity - levels[k - 1]) / (levels[k] - levels[k - 1])
+            return (1.0 - w) * outputs[k - 1, samples] + w * outputs[k, samples]
+
+        coarse, gaps = constant_outputs(41), []
+        for ratio in (8, 16, 32):
+            control = sl.ControlField.gaussian(self.GRID, ratio * pulse.intensity_fwhm(), 1.0)
+            intensity = np.abs(control.envelope) ** 2
+            reference = frozen(*coarse, intensity)
+            gaps.append(rel_l2(sl.solve(std_medium, control, pulse).output.samples, reference))
+        assert rel_l2(reference, frozen(*constant_outputs(81), intensity)) < gaps[-1] / 10.0
+        orders = np.log2(np.divide(gaps[:-1], gaps[1:]))  # 1.97, 1.99
+        assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
+
+
 class TestSolveProperties:
     """Hypothesis over the benchmark's seed box: d0 in [2, 3], flat-top
     bandwidth in [1.5, 2.1] /ps, constant control, on the default grid
@@ -778,8 +829,8 @@ class TestControlScan:
         )
         lopsided = sl.RamanMedium(
             lines=(
-                sl.RamanLine(-DELTA / 2, 0.5, 1.2 * GAMMA / LENGTH),
-                sl.RamanLine(+DELTA / 2, 2.2, 4.0 * GAMMA / LENGTH),
+                sl.RamanLine(0.5, 1.2 * GAMMA / LENGTH),
+                sl.RamanLine(2.2, 4.0 * GAMMA / LENGTH),
             ),
             splitting=DELTA,
             length_mm=LENGTH,
