@@ -22,11 +22,7 @@ span = 2 * 20 * DELTA
 grid = sl.TimeGrid(t_start=0.0, dt=2 * np.pi / span, n=2**14).frequency_grid()
 medium = sl.from_target_depth(D0, GAMMA, DELTA, K0, LENGTH)
 
-depth = sl.OpticalDepthSpectrum(
-    grid=grid,
-    depth=K0 * LENGTH * sl.chi(medium, grid.omegas).imag,
-    center_wavelength_nm=765.85,
-)
+depth = sl.OpticalDepthSpectrum(grid=grid, depth=K0 * LENGTH * sl.chi(medium, grid.omegas).imag)
 chi = sl.kk_real_from_imag(depth, K0, LENGTH)
 exact = sl.chi(medium, grid.omegas)
 err = np.max(np.abs(chi.values.real - exact.real)) / np.max(np.abs(exact.real))
@@ -40,9 +36,9 @@ wavelengths, values, kind = io.read_absorption_csv(ktp_absorption_path())
 measured = sl.ingest_absorption(
     (wavelengths, values),
     center_wavelength_nm=765.85,
-    length_mm=LENGTH,
     target_grid=grid,
     force_taper=True,
+    absorption=(kind == "absorption"),
 )
 chi_measured = sl.kk_real_from_imag(measured, K0, LENGTH)
 tau_measured = sl.group_delay_from_susceptibility(chi_measured, K0, LENGTH)

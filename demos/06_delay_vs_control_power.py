@@ -38,7 +38,7 @@ structured_depth = (
     + 0.9 * 0.45**2 / (0.45**2 + (w - 1.2) ** 2)
 )
 chi = sl.kk_real_from_imag(
-    sl.OpticalDepthSpectrum(grid=fgrid, depth=structured_depth, center_wavelength_nm=765.85),
+    sl.OpticalDepthSpectrum(grid=fgrid, depth=structured_depth),
     K0, LENGTH,
 )
 series = []

@@ -83,7 +83,6 @@ def cmd_kk(args):
         depth = ingest_absorption(
             (wavelengths, values),
             center_wavelength_nm=args.center_nm,
-            length_mm=args.length_mm,
             target_grid=grid,
             force_taper=args.force_taper,
             absorption=(kind == "absorption"),
@@ -98,6 +97,7 @@ def cmd_kk(args):
         "input.center_nm": args.center_nm,
         "input.lambda0_nm": args.lambda0_nm,
         "input.length_mm": args.length_mm,
+        "input.force_taper": args.force_taper,
         "grid.n": args.n,
         "grid.span_invps": args.span_invps,
         "kk.peak_depth": float(np.max(depth.depth)),

@@ -334,15 +334,13 @@ def _read_table(path, *headers: str):
         body = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         body = None
-    if body is None or body.shape[1] != width:
+    if body is None or body.shape[1] != width or not np.all(np.isfinite(body)):
         raise ConfigError(f"malformed CSV {path}: {_row_fault(lines, width)}")
-    if not np.all(np.isfinite(body)):
-        raise ConfigError(f"malformed CSV {path}: a value is nan or infinite")
     return header, tuple(body.T)
 
 
 def _row_fault(lines, width: int) -> str:
-    """The first of the body ``lines`` that is not ``width`` numbers, by its line in the
+    """The first of the body ``lines`` that is not ``width`` finite numbers, by its line in the
     file: the header is line 1, and the empty lines np.loadtxt skips are counted."""
     for number, line in enumerate(lines, start=2):
         cells = line.split(",") if line else []
@@ -350,10 +348,12 @@ def _row_fault(lines, width: int) -> str:
             return f"line {number} has {len(cells)} cell{'s' * (len(cells) != 1)}, the header has {width} columns"
         for cell in cells:
             try:  # float() takes what np.loadtxt takes, and also underscores and non-ASCII digits
-                float(cell if cell.isascii() and "_" not in cell else "?")
+                value = float(cell if cell.isascii() and "_" not in cell else "?")
             except ValueError:
                 return f"line {number}: {cell!r} is not a number"
-    return f"a row is not {width} numbers"
+            if not np.isfinite(value):
+                return f"line {number}: {cell!r} is not a finite number"
+    return f"a row is not {width} finite numbers"
 
 
 def _uniform_step(x: np.ndarray, what: str) -> float:

@@ -35,7 +35,6 @@ class OpticalDepthSpectrum:
 
     grid: FrequencyGrid
     depth: np.ndarray
-    center_wavelength_nm: float
 
     def __post_init__(self):
         self.depth = _grid_array(self.grid, self.depth, float)
@@ -80,8 +79,8 @@ def _records_to_depth(wavelengths_nm, values, absorption: bool):
 def ingest_absorption(
     records,
     center_wavelength_nm: float,
-    length_mm: float,
     target_grid: FrequencyGrid,
+    *,
     force_taper: bool = False,
     absorption: bool = True,
 ) -> OpticalDepthSpectrum:
@@ -99,7 +98,6 @@ def ingest_absorption(
     and GridResolutionError is raised when fewer than 32 grid samples fall
     inside their detuning range.
     """
-    _require(_POSITIVE, "length", length_mm)
     _require(_POSITIVE, "center wavelength", center_wavelength_nm)
     wl, values = records
     lam, depth = _records_to_depth(wl, values, absorption)
@@ -109,20 +107,19 @@ def ingest_absorption(
     nu, depth = nu[order], depth[order]
 
     peak = float(np.max(depth))
-    if peak > 0:
-        edge = max(depth[0], depth[-1])
-        if edge > _EDGE_DECAY_FRACTION * peak and not force_taper:
-            raise TruncationRiskError(
-                f"measured depth at the record edges is {edge:.3g} "
-                f"({edge / peak:.1%} of peak); the PV integral would be corrupted. "
-                "Re-measure with wider coverage or enable the edge taper."
-            )
+    edge = max(depth[0], depth[-1])
+    if edge > _EDGE_DECAY_FRACTION * peak and not force_taper:
+        raise TruncationRiskError(
+            f"measured depth at the record edges is {edge:.3g} "
+            f"({edge / peak:.1%} of peak); the PV integral would be corrupted. "
+            "Re-measure with wider coverage or enable the edge taper."
+        )
 
     w = target_grid.omegas
     d = np.interp(w, nu, depth, left=0.0, right=0.0)
     # sharp cliffs at the measured-range ends corrupt the transform as badly
     # as grid-edge truncation, so the taper rolls the ends down to zero
-    if force_taper and peak > 0:
+    if force_taper:
         width = _TAPER_FRACTION * (w[-1] - w[0])
         for end, lo, hi in ((0, nu[0] - width, nu[0]), (-1, nu[-1], nu[-1] + width)):
             zone = (w > lo) & (w < hi)
@@ -139,7 +136,7 @@ def ingest_absorption(
             f"fall inside the records' detunings {nu[0]:.4g} to {nu[-1]:.4g} 1/ps; "
             f"a converged delay needs at least {_MIN_RECORD_SAMPLES}: raise n or narrow the span"
         )
-    return OpticalDepthSpectrum(grid=target_grid, depth=d, center_wavelength_nm=center_wavelength_nm)
+    return OpticalDepthSpectrum(grid=target_grid, depth=d)
 
 
 def _sine_sum(count: int, k: np.ndarray, m: int) -> np.ndarray:
@@ -187,8 +184,6 @@ def kk_real_from_imag(depth: OpticalDepthSpectrum, k0: float, length_mm: float) 
     _require(_POSITIVE, "length", length_mm)
     d = depth.depth
     peak = float(np.max(d))
-    if peak == 0.0:
-        return Susceptibility(grid=depth.grid, values=np.zeros(depth.grid.n, dtype=complex))
     edge = max(d[0], d[-1])
     if edge > _EDGE_DECAY_FRACTION * peak:
         raise TruncationRiskError(

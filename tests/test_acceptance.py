@@ -143,11 +143,7 @@ def test_criterion_4_kramers_kronig_fidelity():
     span = 2.0 * 20.0 * DELTA
     grid = sl.TimeGrid(t_start=0.0, dt=2.0 * np.pi / span, n=2**14).frequency_grid()
     medium = sl.from_target_depth(2.5, GAMMA, DELTA, K0, LENGTH)
-    depth = sl.OpticalDepthSpectrum(
-        grid=grid,
-        depth=K0 * LENGTH * sl.chi(medium, grid.omegas).imag,
-        center_wavelength_nm=765.85,
-    )
+    depth = sl.OpticalDepthSpectrum(grid=grid, depth=K0 * LENGTH * sl.chi(medium, grid.omegas).imag)
     chi = sl.kk_real_from_imag(depth, K0, LENGTH)
     expected = sl.chi(medium, grid.omegas)
     err = np.max(np.abs(chi.values.real - expected.real))
@@ -269,7 +265,7 @@ def test_criterion_7_property_suites(signal_grid, flattop_signal, std_medium, st
     def kk_error(d0, intensity):
         medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH).with_control_intensity(intensity)
         expected = sl.chi(medium, kk_grid.omegas)
-        depth = sl.OpticalDepthSpectrum(grid=kk_grid, depth=K0 * LENGTH * expected.imag, center_wavelength_nm=765.85)
+        depth = sl.OpticalDepthSpectrum(grid=kk_grid, depth=K0 * LENGTH * expected.imag)
         chi = sl.kk_real_from_imag(depth, K0, LENGTH)
         return float(np.max(np.abs(chi.values.real - expected.real)) / np.max(np.abs(expected.real)))
 
@@ -330,7 +326,7 @@ def test_criterion_7_property_suites(signal_grid, flattop_signal, std_medium, st
         + 0.9 * 0.45**2 / (0.45**2 + (w - 1.2) ** 2)
     )
     structured = sl.kk_real_from_imag(
-        sl.OpticalDepthSpectrum(grid=fgrid, depth=structured_depth, center_wavelength_nm=765.85),
+        sl.OpticalDepthSpectrum(grid=fgrid, depth=structured_depth),
         K0,
         LENGTH,
     )

@@ -255,8 +255,10 @@ def test_header_only_csv_exits_2_with_one_line(tmp_path, argv, header):
         (lambda row: row.rsplit(",", 1)[0] + ",abc", "line 8: 'abc' is not a number"),
         (lambda row: row.split(",", 1)[0], "line 8 has 1 cell, the header has {width} columns"),
         (lambda row: " \t\n" + row, "line 8 has 1 cell, the header has {width} columns"),
+        *((lambda row, cell=cell: row.rsplit(",", 1)[0] + "," + cell, f"line 8: {cell!r} is not a finite number")
+          for cell in ("nan", "inf", "-inf")),
     ],
-    ids=["bad-cell", "short-row", "whitespace-line"],
+    ids=["bad-cell", "short-row", "whitespace-line", "nan-cell", "inf-cell", "minus-inf-cell"],
 )
 def test_csv_parse_error_names_the_file_line(tmp_path, capsys, argv, header, fault, message):
     # the header is line 1 and the empty line 2 is skipped but counted, so body row 6 is line 8
@@ -1309,7 +1311,8 @@ SUMMARY_KEYS = {
     ],
     "kk": [
         "run.command", "input.absorption_csv", "input.kind", "input.center_nm", "input.lambda0_nm",
-        "input.length_mm", "grid.n", "grid.span_invps", "kk.peak_depth", "kk.reconstructed_delay_ps",
+        "input.length_mm", "input.force_taper", "grid.n", "grid.span_invps", "kk.peak_depth",
+        "kk.reconstructed_delay_ps",
     ],
     "propagate_fd": [*_PROPAGATE_KEYS, "warnings", *_config_keys("config.control.intensity")],
     "propagate_td": [

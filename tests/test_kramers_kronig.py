@@ -44,7 +44,7 @@ def padded_fft_oracle(f, pad_factor):
 def doublet_depth(grid, d0=2.5, gamma=GAMMA, delta=DELTA):
     medium = sl.from_target_depth(d0, gamma, delta, K0, LENGTH)
     depth = K0 * LENGTH * sl.chi(medium, grid.omegas).imag
-    return sl.OpticalDepthSpectrum(grid=grid, depth=depth, center_wavelength_nm=765.85), medium
+    return sl.OpticalDepthSpectrum(grid=grid, depth=depth), medium
 
 
 class TestHilbertTransform:
@@ -81,10 +81,13 @@ class TestHilbertTransform:
 
 class TestReconstruction:
     def test_zero_depth_gives_zero_susceptibility(self):
+        # +0.0 in both parts, also from negative zeros: a CSV cell would read "-0"
         grid = kk_grid(n=2**10)
-        depth = sl.OpticalDepthSpectrum(grid=grid, depth=np.zeros(grid.n), center_wavelength_nm=765.0)
-        chi = sl.kk_real_from_imag(depth, K0, LENGTH)
-        assert np.all(chi.values == 0)
+        for zero in (0.0, -0.0):
+            depth = sl.OpticalDepthSpectrum(grid=grid, depth=np.full(grid.n, zero))
+            chi = sl.kk_real_from_imag(depth, K0, LENGTH)
+            assert np.all(chi.values == 0)
+            assert not np.signbit(chi.values.view(float)).any()
 
     def test_single_line_dispersion_vanishes_at_center(self):
         grid = kk_grid(n=2**13)
@@ -92,7 +95,7 @@ class TestReconstruction:
         idx = grid.zero_index + 120
         w0 = w[idx]  # line center exactly on a grid sample
         depth = 1.5 / (1.0 + (w - w0) ** 2)
-        spectrum = sl.OpticalDepthSpectrum(grid=grid, depth=depth, center_wavelength_nm=765.0)
+        spectrum = sl.OpticalDepthSpectrum(grid=grid, depth=depth)
         chi = sl.kk_real_from_imag(spectrum, K0, LENGTH)
         assert abs(chi.values[idx].real) < 1e-3 * np.max(np.abs(chi.values.real))
 
@@ -119,7 +122,7 @@ class TestReconstruction:
         medium = sl.from_target_depth(2.5, GAMMA, DELTA, K0, LENGTH)
         depth = K0 * LENGTH * sl.chi(medium, np.abs(grid.omegas)).imag
         depth[0] = 0.0
-        spectrum = sl.OpticalDepthSpectrum(grid=grid, depth=depth, center_wavelength_nm=765.85)
+        spectrum = sl.OpticalDepthSpectrum(grid=grid, depth=depth)
         chi = sl.kk_real_from_imag(spectrum, K0, LENGTH)
         re = chi.values.real
         mirrored = re[::-1]
@@ -129,15 +132,9 @@ class TestReconstruction:
         grid = kk_grid(n=2**12)
         s1, _ = doublet_depth(grid, d0=1.0)
         s2, _ = doublet_depth(grid, d0=0.0)
-        s2 = sl.OpticalDepthSpectrum(
-            grid=grid,
-            depth=0.8 / (1.0 + (grid.omegas - 2.0) ** 2),
-            center_wavelength_nm=765.0,
-        )
+        s2 = sl.OpticalDepthSpectrum(grid=grid, depth=0.8 / (1.0 + (grid.omegas - 2.0) ** 2))
         a, b = 0.6, 1.7
-        combined = sl.OpticalDepthSpectrum(
-            grid=grid, depth=a * s1.depth + b * s2.depth, center_wavelength_nm=765.0
-        )
+        combined = sl.OpticalDepthSpectrum(grid=grid, depth=a * s1.depth + b * s2.depth)
         chi_sum = sl.kk_real_from_imag(combined, K0, LENGTH).values
         chi_parts = (
             a * sl.kk_real_from_imag(s1, K0, LENGTH).values
@@ -185,10 +182,16 @@ class TestIngestion:
         lam = np.linspace(745.0, 788.0, 2000)
         return lam, absorption(lam)
 
+    def test_flags_are_keyword_only(self):
+        # the former order (records, centre, length, grid) would bind the grid to force_taper
+        lam, a = self.records(lambda x: np.zeros_like(x))
+        with pytest.raises(TypeError):
+            sl.ingest_absorption((lam, a), 765.85, LENGTH, kk_grid(n=2**10))
+
     def test_zero_absorption(self):
         grid = kk_grid(n=2**11)
         lam, a = self.records(lambda x: np.zeros_like(x))
-        spectrum = sl.ingest_absorption((lam, a), 765.85, LENGTH, grid)
+        spectrum = sl.ingest_absorption((lam, a), 765.85, grid)
         assert np.all(spectrum.depth == 0)
 
     def test_depth_mapping(self):
@@ -196,7 +199,7 @@ class TestIngestion:
         grid = kk_grid(n=2**12)
         lam, _ = self.records(lambda x: x)
         a = 0.35 * np.exp(-(((sl.C_NM_PER_PS / lam - sl.C_NM_PER_PS / 765.85)) / 4.0) ** 2)
-        spectrum = sl.ingest_absorption((lam, a), 765.85, LENGTH, grid)
+        spectrum = sl.ingest_absorption((lam, a), 765.85, grid)
         assert np.max(spectrum.depth) == pytest.approx(-np.log(0.65), rel=1e-4)
         assert np.max(spectrum.depth) == pytest.approx(0.4308, abs=1e-4)
 
@@ -204,7 +207,7 @@ class TestIngestion:
         grid = kk_grid(n=2**13)
         lam = np.linspace(750.0, 782.0, 4000)
         lines = np.exp(-(((lam - 759.4) / 0.8) ** 2)) + np.exp(-(((lam - 772.4) / 0.8) ** 2))
-        spectrum = sl.ingest_absorption((lam, 0.5 * lines), 765.85, LENGTH, grid)
+        spectrum = sl.ingest_absorption((lam, 0.5 * lines), 765.85, grid)
         w = grid.omegas
         peaks = []
         for sign in (-1, 1):
@@ -223,13 +226,13 @@ class TestIngestion:
         a = np.full(lam.shape, 0.5)
         a[100] = 1.0
         with pytest.raises(ValueError, match="unrepresentable"):
-            sl.ingest_absorption((lam, a), 765.85, LENGTH, grid)
+            sl.ingest_absorption((lam, a), 765.85, grid)
 
     def test_non_monotonic_wavelengths_rejected(self):
         grid = kk_grid(n=2**10)
         lam = np.array([760.0, 761.0, 760.5, 762.0])
         with pytest.raises(ValueError, match="monotonic"):
-            sl.ingest_absorption((lam, np.full(4, 0.1)), 765.85, LENGTH, grid)
+            sl.ingest_absorption((lam, np.full(4, 0.1)), 765.85, grid)
 
     def test_truncated_records_need_taper(self):
         grid = kk_grid(n=2**12)
@@ -237,8 +240,8 @@ class TestIngestion:
         nu = sl.C_NM_PER_PS / lam - sl.C_NM_PER_PS / 765.85
         a = 0.6 / (1.0 + (nu - 3.32) ** 2) + 0.6 / (1.0 + (nu + 3.32) ** 2)
         with pytest.raises(TruncationRiskError):
-            sl.ingest_absorption((lam, a), 765.85, LENGTH, grid)
-        spectrum = sl.ingest_absorption((lam, a), 765.85, LENGTH, grid, force_taper=True)
+            sl.ingest_absorption((lam, a), 765.85, grid)
+        spectrum = sl.ingest_absorption((lam, a), 765.85, grid, force_taper=True)
         # tapered ends decay to zero at the grid edges
         assert spectrum.depth[0] == 0.0 and spectrum.depth[-1] == 0.0
         chi = sl.kk_real_from_imag(spectrum, K0, LENGTH)

@@ -137,7 +137,7 @@ class TestDepthParameterization:
 
 GRID = sl.TimeGrid.centered(2**10, 0.05)
 CHI = sl.Susceptibility(GRID.frequency_grid(), np.zeros(GRID.n))
-DEPTH = sl.OpticalDepthSpectrum(GRID.frequency_grid(), np.zeros(GRID.n), center_wavelength_nm=765.0)
+DEPTH = sl.OpticalDepthSpectrum(GRID.frequency_grid(), np.zeros(GRID.n))
 RECORDS = ([760.0, 761.0, 762.0], [0.0, 0.5, 0.0])
 NON_FINITE_INPUTS = {
     "TimeGrid.dt": lambda x: sl.TimeGrid(0.0, x, 8),
@@ -164,8 +164,7 @@ NON_FINITE_INPUTS = {
     "transfer_function.length": lambda x: sl.transfer_function(CHI, 1.0, x),
     "kk_real_from_imag.k0": lambda x: sl.kk_real_from_imag(DEPTH, x, 30.0),
     "kk_real_from_imag.length": lambda x: sl.kk_real_from_imag(DEPTH, 1.0, x),
-    "ingest_absorption.length": lambda x: sl.ingest_absorption(RECORDS, 761.0, x, GRID.frequency_grid()),
-    "ingest_absorption.center_wavelength": lambda x: sl.ingest_absorption(RECORDS, x, 30.0, GRID.frequency_grid()),
+    "ingest_absorption.center_wavelength": lambda x: sl.ingest_absorption(RECORDS, x, GRID.frequency_grid()),
     "deconvolve_duration.tau_xc": lambda x: sl.deconvolve_duration(x, 1.0),
     "deconvolve_duration.tau_ref": lambda x: sl.deconvolve_duration(2.0, x),
     "ControlField.envelope": lambda x: sl.ControlField(1.0, envelope=np.full(GRID.n, x)),

@@ -1,4 +1,7 @@
+import ast
 import inspect
+import os
+import textwrap
 
 import slowlight as sl
 
@@ -20,3 +23,38 @@ transfer_function wavelength_bandwidth_to_frequency
 def test_public_names_are_pinned():
     exported = {name for name, value in vars(sl).items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(exported) == sorted(PUBLIC_NAMES)
+
+
+def _public_functions():
+    """(name, function) of every public function, and of every method, classmethod,
+    staticmethod and property getter written in a public class's body."""
+    package = os.path.dirname(sl.__file__)
+    for name in PUBLIC_NAMES:
+        value = getattr(sl, name)
+        members = vars(value).items() if inspect.isclass(value) else [(None, value)]
+        for attr, member in members:
+            func = member.fget if isinstance(member, property) else getattr(member, "__func__", member)
+            # dataclass-made methods have no source file in the package
+            if inspect.isfunction(func) and func.__code__.co_filename.startswith(package):
+                yield name if attr is None else f"{name}.{attr}", func
+
+
+def _reads_outside_require(node, names):
+    """The ``names`` that ``node`` loads anywhere but inside a ``_require(...)`` call."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_require":
+        return set()
+    found = {node.id} & names if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) else set()
+    for child in ast.iter_child_nodes(node):
+        found |= _reads_outside_require(child, names)
+    return found
+
+
+def test_every_public_parameter_changes_the_result():
+    # a parameter that is only validated, or not read at all, is a knob with no effect
+    unread = []
+    for name, func in _public_functions():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+        params = {p.arg for p in (*tree.args.posonlyargs, *tree.args.args, *tree.args.kwonlyargs)} - {"self", "cls"}
+        params |= {p.arg for p in (tree.args.vararg, tree.args.kwarg) if p is not None}
+        unread += [f"{name}({p})" for p in sorted(params - _reads_outside_require(ast.Module(tree.body, []), params))]
+    assert unread == []
