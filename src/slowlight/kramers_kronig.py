@@ -9,9 +9,11 @@ The PV integral
 is evaluated as a discrete Hilbert transform: multiply the conjugate-
 domain transform by i*sign and transform back, on a zero-padded grid so
 the circular convolution never wraps into the data.  That operator is
-applied as a short convolution with its closed-form kernel.  A direct PV
-sum with singular-point exclusion lives in the tests as the slow oracle,
-and the padded transform pair as the oracle of the kernel.
+applied as a short convolution with its closed-form kernel, the
+even-length discrete Hilbert kernel -(2/m) cot(pi k/m) at odd lags, so
+the padding factor must be even.  A direct PV sum with singular-point
+exclusion lives in the tests as the slow oracle, and the padded
+transform pair as the oracle of the kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .spectral import C_NM_PER_PS, FrequencyGrid, _grid_array
 _EDGE_DECAY_FRACTION = 0.01
 _TAPER_FRACTION = 0.05
 _PAD_FACTOR = 16
+_EVEN_PAD = ("an even integer >= 2", lambda value: value >= 2 and value % 2 == 0)
 _MIN_RECORD_SAMPLES = 32  # across the records; the KTP delay reads 0.1490 ps at 19, 0.1471 at 39, 0.1466 at 613
 
 
@@ -38,8 +41,8 @@ class OpticalDepthSpectrum:
 
     def __post_init__(self):
         self.depth = _grid_array(self.grid, self.depth, float)
-        if np.any(self.depth < 0):
-            raise ValueError("optical depth must be non-negative everywhere")
+        if not np.all((self.depth >= 0) & (self.depth < np.inf)):
+            raise ValueError("optical depth must be non-negative and finite everywhere")
 
 
 @dataclass
@@ -58,6 +61,8 @@ def _records_to_depth(wavelengths_nm, values, absorption: bool):
     val = np.asarray(values, dtype=float)
     if lam.ndim != 1 or lam.shape != val.shape or lam.size < 2:
         raise ValueError("need matching 1-d wavelength/value arrays with >= 2 records")
+    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(val))):
+        raise ValueError("every wavelength and value must be finite")
     if np.any(lam <= 0):
         raise ValueError("wavelengths must be positive")
     dl = np.diff(lam)
@@ -139,21 +144,6 @@ def ingest_absorption(
     return OpticalDepthSpectrum(grid=target_grid, depth=d)
 
 
-def _sine_sum(count: int, k: np.ndarray, m: int) -> np.ndarray:
-    """sum_{j=1..count} sin(2*pi*j*k/m) for integer lags ``k`` (no k = 0 mod m),
-    by the closed form sin(count*t/2) sin((count+1)*t/2) / sin(t/2) at
-    t = 2*pi*k/m.  Each sine is taken of an angle reduced in integers to
-    [0, pi/2], so it keeps full relative precision next to a multiple of pi."""
-
-    def sin_turns(numerator):  # sin(pi * numerator / m)
-        r = numerator % (2 * m)
-        sign = np.where(r < m, 1.0, -1.0)
-        r = r % m
-        return sign * np.sin(np.pi / m * np.minimum(r, m - r))
-
-    return sin_turns(count * k) * sin_turns((count + 1) * k) / sin_turns(k)
-
-
 def hilbert_transform(f: np.ndarray, pad_factor: int = _PAD_FACTOR) -> np.ndarray:
     """Discrete principal-value Hilbert transform on a uniform grid,
 
@@ -164,16 +154,18 @@ def hilbert_transform(f: np.ndarray, pad_factor: int = _PAD_FACTOR) -> np.ndarra
     circular convolution with the real kernel h = Re ifft(i*sign), and
     since f is zero outside its n samples only the lags |k| < n reach the
     output, so it is computed as one linear convolution of length 2n with h
-    in closed form: h[k] = -(S(m//2 - 1) + S(m - 1 - m//2)) / m with S the
-    sine sum of :func:`_sine_sum` (for even m, -(2/m) cot(pi k/m) at odd k
-    and 0 at even k).
+    in closed form: h[k] = -(2/m) cot(pi k/m) at odd k and 0 at even k
+    (Kak, Proc. IEEE 58 (1970) 585).  That form holds for even m only, so
+    ``pad_factor`` must be an even integer >= 2; then every angle pi k/m
+    lies below pi/2 and cot keeps full relative precision.
     """
+    _require(_EVEN_PAD, "pad factor", pad_factor)
     f = np.asarray(f, dtype=float)
     n = f.size
     m = pad_factor * n
-    lags = np.arange(1, n)
-    h = -(_sine_sum(m // 2 - 1, lags, m) + _sine_sum(m - 1 - m // 2, lags, m)) / m
-    kernel = np.concatenate(([0.0], h, [0.0], -h[::-1]))  # h is odd in k
+    h = np.zeros(n)
+    h[1::2] = -2.0 / m / np.tan(np.pi / m * np.arange(1, n, 2))
+    kernel = np.concatenate((h, [0.0], -h[:0:-1]))  # h is odd in k
     return np.fft.irfft(np.fft.rfft(f, 2 * n) * np.fft.rfft(kernel), 2 * n)[:n]
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import slowlight as sl
+from slowlight.analysis import delay_and_loss
 
 # the toolkit is deterministic; keep the property tests that way too
 settings.register_profile("deterministic", derandomize=True)
@@ -40,3 +43,24 @@ def std_transfer(std_medium, signal_grid):
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a - b) ** 2) / np.sum(np.abs(b) ** 2)))
+
+
+def experiment_scale_medium():
+    """The reference doublet with 35% absorption at the window centre (acceptance criterion 6)."""
+    d0 = -math.log(0.65) * (GAMMA**2 + DELTA**2 / 4.0) / (2.0 * GAMMA**2)
+    return sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
+
+
+def gated_flat_top(medium, bandwidth):
+    """A flat top of axis width ``bandwidth`` through ``medium`` in FD, read
+    by cross-correlation with a 160-fs Gaussian gate on a grid fine enough
+    to resolve it: (input intensity FWHM in ps, first-moment delay of the
+    control-on against the control-off cross-correlation in ps, energy
+    loss in dB)."""
+    grid = sl.TimeGrid.centered(2**14, 0.01)
+    signal = sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=bandwidth)
+    chi = sl.susceptibility_from_medium(medium, grid.frequency_grid())
+    out = sl.propagate(signal, sl.transfer_function(chi, K0, LENGTH))
+    gate = sl.synthesize_pulse("gaussian", grid, duration=0.160)
+    delay = sl.first_moment_delay(sl.cross_correlate(out, gate), sl.cross_correlate(signal, gate))
+    return signal.intensity_fwhm(), delay, delay_and_loss(signal, out)[1]

@@ -13,7 +13,7 @@ import slowlight as sl
 from slowlight.cli import main as cli_main
 from slowlight.spectral import PULSE_SHAPES
 
-from conftest import DELTA, GAMMA, K0, LENGTH, rel_l2
+from conftest import DELTA, GAMMA, K0, LENGTH, experiment_scale_medium, gated_flat_top, rel_l2
 
 CONFIG = """\
 [medium]
@@ -196,28 +196,29 @@ def test_criterion_5_wavelength_bandwidth_conversion():
 
 
 def test_criterion_6_experiment_scale_delay():
-    d0 = -math.log(0.65) * (GAMMA**2 + DELTA**2 / 4.0) / (2.0 * GAMMA**2)
-    medium = sl.from_target_depth(d0, GAMMA, DELTA, K0, LENGTH)
+    medium = experiment_scale_medium()
+    d0 = sl.peak_optical_depth(medium)
     predicted = sl.group_delay(medium)
     transmission = 10.0 ** (-sl.loss_db(medium) / 10.0)
-
-    # fine grid so the 0.160-ps reference pulse is resolved
-    grid = sl.TimeGrid.centered(2**14, 0.01)
-    signal = sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=1.8)
-    chi = sl.susceptibility_from_medium(medium, grid.frequency_grid())
-    out = sl.propagate(signal, sl.transfer_function(chi, K0, LENGTH))
-    reference = sl.synthesize_pulse("gaussian", grid, duration=0.160)
-    curve_on = sl.cross_correlate(out, reference)
-    curve_off = sl.cross_correlate(signal, reference)
-    measured = sl.first_moment_delay(curve_on, curve_off)
+    long_fwhm, long_delay, _ = gated_flat_top(medium, 1.8)
+    # the paper's 1.8-THz signal on the axis (README, "The 2-pi caveat")
+    fwhm, delay, loss = gated_flat_top(medium, 2.0 * math.pi * 1.8)
+    paper_ratio = 0.140 / 0.650
     checks = [
         (abs(transmission - 0.65) < 1e-12,
          f"window-center transmission {transmission:.4f} = 0.65 (35% absorption)"),
         (abs(d0 - 2.706) < 2e-3, f"implied d0 = {d0:.4f} ~ 2.706"),
         (abs(predicted - 0.181) < 5e-4, f"predicted group delay {predicted:.4f} ~ 0.181 ps"),
-        (0.10 <= measured <= 0.20,
-         f"end-to-end first-moment delay {measured:.4f} ps in [0.10, 0.20] "
-         "(brackets the measured 140 fs within x1.5)"),
+        (0.10 <= long_delay <= 0.20,
+         f"end-to-end first-moment delay {long_delay:.4f} ps in [0.10, 0.20] for a flat top "
+         f"of axis width 1.8 1/ps ({long_fwhm:.2f} ps FWHM, far longer than the paper's pulse)"),
+        (abs(fwhm - 0.492) <= 0.002,
+         f"paper's signal (axis width {2.0 * math.pi * 1.8:.2f} 1/ps): input FWHM {fwhm:.4f} ps = 0.492 +- 0.002 ps"),
+        (abs(delay - 0.1058) <= 5e-4,
+         f"paper's signal: first-moment xcorr delay {delay:.4f} ps = 0.1058 +- 0.0005 ps (paper: 0.140 ps)"),
+        (abs(loss - 4.396) <= 0.01, f"paper's signal: loss {loss:.3f} dB = 4.396 +- 0.01 dB"),
+        (abs(delay / fwhm - paper_ratio) <= 0.002,
+         f"paper's signal: delay / FWHM {delay / fwhm:.3f} = the paper's 140/650 = {paper_ratio:.3f} +- 0.002"),
     ]
     _report(6, "experiment-scale consistency at 35% window-center absorption", checks)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,16 +69,22 @@ class TestHilbertTransform:
         scale = np.max(np.abs(fast))
         assert np.max(np.abs(fast - slow)) < 0.01 * scale
 
-    @pytest.mark.parametrize("pad_factor", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("pad_factor", [2, 4, 16])
     @pytest.mark.parametrize("n", [8, 9, 100, 1024, 16384])
     def test_matches_padded_fft_oracle(self, n, pad_factor):
-        # odd n and odd pad factors give odd padded lengths, whose i*sign
-        # multiplier has one more negative than positive entry
         rng = np.random.default_rng(n * 31 + pad_factor)
         for f in (rng.standard_normal(n), 1.0 / (1.0 + ((np.arange(n) - n / 2) / (n / 20 + 1)) ** 2)):
             expected = padded_fft_oracle(f, pad_factor)
             result = hilbert_transform(f, pad_factor)
             assert np.max(np.abs(result - expected)) <= 4e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("pad_factor", [0, 1, 3, 5, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [8, 9, 100, 1024, 16384])
+    def test_refuses_a_pad_factor_that_is_not_even(self, n, pad_factor):
+        # the closed-form kernel holds for an even padded length only; the rule is on
+        # the factor, so an even n with an odd factor is refused too
+        with pytest.raises(ValueError, match="pad factor must be an even integer >= 2"):
+            hilbert_transform(np.ones(n), pad_factor)
 
 
 class TestReconstruction:

@@ -165,6 +165,10 @@ NON_FINITE_INPUTS = {
     "kk_real_from_imag.k0": lambda x: sl.kk_real_from_imag(DEPTH, x, 30.0),
     "kk_real_from_imag.length": lambda x: sl.kk_real_from_imag(DEPTH, 1.0, x),
     "ingest_absorption.center_wavelength": lambda x: sl.ingest_absorption(RECORDS, x, GRID.frequency_grid()),
+    "ingest_absorption.wavelength": lambda x: sl.ingest_absorption(([760.0, 761.0, x], RECORDS[1]), 765.0, GRID.frequency_grid()),
+    "ingest_absorption.absorption": lambda x: sl.ingest_absorption((RECORDS[0], [0.0, x, 0.0]), 765.0, GRID.frequency_grid()),
+    "ingest_absorption.optical_depth": lambda x: sl.ingest_absorption((RECORDS[0], [0.0, x, 0.0]), 765.0, GRID.frequency_grid(), absorption=False),
+    "OpticalDepthSpectrum.depth": lambda x: sl.OpticalDepthSpectrum(GRID.frequency_grid(), np.append(np.zeros(GRID.n - 1), x)),
     "deconvolve_duration.tau_xc": lambda x: sl.deconvolve_duration(x, 1.0),
     "deconvolve_duration.tau_ref": lambda x: sl.deconvolve_duration(2.0, x),
     "ControlField.envelope": lambda x: sl.ControlField(1.0, envelope=np.full(GRID.n, x)),
