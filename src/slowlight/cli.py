@@ -151,8 +151,9 @@ def cmd_propagate(args):
 
     spec_in = forward_transform(pulse)
     if fixed:  # one transfer, which both domains send the input through
-        chis = [(config.control.intensity, _chi_for_run(args, the_medium, fgrid))]
-        [(result, transfer)] = tdprop._constant(the_medium, pulse, spec_in, chis, td)
+        [(result, transfer)] = tdprop._constant(the_medium, pulse, spec_in, [_chi_for_run(args, the_medium, fgrid)], td)
+        if td:
+            result.peak_coherence = tdprop._constant_peak(the_medium, pulse, transfer)
         spec_on = spec_in.samples * transfer.values
         center = transfer.center_transmission()
     else:  # no fixed-intensity transfer: |S_out(0) / S_in(0)|^2 from the TD spectra
@@ -208,13 +209,13 @@ def cmd_sweep(args):
         summary["linearity.slope_ps_per_intensity"] = slope
         summary["linearity.residual_ratio"] = residual
     summary["metrics.max_delay_ps"] = max(p.delay_ps for p in points)
-    warnings = [f"intensity {p.intensity!r}: {warning}" for p in points for warning in p.warnings]
+    warnings = []
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
         top_point, top_result = max(zip(points, results), key=lambda pair: pair[0].intensity)
         top = top_point.intensity
         check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_result)
         summary.update(check)
-        warnings += [f"intensity {top!r}: {warning}" for warning in gap_warnings]
+        warnings = [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"
     io.write_scan_csv(_out_path(args, "intensity_scan.csv"), points)
     return summary, config
@@ -230,6 +231,7 @@ def cmd_xcorr(args):
     summary = {
         "run.command": "xcorr",
         "input.signal_csv": args.signal_csv,
+        **({"input.off_csv": args.off_csv} if args.off_csv else {}),
         "input.ref_duration_ps": args.ref_duration_ps,
         "metrics.xcorr_fwhm_ps": analysis.fwhm(curve_on),
     }

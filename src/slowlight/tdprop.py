@@ -59,7 +59,6 @@ from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AmbiguousWidthError, Grid
 from .medium import RamanMedium, _line_responses
 from .spectral import ComplexEnvelope, TimeGrid, _dft_order, forward_transform, interpolated_fwhm
 
-_WEAK_SIGNAL_COHERENCE_LIMIT = 0.1
 _MAX_STEP_PHASE = 0.1
 _MAX_SUBSTEP_PHASE = 4.0  # per-substep phase of solve, so its series terms cancel little
 _TERM_TOLERANCE = 1e-15  # a series term this small relative to ||E|| ends the sum
@@ -134,8 +133,10 @@ class SolveResult:
     which has no series, and ``nz_needed`` the fewest equal z steps whose
     phase is at most 0.1; ``z_error_estimate`` is the largest last Taylor
     term the solve added, relative to ||E|| (0 with no series), and
-    ``peak_coherence`` the largest coherence magnitude the weak-signal
-    check read."""
+    ``peak_coherence`` the largest coherence magnitude read, relative to the
+    split k_nu = b_nu = sqrt(g_nu / 2) (only the product is physical) and to
+    the input's amplitude (unit energy in ps when synthesized): linear in that
+    amplitude, and sqrt(I) times its I = 1 value where the z = 0 read peaks."""
 
     output: ComplexEnvelope
     warnings: list = field(default_factory=list)
@@ -146,13 +147,11 @@ class SolveResult:
 
 
 class ScanPoint(NamedTuple):
-    """One row of a delay-versus-control-intensity scan, with the warnings
-    of the solve behind it."""
+    """One row of a delay-versus-control-intensity scan."""
 
     intensity: float
     delay_ps: float
     loss_db: float
-    warnings: tuple[str, ...] = ()
 
 
 def _max_beat_dt(splitting: float) -> float:
@@ -199,32 +198,25 @@ def _coherence_peak(coherence_symbols, spectrum: np.ndarray) -> float:
                for symbol in coherence_symbols)
 
 
-def _result(samples: np.ndarray, pulse: ComplexEnvelope, nz: int, nz_needed: int, error: float, peak: float):
-    """The SolveResult of a solve, warned about if ``peak`` passes the weak-signal limit."""
-    warnings = [f"coherence amplitude reached {peak:.3g} (> {_WEAK_SIGNAL_COHERENCE_LIMIT}), so the weak-signal "
-                "assumption may not hold in these field units"] if peak > _WEAK_SIGNAL_COHERENCE_LIMIT else []
-    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=samples), warnings=warnings,
-                       nz=nz, nz_needed=nz_needed, z_error_estimate=error, peak_coherence=peak)
-
-
 def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, chis, checked=True):
-    """One ``(SolveResult, transfer)`` per ``(intensity, chi)`` of ``chis``: FD's output
-    through the transfer of that chi from ``spectrum``, the input's transform.  Checked,
-    every chi, in order, is refused where ``solve`` would refuse it before any point is
-    solved, and the peak coherence at z = 0 and z = L is read at unit intensity from the input's
-    DFT and the output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
-    planned = [(intensity, _validate_resolution(medium, chi.values) if checked else 0,
-                fdprop.transfer_function(chi, medium.k0, medium.length_mm)) for intensity, chi in chis]
-    if checked:
-        _, symbols = _symbols(medium, pulse.grid)
-        drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
-        start = _coherence_peak(symbols, drive)
-    results = []
-    for intensity, nz_needed, transfer in planned:
-        output = fdprop._through(pulse, spectrum, transfer)
-        peak = max(start, _coherence_peak(symbols, drive * transfer.values[bins])) if checked else 0.0
-        results.append((_result(output.samples, pulse, 1, nz_needed, 0.0, math.sqrt(intensity) * peak), transfer))
-    return results
+    """One ``(SolveResult, transfer)`` per chi of ``chis``: FD's output through the
+    transfer of that chi from ``spectrum``, the input's transform, with no coherence
+    read.  Checked, every chi, in order, is refused where ``solve`` would refuse it
+    before any point is solved."""
+    planned = [(_validate_resolution(medium, chi.values) if checked else 0,
+                fdprop.transfer_function(chi, medium.k0, medium.length_mm)) for chi in chis]
+    return [(SolveResult(output=fdprop._through(pulse, spectrum, transfer), nz=1, nz_needed=nz_needed,
+                         z_error_estimate=0.0), transfer) for nz_needed, transfer in planned]
+
+
+def _constant_peak(medium: RamanMedium, pulse: ComplexEnvelope, transfer) -> float:
+    """The peak coherence of ``pulse`` through ``transfer`` under the medium's constant
+    control: read at z = 0 and z = L at unit intensity from the input's DFT and the
+    output's, that DFT times the transfer on its bins, then scaled by sqrt(I)."""
+    _, symbols = _symbols(medium, pulse.grid)
+    drive, bins = np.fft.fft(pulse.samples), _dft_order(pulse.grid.n)
+    peak = max(_coherence_peak(symbols, drive), _coherence_peak(symbols, drive * transfer.values[bins]))
+    return math.sqrt(medium.control_intensity) * peak
 
 
 def _norm(x: np.ndarray) -> float:
@@ -236,9 +228,9 @@ def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> S
     """E(L) = exp(L A) E(0) at control amplitude ``ec`` (a scalar, or one per
     sample) in equal z substeps, ``nz_needed`` steps of _MAX_STEP_PHASE
     regrouped into as few of _MAX_SUBSTEP_PHASE, each a Taylor sum of
-    exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  The weak-signal
-    check reads the coherences at the start of each substep, from the drive
-    spectrum of its first application, and at z = L, from one more FFT."""
+    exp(dz A) until a term falls to _TERM_TOLERANCE of ||E||.  The peak
+    coherence is read at the start of each substep, from the drive spectrum
+    of its first application, and at z = L, from one more FFT."""
     eigenvalues, symbols = _symbols(medium, pulse.grid)
     substeps = max(1, math.ceil(nz_needed * _MAX_STEP_PHASE / _MAX_SUBSTEP_PHASE))
     e_field = pulse.samples.copy()
@@ -257,7 +249,8 @@ def _march(medium: RamanMedium, ec, pulse: ComplexEnvelope, nz_needed: int) -> S
             _apply(eigenvalues, ec, term, term)
         error = max(error, last)
     peak = max(peak, _coherence_peak(symbols, np.fft.fft(np.conj(ec) * e_field)))
-    return _result(e_field, pulse, substeps, nz_needed, error, peak)
+    return SolveResult(output=ComplexEnvelope(grid=pulse.grid, samples=e_field), nz=substeps,
+                       nz_needed=nz_needed, z_error_estimate=error, peak_coherence=peak)
 
 
 def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
@@ -267,9 +260,10 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
     over substeps of phase at most 4.
 
     The control field propagates undepleted; both Raman populations stay
-    fixed (weak-signal regime).  A warning is attached if the coherence
-    amplitudes grow beyond 0.1 in the field units of the input.  Given
-    settings, an nz below nz_needed is refused; no setting changes the result.
+    fixed (weak-signal regime), which no bound on ``peak_coherence`` tests:
+    it is relative to the split k_nu = b_nu and a unit-energy signal (see
+    ``SolveResult``).  Given settings, an nz below nz_needed is refused; no
+    setting changes the result.
     Only a shaped control refuses a dt past 2*pi/(8*Delta), the proxy for its error
     in tau, and before chi is sampled.
     """
@@ -284,7 +278,9 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
         )
     if control.envelope is None:
-        return _constant(medium, pulse, forward_transform(pulse), [(control.intensity, chi)])[0][0]
+        [(result, transfer)] = _constant(medium, pulse, forward_transform(pulse), [chi])
+        result.peak_coherence = _constant_peak(medium, pulse, transfer)
+        return result
     result = _march(medium, control.amplitude(pulse.grid.n), pulse, nz_needed)
     result.warnings += _control_duration_warning(control, pulse)
     return result
@@ -306,15 +302,15 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
 
 def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
     """The points of ``delay_vs_control_scan`` and the SolveResult behind each, each chi sampled
-    as ``_constant`` reaches it.  Unchecked, as in an FD sweep, no resolution is checked and no
-    coherence read: only ``delay_and_loss`` refuses a point, prefixed with its intensity."""
+    as ``_constant`` reaches it.  Unchecked, as in an FD sweep, no resolution is checked: only
+    ``delay_and_loss`` refuses a point, prefixed with its intensity."""
     fgrid, intensities = pulse.grid.frequency_grid(), list(map(float, control_intensities))
-    chis = ((i, fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid)) for i in intensities)
+    chis = (fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid) for i in intensities)
     results = [result for result, _ in _constant(medium, pulse, forward_transform(pulse), chis, checked)]
     points = []
     for i, result in zip(intensities, results):
         try:
-            points.append(ScanPoint(i, *delay_and_loss(pulse, result.output), tuple(result.warnings)))
+            points.append(ScanPoint(i, *delay_and_loss(pulse, result.output)))
         except ValueError as exc:
             raise ValueError(f"intensity {i!r}: {exc}") from None
     return points, results
@@ -326,7 +322,7 @@ def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: Compl
     Each point's chi is sampled once, at its own intensity, checked in order
     as its own ``solve`` would check it, and given its transfer; only then is
     every point solved, as its own ``solve``: FD's output through that
-    transfer, with the same warnings.  ``analysis.delay_and_loss`` measures
+    transfer.  ``analysis.delay_and_loss`` measures
     each point against the input and refuses, naming its intensity, what it
     refuses in ``propagate``: no energy, or more than 300 dB of loss.
     """

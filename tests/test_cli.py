@@ -1053,15 +1053,14 @@ class TestSweep:
         entries = summary["warnings"].split("; ")
         assert entries[-1].startswith("intensity 1.0: the TD output differs from the FD output by")
 
-    def test_td_sweep_reports_solver_warnings(self, tmp_path):
-        # at I = 16 the coherences pass the weak-signal limit; the entry splits back out whole,
-        # and the TD-FD check of that point (d0 = 40) stays inside its budget
+    def test_loud_td_sweep_writes_no_warnings(self, tmp_path):
+        # at I = 16 the peak coherence is 0.126, which no bound tests, and the TD-FD check of that
+        # point (d0 = 40) stays inside its budget
         text = CONFIG.replace("intensity = 1.0", "intensity_list = 1.0, 16.0")
         out = tmp_path / "out"
         argv = ["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td", "--out-dir", str(out)]
         assert main(argv) == 0
-        entries = read_summary(out / "summary.txt")["warnings"].split("; ")
-        assert len(entries) == 1 and entries[0].startswith("intensity 16.0: coherence amplitude reached")
+        assert read_summary(out / "summary.txt")["warnings"] == "none"
 
     def test_td_sweep_writes_the_fd_rows(self, tmp_path):
         # one loop solves every point in both domains; TD adds only its refusals and warnings
@@ -1325,9 +1324,14 @@ SUMMARY_KEYS = {
     ],
     "sweep_fd": _SWEEP_KEYS,
     "sweep_td": _SWEEP_TD_KEYS,
+    # the off envelope a first-moment delay is measured against is named only when given
     "xcorr": [
-        "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
+        "run.command", "input.signal_csv", "input.off_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
         "metrics.deconvolved_duration_ps", "metrics.first_moment_delay_ps",
+    ],
+    "xcorr_signal_only": [
+        "run.command", "input.signal_csv", "input.ref_duration_ps", "metrics.xcorr_fwhm_ps",
+        "metrics.deconvolved_duration_ps",
     ],
 }
 
@@ -1365,6 +1369,7 @@ def test_summary_key_order(tmp_path):
             "xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"),
             "--off-csv", str(fd_dir / "input_envelope.csv"), "--ref-duration-ps", "1.0",
         ],
+        "xcorr_signal_only": ["xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"), "--ref-duration-ps", "1.0"],
     }
     keys = {}
     for name, argv in runs.items():
