@@ -4,7 +4,7 @@ loss of a propagated pulse, the TD-FD envelope error and the linearity
 diagnostic for delay-versus-power scans.
 
 The sum-frequency cross-correlator is modeled as an ideal intensity
-correlator, I_xc(tau) = int I_sig(t) I_ref(t - tau) dt.
+correlator with a Gaussian gate, I_xc(tau) = int I_sig(t) I_ref(t - tau) dt.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _FINITE, _NON_NEGATIVE, _require
+from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, _require
 from .spectral import ComplexEnvelope, interpolated_fwhm, moment_centroid
 
 _ABSORPTION_FLOOR = 1e-6  # off-spectrum level, relative to its peak, below which A is not taken
@@ -36,22 +36,24 @@ class CorrelationCurve:
         return moment_centroid(self.delays, self.intensity)
 
 
-def cross_correlate(signal: ComplexEnvelope, reference: ComplexEnvelope) -> CorrelationCurve:
-    """Intensity cross-correlation of a signal against a reference pulse,
-    normalized to unit peak."""
-    if signal.grid != reference.grid:
-        raise ValueError("signal and reference must share a time grid")
-    n = signal.grid.n
-    # sum_t I_sig(t + lag) I_ref(t) = int I_sig(t) I_ref(t - lag) dt for the n
-    # central lags -n//2 ... n - 1 - n//2; padding to 2n keeps the FFT linear
-    spectrum = np.fft.rfft(signal.intensity(), 2 * n) * np.conj(np.fft.rfft(reference.intensity(), 2 * n))
-    raw = np.roll(np.fft.irfft(spectrum, 2 * n), n // 2)[:n] * signal.grid.dt
-    lags = (np.arange(n) - n // 2) * signal.grid.dt
+def cross_correlate(signal: ComplexEnvelope, reference_fwhm_ps: float) -> CorrelationCurve:
+    """Intensity cross-correlation of a signal against a Gaussian gate of
+    intensity FWHM ``reference_fwhm_ps``, on the signal's own time axis and
+    normalized to unit peak.  The gate enters by its closed-form transform,
+    exp(-w^2 fwhm^2 / (16 ln 2)), so it needs no samples: any width is taken,
+    finer than the grid's step or not."""
+    _require(_POSITIVE, "reference duration", reference_fwhm_ps)
+    grid = signal.grid
+    # the gate is even, so the correlation is a convolution; padding to 2n keeps the FFT linear
+    omegas = 2.0 * np.pi * np.fft.rfftfreq(2 * grid.n, grid.dt)
+    with np.errstate(over="ignore"):  # a gate past the float range keeps only the mean: exp(-inf) = 0
+        gate = np.exp(-((omegas * reference_fwhm_ps) ** 2) / (16.0 * np.log(2.0)))
+    raw = np.fft.irfft(np.fft.rfft(signal.intensity(), 2 * grid.n) * gate, 2 * grid.n)[: grid.n]
     raw = np.maximum(raw, 0.0)  # clip FFT round-off noise
     peak = np.max(raw)
     if peak > 0:
         raw = raw / peak
-    return CorrelationCurve(delays=lags, intensity=raw)
+    return CorrelationCurve(delays=grid.times, intensity=raw)
 
 
 def first_moment_delay(on: CorrelationCurve, off: CorrelationCurve) -> float:

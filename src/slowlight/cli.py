@@ -36,7 +36,7 @@ from .kramers_kronig import (
     ingest_absorption,
     kk_real_from_imag,
 )
-from .spectral import TimeGrid, forward_transform, resample_to_resolve, synthesize_pulse
+from .spectral import TimeGrid, forward_transform
 
 
 _TD_FD_L2_BUDGET = 1e-3  # the TD-FD agreement the acceptance tests hold the example point to
@@ -223,11 +223,7 @@ def cmd_sweep(args):
 
 def cmd_xcorr(args):
     signal = io.read_envelope_csv(args.signal_csv)
-    grid = signal.grid
-    # a reference finer than the grid is met by resampling the envelopes, not refused
-    signal, upsample = resample_to_resolve(signal, args.ref_duration_ps)
-    reference = synthesize_pulse("gaussian", signal.grid, duration=args.ref_duration_ps)
-    curve_on = analysis.cross_correlate(signal, reference)
+    curve_on = analysis.cross_correlate(signal, args.ref_duration_ps)
     summary = {
         "run.command": "xcorr",
         "input.signal_csv": args.signal_csv,
@@ -240,13 +236,10 @@ def cmd_xcorr(args):
     )
     if args.off_csv:
         off_env = io.read_envelope_csv(args.off_csv)
-        if off_env.grid != grid:
+        if off_env.grid != signal.grid:
             raise ConfigError("on and off envelope CSVs must share a time grid")
-        off_env, _ = resample_to_resolve(off_env, args.ref_duration_ps)
-        curve_off = analysis.cross_correlate(off_env, reference)
+        curve_off = analysis.cross_correlate(off_env, args.ref_duration_ps)
         summary["metrics.first_moment_delay_ps"] = analysis.first_moment_delay(curve_on, curve_off)
-    if upsample > 1:
-        summary["xcorr.upsample"] = upsample
     io.write_correlation_csv(_out_path(args, "xcorr_on.csv"), curve_on)
     if args.off_csv:
         io.write_correlation_csv(_out_path(args, "xcorr_off.csv"), curve_off)

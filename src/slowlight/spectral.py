@@ -38,7 +38,6 @@ _TBP = {"gaussian": GAUSSIAN_TBP, "flat_top_spectrum": FLAT_TOP_TBP}
 PULSE_SHAPES = tuple(_TBP)
 
 _MIN_SAMPLES_PER_FWHM = 16
-_MAX_RESAMPLED_N = 2**20  # resample_to_resolve stops doubling at this many samples
 _SAMPLE_COUNT = ("a power of two >= 8", lambda n: n >= 8 and (n & (n - 1)) == 0)  # a TimeGrid size
 
 
@@ -253,32 +252,6 @@ def _transform_limited_duration(shape: str, bandwidth: float | None, duration: f
     if duration is not None:
         return float(duration)
     return _TBP[shape] / float(bandwidth)
-
-
-def resample_to_resolve(env: ComplexEnvelope, fwhm_ps: float) -> tuple[ComplexEnvelope, int]:
-    """``env`` on a grid fine enough to synthesize a pulse of intensity FWHM
-    ``fwhm_ps``, and the factor its dt was divided by: the smallest power of
-    two that resolves it, while the grid stays within _MAX_RESAMPLED_N samples.
-    The spectrum is zero-padded, which is exact for a band-limited envelope;
-    factor 1 returns ``env`` itself.  GridResolutionError, before any
-    transform, when even the largest factor does not resolve it."""
-    _require(_POSITIVE, "duration", fwhm_ps)
-    grid, factor = env.grid, 1
-    while fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor and 2 * factor * grid.n <= _MAX_RESAMPLED_N:
-        factor *= 2
-    if fwhm_ps < _MIN_SAMPLES_PER_FWHM * grid.dt / factor:
-        raise GridResolutionError(
-            f"envelope too coarse: a pulse FWHM of {fwhm_ps:.4g} ps needs dt <= {fwhm_ps / _MIN_SAMPLES_PER_FWHM:.4g} ps; "
-            f"the envelope has dt = {grid.dt:.4g} ps on {grid.n} samples, and {factor}, the largest resampling "
-            f"factor within {_MAX_RESAMPLED_N} samples, reaches only {grid.dt / factor:.4g} ps"
-        )
-    if factor == 1:
-        return env, 1
-    fine = TimeGrid(t_start=grid.t_start, dt=grid.dt / factor, n=factor * grid.n)
-    samples = np.zeros(fine.n, dtype=complex)
-    start = fine.n // 2 - grid.n // 2  # same domega: the old band sits at the centre
-    samples[start : start + grid.n] = forward_transform(env).samples
-    return inverse_transform(SpectralEnvelope(grid=fine.frequency_grid(), samples=samples)), factor
 
 
 def wavelength_bandwidth_to_frequency(lambda0_nm: float, delta_lambda_nm: float) -> float:

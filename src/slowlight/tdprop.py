@@ -278,8 +278,8 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
         )
     if control.envelope is None:
-        [(result, transfer)] = _constant(medium, pulse, forward_transform(pulse), [chi])
-        result.peak_coherence = _constant_peak(medium, pulse, transfer)
+        [(result, transfer)] = _constant(medium, pulse, forward_transform(pulse), [chi], checked=False)
+        result.nz_needed, result.peak_coherence = nz_needed, _constant_peak(medium, pulse, transfer)
         return result
     result = _march(medium, control.amplitude(pulse.grid.n), pulse, nz_needed)
     result.warnings += _control_duration_warning(control, pulse)

@@ -465,6 +465,16 @@ def test_fwhm_under_a_constant_control_exits_2_naming_both_keys(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+def test_unknown_key_exits_2_naming_it_and_its_section(tmp_path, capsys):
+    # keys are strict: a misspelt key is refused, not ignored
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_config(tmp_path, EXAMPLE.read_text().replace("[medium]\n", "[medium]\nfoo = 1\n"))
+    assert main(["analytic", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'foo' in section [medium]\n"
+    assert list(out.iterdir()) == []
+
+
 def test_line_without_equals_is_one_line_naming_the_file_and_the_line(tmp_path, capsys):
     cfg = write_config(tmp_path, CONFIG.replace("[grid]\n", "[grid]\nn 16384\n"))
     out = tmp_path / "out"
@@ -1109,6 +1119,20 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "out")]) == 0
         assert calls == [(math.sqrt(2.0), plans[0])]
 
+    def test_sweep_through_a_medium_with_no_coupling_reads_zero(self, tmp_path):
+        # d0 = 0: every point is the input itself, and the line through the origin is flat with no residual
+        text = EXAMPLE.read_text().replace("d0 = 2.5", "d0 = 0.0").replace("intensity = 1.0",
+                                                                         "intensity_list = 0.5, 1.0, 2.0")
+        cfg = write_config(tmp_path, text)
+        for domain in ("fd", "td"):
+            out = tmp_path / domain
+            assert main(["sweep", "--config", str(cfg), "--domain", domain, "--out-dir", str(out)]) == 0
+            assert (out / "intensity_scan.csv").read_text().splitlines()[1:] == ["0.5,0,0", "1,0,0", "2,0,0"]
+            summary = read_summary(out / "summary.txt")
+            assert summary["linearity.slope_ps_per_intensity"] == "0"
+            assert summary["linearity.residual_ratio"] == "0"
+            assert summary.get("metrics.td_fd_l2_error") == ("0" if domain == "td" else None)
+
     def test_sweep_requires_list(self, tmp_path):
         cfg = write_config(tmp_path)
         cp = run_cli("sweep", "--config", cfg, "--out-dir", tmp_path / "out")
@@ -1172,16 +1196,32 @@ class TestKK:
 
 
 class TestXcorr:
-    def test_unresolvable_reference_exits_3_naming_the_envelope_dt(self, tmp_path, capsys):
-        # a 0.001 ps reference needs dt <= 6.25e-5 ps; 64-fold resampling, the most within 2^20 samples, reaches 9.4e-4
+    def test_gate_finer_than_the_envelope_step_reads_the_signal_width(self, tmp_path):
+        # the gate enters by its closed form, so a 0.001-ps gate needs no grid of dt <= 6.25e-5 ps
         from slowlight import io as sio
 
         path = tmp_path / "signal.csv"
         sio.write_envelope_csv(path, sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**14, 0.06), duration=3.0))
-        argv = ["xcorr", "--signal-csv", str(path), "--ref-duration-ps", "0.001", "--out-dir", str(tmp_path / "out")]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "dt = 0.06 ps on 16384 samples, and 64, the largest" in err
+        out = tmp_path / "out"
+        assert main(["xcorr", "--signal-csv", str(path), "--ref-duration-ps", "0.001", "--out-dir", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert float(summary["metrics.xcorr_fwhm_ps"]) == pytest.approx(3.0, abs=1e-6)
+        assert float(summary["metrics.deconvolved_duration_ps"]) == pytest.approx(3.0, abs=1e-6)
+
+    def test_window_not_centred_on_zero_reads_the_signal_where_it_is(self, tmp_path):
+        # a window from t = 0: the curve lies on the envelope's own times, and the gate is not split by the period
+        from slowlight import io as sio
+
+        grid = sl.TimeGrid(t_start=0.0, dt=0.06, n=1024)
+        field = np.exp(-2.0 * np.log(2.0) * ((grid.times - 45.0) / 2.0) ** 2)  # a 2-ps intensity FWHM at 45 ps
+        path = tmp_path / "signal.csv"
+        sio.write_envelope_csv(path, sl.ComplexEnvelope(grid=grid, samples=field.astype(complex)))
+        out = tmp_path / "out"
+        assert main(["xcorr", "--signal-csv", str(path), "--ref-duration-ps", "1.0", "--out-dir", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert float(summary["metrics.deconvolved_duration_ps"]) == pytest.approx(2.0, abs=1e-3)
+        delays, intensity = np.loadtxt(out / "xcorr_on.csv", delimiter=",", skiprows=1, unpack=True)
+        assert abs(delays[np.argmax(intensity)] - 45.0) <= grid.dt
 
     def test_reference_past_the_float_range_exits_3_without_a_warning(self, tmp_path, capsys):
         # the reference's Gaussian exponent overflows off its centre: exp(-inf) = 0 with no RuntimeWarning, which
@@ -1239,7 +1279,7 @@ class TestXcorr:
         assert (out / "xcorr_on.csv").exists() and (out / "xcorr_off.csv").exists()
 
     def test_default_reference_on_propagate_output(self, tmp_path):
-        # the 0.16-ps default needs dt <= 0.01 ps; the envelopes are resampled from dt = 0.06
+        # the 0.16-ps default gate is a third of a dt = 0.06 ps step: the curves stay on the envelopes' 16384 times
         cfg = write_config(tmp_path)
         fd = tmp_path / "fd"
         assert main(["propagate", "--config", str(cfg), "--domain", "fd", "--out-dir", str(fd)]) == 0
@@ -1247,10 +1287,11 @@ class TestXcorr:
         argv = ["xcorr", "--signal-csv", fd / "output_envelope.csv", "--off-csv", fd / "input_envelope.csv"]
         assert main([*map(str, argv), "--out-dir", str(out)]) == 0
         summary = read_summary(out / "summary.txt")
-        assert summary["xcorr.upsample"] == "8"
+        assert list(summary) == SUMMARY_KEYS["xcorr"]
+        assert len((out / "xcorr_on.csv").read_text().splitlines()) == 16385
         envelope_delay = float(read_summary(fd / "summary.txt")["metrics.first_moment_delay_ps"])
         delay = float(summary["metrics.first_moment_delay_ps"])
-        assert delay == pytest.approx(envelope_delay, rel=2e-3)
+        assert delay == pytest.approx(envelope_delay, rel=1e-5)
 
     def test_identical_inputs_zero_delay(self, tmp_path):
         from slowlight import io as sio
@@ -1370,6 +1411,11 @@ def test_summary_key_order(tmp_path):
             "--off-csv", str(fd_dir / "input_envelope.csv"), "--ref-duration-ps", "1.0",
         ],
         "xcorr_signal_only": ["xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"), "--ref-duration-ps", "1.0"],
+        # the default 0.16-ps gate, a third of this grid's dt, adds no key
+        "xcorr_default_gate": [
+            "xcorr", "--signal-csv", str(fd_dir / "output_envelope.csv"),
+            "--off-csv", str(fd_dir / "input_envelope.csv"),
+        ],
     }
     keys = {}
     for name, argv in runs.items():
@@ -1379,4 +1425,5 @@ def test_summary_key_order(tmp_path):
         # perfbench compares every numeric value between repeated runs, and nan != nan
         numbers = [float(value) for value in summary.values() if _parses_as_float(value)]
         assert np.all(np.isfinite(numbers)), name
+    assert keys.pop("xcorr_default_gate") == SUMMARY_KEYS["xcorr"]
     assert keys == SUMMARY_KEYS

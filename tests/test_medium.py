@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import slowlight as sl
 from slowlight.errors import AsymmetricMediumError
-from slowlight.spectral import resample_to_resolve
 
 GAMMA, DELTA = 1.0, 6.8
 
@@ -155,7 +154,7 @@ NON_FINITE_INPUTS = {
     "synthesize_pulse.bandwidth": lambda x: sl.synthesize_pulse("gaussian", GRID, bandwidth=x),
     "synthesize_pulse.duration": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=x),
     "synthesize_pulse.phase": lambda x: sl.synthesize_pulse("gaussian", GRID, duration=2.0, quadratic_spectral_phase=x),
-    "resample_to_resolve.fwhm": lambda x: resample_to_resolve(sl.synthesize_pulse("gaussian", GRID, duration=2.0), x),
+    "cross_correlate.reference_fwhm_ps": lambda x: sl.cross_correlate(sl.synthesize_pulse("gaussian", GRID, duration=2.0), x),
     "wavelength_bandwidth_to_frequency.lambda0": lambda x: sl.wavelength_bandwidth_to_frequency(x, 1.0),
     "wavelength_bandwidth_to_frequency.delta_lambda": lambda x: sl.wavelength_bandwidth_to_frequency(765.0, x),
     "delay_per_loss.gamma": lambda x: sl.delay_per_loss(x, DELTA),

@@ -3,14 +3,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import slowlight as sl
-from slowlight import spectral
 from slowlight.errors import AmbiguousWidthError, GridResolutionError
 from slowlight.spectral import (
     FLAT_TOP_TBP,
     GAUSSIAN_TBP,
     _half_crossings,
     interpolated_fwhm,
-    resample_to_resolve,
 )
 
 from conftest import rel_l2
@@ -198,40 +196,6 @@ class TestPulseSynthesis:
         grid = sl.TimeGrid.centered(2**10, 0.02)
         with pytest.raises(ValueError, match="shape"):
             sl.synthesize_pulse("sech", grid, duration=1.0)
-
-
-class TestResampleToResolve:
-    def test_resolved_grid_returns_envelope_itself(self):
-        env = sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=2.0)
-        resampled, factor = resample_to_resolve(env, 1.0)
-        assert factor == 1 and resampled is env
-
-    def test_band_limited_envelope_is_interpolated_exactly(self):
-        grid = sl.TimeGrid.centered(2**12, 0.06)
-        env = sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=1.8)
-        fine, factor = resample_to_resolve(env, 0.16)
-        assert factor == 8  # 16 samples per 0.16 ps need dt <= 0.01 ps
-        assert fine.grid == sl.TimeGrid(t_start=grid.t_start, dt=grid.dt / 8, n=8 * grid.n)
-        scale = np.max(np.abs(env.samples))
-        assert np.max(np.abs(fine.samples[::8] - env.samples)) < 1e-14 * scale
-        assert fine.energy() == pytest.approx(env.energy(), rel=1e-12)
-        sl.synthesize_pulse("gaussian", fine.grid, duration=0.16)  # now resolved
-
-    def test_nonpositive_duration_rejected(self):
-        env = sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=2.0)
-        with pytest.raises(ValueError, match="positive"):
-            resample_to_resolve(env, 0.0)
-
-    def test_unresolvable_width_refused_before_any_transform(self, monkeypatch):
-        # 1024-fold, the most within 2^20 samples, reaches dt = 5.9e-5 ps; 1e-4 ps needs 6.25e-6
-        env = sl.synthesize_pulse("gaussian", sl.TimeGrid.centered(2**10, 0.06), duration=2.0)
-
-        def refuse(env):
-            raise AssertionError("the envelope was transformed")
-
-        monkeypatch.setattr(spectral, "forward_transform", refuse)
-        with pytest.raises(GridResolutionError, match=r"dt = 0\.06 ps on 1024 samples, and 1024, the largest"):
-            resample_to_resolve(env, 1e-4)
 
 
 class TestWavelengthConversion:

@@ -505,6 +505,19 @@ class TestSolve:
         sl.solve(std_medium, sl.ControlField.constant(1.0), flattop_signal, sl.SolverSettings(nz=256))
         assert sampled == [1.0]
 
+    @pytest.mark.parametrize("shaped", [False, True], ids=["constant", "gaussian"])
+    def test_chi_checked_once_per_solve(self, std_medium, shaped, monkeypatch):
+        # solve's own check plans the run: a constant control's transfer does not check its chi again
+        grid = sl.TimeGrid.centered(2**10, 0.06)
+        pulse = sl.synthesize_pulse("flat_top_spectrum", grid, bandwidth=1.8)
+        control = sl.ControlField.gaussian(grid, 20.0, 1.0) if shaped else sl.ControlField.constant(1.0)
+        validate, calls = tdprop._validate_resolution, []
+        nz_needed = validate(std_medium, sl.susceptibility_from_medium(std_medium, grid.frequency_grid()).values)
+        monkeypatch.setattr(tdprop, "_validate_resolution",
+                            lambda medium, chi: calls.append(chi) or validate(medium, chi))
+        assert sl.solve(std_medium, control, pulse).nz_needed == nz_needed
+        assert len(calls) == 1
+
     def test_nz_at_exactly_nz_needed_accepted(self, std_medium, signal_grid, monkeypatch):
         # a chi peak that puts the whole-length phase at exactly 2.0: 20 steps of exactly 0.1
         chi_max = 4.0 / (std_medium.k0 * std_medium.length_mm)
