@@ -113,13 +113,12 @@ def _set_up(config: SimulationConfig):
     return grid, config.signal.build(grid), config.medium.build()
 
 
-def _td_fd_check(the_medium, pulse, result):
-    """The summary key of the relative L2 gap between ``result``'s output,
-    FD's at the medium's control intensity, and the Taylor march a shaped
-    control runs, at that intensity's amplitude on ``result.nz_needed``; and
-    a warning past _TD_FD_L2_BUDGET."""
-    march = tdprop._march(the_medium, math.sqrt(the_medium.control_intensity), pulse, result.nz_needed)
-    gap = analysis.relative_l2_error(march.output, result.output)
+def _td_fd_check(the_medium, pulse, output, nz_needed):
+    """The summary key of the relative L2 gap between ``output``, FD's at the medium's
+    control intensity, and the Taylor march a shaped control runs at that intensity's
+    amplitude on ``nz_needed``; and a warning past _TD_FD_L2_BUDGET."""
+    march = tdprop._march(the_medium, math.sqrt(the_medium.control_intensity), pulse, nz_needed)
+    gap = analysis.relative_l2_error(march.output, output)
     warnings = [f"the TD output differs from the FD output by {gap:.3g} relative L2 "
                 f"(> {_TD_FD_L2_BUDGET:g}), so the TD solve is not confirmed here"] if gap > _TD_FD_L2_BUDGET else []
     return {"metrics.td_fd_l2_error": gap}, warnings
@@ -151,8 +150,10 @@ def cmd_propagate(args):
 
     spec_in = forward_transform(pulse)
     if fixed:  # one transfer, which both domains send the input through
-        [(result, transfer)] = tdprop._constant(the_medium, pulse, spec_in, [_chi_for_run(args, the_medium, fgrid)], td)
-        if td:
+        chi = _chi_for_run(args, the_medium, fgrid)
+        result, transfer = tdprop._constant(the_medium, pulse, spec_in, chi)
+        if td:  # planned for its check march, which refuses what solve refuses
+            result.nz_needed = tdprop._validate_resolution(the_medium, chi.values)
             result.peak_coherence = tdprop._constant_peak(the_medium, pulse, transfer)
         spec_on = spec_in.samples * transfer.values
         center = transfer.center_transmission()
@@ -167,7 +168,7 @@ def cmd_propagate(args):
     except AmbiguousWidthError as exc:
         raise AmbiguousWidthError(f"the output envelope has no single intensity FWHM: {exc}") from None
     if td and fixed:
-        checks, gap_warnings = _td_fd_check(the_medium, pulse, result)
+        checks, gap_warnings = _td_fd_check(the_medium, pulse, out, result.nz_needed)
         warnings = [*warnings, *gap_warnings]
     summary = {
         "run.command": f"propagate.{args.domain}",
@@ -202,7 +203,10 @@ def cmd_sweep(args):
         raise ConfigError("sweep assumes constant control during each point")
 
     _, pulse, base_medium = _set_up(config)
-    points, results = tdprop._scan(base_medium, intensities, pulse, checked=args.domain == "td")
+    if args.domain == "td":  # the phase is linear in the intensity, so the top point's plan covers every point
+        top_medium = base_medium.with_control_intensity(top := max(intensities))
+        nz_needed = tdprop._validate_resolution(top_medium, med.chi(top_medium, pulse.grid.frequency_grid().omegas))
+    points, results = tdprop._scan(base_medium, intensities, pulse)
     summary = {"run.command": f"sweep.{args.domain}", "sweep.points": len(points)}
     if len(points) >= 3 and any(p.intensity > 0 for p in points):  # else no slope to fit
         slope, residual = analysis.linearity_diagnostic([(p.intensity, p.delay_ps) for p in points])
@@ -211,9 +215,7 @@ def cmd_sweep(args):
     summary["metrics.max_delay_ps"] = max(p.delay_ps for p in points)
     warnings = []
     if args.domain == "td":  # the TD-FD gap grows with depth, so the top point is the worst
-        top_point, top_result = max(zip(points, results), key=lambda pair: pair[0].intensity)
-        top = top_point.intensity
-        check, gap_warnings = _td_fd_check(base_medium.with_control_intensity(top), pulse, top_result)
+        check, gap_warnings = _td_fd_check(top_medium, pulse, results[intensities.index(top)].output, nz_needed)
         summary.update(check)
         warnings = [f"intensity {top!r}: {warning}" for warning in gap_warnings]
     summary["warnings"] = "; ".join(warnings) or "none"

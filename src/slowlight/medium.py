@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import _NON_NEGATIVE, _POSITIVE, AsymmetricMediumError, _require
+from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AsymmetricMediumError, _require
 
 _SYMMETRY_RTOL = 1e-9
 
@@ -67,6 +67,10 @@ class RamanMedium:
         for what, value in (("splitting", self.splitting), ("length", self.length_mm), ("k0", self.k0)):
             _require(_POSITIVE, what, value)
         _require(_NON_NEGATIVE, "control intensity", self.control_intensity)
+        at = f"at control intensity {self.control_intensity!r}"
+        for line, c in zip(self.lines, self.line_strengths):  # chi holds c / Gamma, its transfer L c / Gamma
+            _require(_FINITE, f"a line's c / Gamma {at}", c / line.linewidth)
+            _require(_FINITE, f"peak optical depth L c / Gamma {at}", self.length_mm * c / line.linewidth)
 
     @property
     def line_strengths(self) -> tuple[float, float]:

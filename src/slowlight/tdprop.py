@@ -30,9 +30,9 @@ Under a constant control A is itself circulant and exp(L I lambda) is the
 FD transfer function, so ``solve`` returns FD's output, through the
 transfer of the chi it samples once for nz_needed too: exact in z with no
 series (nz = 1), and the input bit for bit where that transfer is exactly
-1.  ``_constant`` solves every constant-control point, for ``solve``, the
-scan and ``propagate``: given the input's spectrum and each point's chi,
-it builds each transfer once and, checked, refuses a chi before any solve.
+1.  ``_constant`` solves one constant-control point, for ``solve``, each
+scan point and ``propagate``, from the input's spectrum and that point's
+chi, and plans nothing: only a run that marches is planned.
 Under a shaped control ``solve`` sums the Taylor series of exp(L A) E
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488) over as few equal
 substeps as keep each one's phase to 4, each until a term is negligible,
@@ -198,15 +198,11 @@ def _coherence_peak(coherence_symbols, spectrum: np.ndarray) -> float:
                for symbol in coherence_symbols)
 
 
-def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, chis, checked=True):
-    """One ``(SolveResult, transfer)`` per chi of ``chis``: FD's output through the
-    transfer of that chi from ``spectrum``, the input's transform, with no coherence
-    read.  Checked, every chi, in order, is refused where ``solve`` would refuse it
-    before any point is solved."""
-    planned = [(_validate_resolution(medium, chi.values) if checked else 0,
-                fdprop.transfer_function(chi, medium.k0, medium.length_mm)) for chi in chis]
-    return [(SolveResult(output=fdprop._through(pulse, spectrum, transfer), nz=1, nz_needed=nz_needed,
-                         z_error_estimate=0.0), transfer) for nz_needed, transfer in planned]
+def _constant(medium: RamanMedium, pulse: ComplexEnvelope, spectrum, chi):
+    """``(SolveResult, transfer)``: FD's output through the transfer of ``chi`` from
+    ``spectrum``, the input's transform, with no plan and no coherence read."""
+    transfer = fdprop.transfer_function(chi, medium.k0, medium.length_mm)
+    return SolveResult(output=fdprop._through(pulse, spectrum, transfer), nz=1, z_error_estimate=0.0), transfer
 
 
 def _constant_peak(medium: RamanMedium, pulse: ComplexEnvelope, transfer) -> float:
@@ -278,7 +274,7 @@ def solve(medium: RamanMedium, control: ControlField, pulse: ComplexEnvelope,
             f"per-step phase exceeds {_MAX_STEP_PHASE}; need nz >= {nz_needed} (got {settings.nz})"
         )
     if control.envelope is None:
-        [(result, transfer)] = _constant(medium, pulse, forward_transform(pulse), [chi], checked=False)
+        result, transfer = _constant(medium, pulse, forward_transform(pulse), chi)
         result.nz_needed, result.peak_coherence = nz_needed, _constant_peak(medium, pulse, transfer)
         return result
     result = _march(medium, control.amplitude(pulse.grid.n), pulse, nz_needed)
@@ -300,30 +296,28 @@ def _control_duration_warning(control: ControlField, pulse: ComplexEnvelope):
     return []
 
 
-def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope, checked: bool = True):
-    """The points of ``delay_vs_control_scan`` and the SolveResult behind each, each chi sampled
-    as ``_constant`` reaches it.  Unchecked, as in an FD sweep, no resolution is checked: only
-    ``delay_and_loss`` refuses a point, prefixed with its intensity."""
-    fgrid, intensities = pulse.grid.frequency_grid(), list(map(float, control_intensities))
-    chis = (fdprop.susceptibility_from_medium(medium.with_control_intensity(i), fgrid) for i in intensities)
-    results = [result for result, _ in _constant(medium, pulse, forward_transform(pulse), chis, checked)]
-    points = []
-    for i, result in zip(intensities, results):
+def _scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope):
+    """The points of ``delay_vs_control_scan`` and the SolveResult behind each: each point is sampled,
+    sent through ``_constant`` and measured in turn, unplanned, and a refusal names its intensity."""
+    fgrid, spectrum, points, results = pulse.grid.frequency_grid(), forward_transform(pulse), [], []
+    for i in map(float, control_intensities):
+        point = medium.with_control_intensity(i)
+        result, _ = _constant(point, pulse, spectrum, fdprop.susceptibility_from_medium(point, fgrid))
         try:
             points.append(ScanPoint(i, *delay_and_loss(pulse, result.output)))
         except ValueError as exc:
             raise ValueError(f"intensity {i!r}: {exc}") from None
+        results.append(result)
     return points, results
 
 
 def delay_vs_control_scan(medium: RamanMedium, control_intensities, pulse: ComplexEnvelope) -> list[ScanPoint]:
     """First-moment delay and loss versus (constant) control intensity.
 
-    Each point's chi is sampled once, at its own intensity, checked in order
-    as its own ``solve`` would check it, and given its transfer; only then is
-    every point solved, as its own ``solve``: FD's output through that
-    transfer.  ``analysis.delay_and_loss`` measures
-    each point against the input and refuses, naming its intensity, what it
-    refuses in ``propagate``: no energy, or more than 300 dB of loss.
+    Each point's chi is sampled once, at its own intensity, and the point is
+    solved as its own ``solve`` would: FD's output through the transfer of
+    that chi.  No point marches, so none is planned, and the scan refuses,
+    naming the intensity, what FD's ``propagate`` refuses: a medium past the
+    float range, an output with no energy, or more than 300 dB of loss.
     """
     return _scan(medium, control_intensities, pulse)[0]

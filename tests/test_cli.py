@@ -14,6 +14,7 @@ import pytest
 import slowlight as sl
 from slowlight import cli, fdprop, tdprop
 from slowlight.cli import main
+from slowlight.config import load_config
 from slowlight.data import ktp_absorption_path
 
 CONFIG = """\
@@ -47,8 +48,12 @@ EXAMPLE = ROOT / "configs" / "example.ini"
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
+# a spawned CLI treats warnings as the in-process suite does, so a warning fails its test
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::UserWarning")
+
+
 def run_cli(*args):
-    cmd = [sys.executable, "-m", "slowlight", *map(str, args)]
+    cmd = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "slowlight", *map(str, args)]
     return subprocess.run(cmd, capture_output=True, text=True, env=ENV)
 
 
@@ -136,8 +141,8 @@ def test_profiled_run_prints_its_stats_and_writes_its_outputs(tmp_path):
     # the CLI ends the interpreter by a normal exit, so a profiler wrapped
     # around it still reports
     out = tmp_path / "out"
-    cmd = [sys.executable, "-m", "cProfile", "-m", "slowlight", "analytic", "--config", str(write_config(tmp_path)),
-           "--out-dir", str(out)]
+    cmd = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "cProfile", "-m", "slowlight", "analytic",
+           "--config", str(write_config(tmp_path)), "--out-dir", str(out)]
     cp = subprocess.run(cmd, capture_output=True, text=True, env=ENV)
     assert cp.returncode == 0, cp.stderr
     assert "function calls" in cp.stdout and "Ordered by" in cp.stdout
@@ -517,6 +522,42 @@ def test_td_run_past_the_substep_limit_exits_3_before_any_march(tmp_path, capsys
     assert re.fullmatch(r"error: the solve would take \S+ z substeps, more than the 1e\+09 any run could finish\n",
                         capsys.readouterr().err)
     assert calls == [] and list(out.iterdir()) == []
+
+
+NINE_POINTS = ("intensity = 1.0", "intensity_list = " + ", ".join(map(str, np.linspace(0.25, 2.0, 9))))
+
+
+@pytest.mark.parametrize("command, domain, edits, plans", [
+    ("propagate", "fd", [], 0),
+    ("sweep", "fd", [NINE_POINTS], 0),
+    ("propagate", "td", [], 1),
+    ("sweep", "td", [NINE_POINTS], 1),
+    ("propagate", "td", [("kind = constant", "kind = gaussian\nfwhm_ps = 60.0")], 1),
+], ids=["fd-propagate", "fd-sweep", "td-propagate", "td-sweep", "td-gaussian"])
+def test_only_a_run_that_marches_is_planned(tmp_path, monkeypatch, command, domain, edits, plans):
+    # the phase is linear in the intensity, so a TD sweep plans its top point alone, for its check march
+    text = EXAMPLE.read_text().replace("n = 16384", "n = 4096")
+    for old, new in edits:
+        text = text.replace(old, new)
+    seen = []
+    spy_plans(monkeypatch, seen)
+    argv = [command, "--domain", domain, "--config", str(write_config(tmp_path, text)), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(seen) == plans
+
+
+@pytest.mark.parametrize("command, domain", [("propagate", "fd"), ("propagate", "td"), ("sweep", "fd"), ("sweep", "td")])
+def test_line_strength_past_the_float_range_exits_3_with_one_line(tmp_path, capsys, command, domain):
+    # at d0 = 1e300 the line strength c = g I overflows at I = 1e10: refused before chi is sampled, naming
+    # the intensity, where chi once warned of the overflow and the run failed on a nan
+    key = "intensity_list = 0.0, 1e10" if command == "sweep" else "intensity = 1e10"
+    text = EXAMPLE.read_text().replace("d0 = 2.5", "d0 = 1e300").replace("intensity = 1.0", key)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--domain", domain, "--config", str(write_config(tmp_path, text)), "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == ("error: a line's c / Gamma at control intensity 10000000000.0 "
+                                       "must be finite, got inf\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("domain", ["fd", "td"])
@@ -937,8 +978,8 @@ class TestPropagate:
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
-            cmd = [sys.executable, "-m", "slowlight", "propagate", "--domain", "td", "--config", str(cfg),
-                   "--out-dir", str(out)]
+            cmd = [sys.executable, *WARNINGS_AS_ERRORS, "-m", "slowlight", "propagate", "--domain", "td",
+                   "--config", str(cfg), "--out-dir", str(out)]
             cp = subprocess.run(cmd, capture_output=True, text=True, env={**ENV, "OPENBLAS_NUM_THREADS": threads})
             assert cp.returncode == 0, cp.stderr
             outputs.append([(out / name).read_bytes() for name in ("summary.txt", "output_envelope.csv")])
@@ -1082,24 +1123,28 @@ class TestSweep:
         assert scans[0] == scans[1]
 
     def test_td_sweep_solves_each_point_once(self, tmp_path, monkeypatch):
-        # chi is sampled and checked once per point, at its own intensity, and the TD-FD check reads the
-        # top point's output and nz_needed from the scan
-        sampled, plans = [], []
+        # chi is sampled once per point, at its own intensity, and only the top point, whose check marches,
+        # is planned, from a chi of its own; the TD-FD check reads that point's output from the scan
+        sampled, plans, validate = [], [], tdprop._validate_resolution
 
         def spy(medium, omega, chi=fdprop.medium_chi):
             sampled.append(medium.control_intensity)
             return chi(medium, omega)
 
         monkeypatch.setattr(fdprop, "medium_chi", spy)
-        spy_plans(monkeypatch, plans)
+        monkeypatch.setattr(tdprop, "_validate_resolution",
+                            lambda medium, chi: plans.append((medium.control_intensity, chi)) or validate(medium, chi))
         text = CONFIG.replace("n = 16384", "n = 4096").replace("intensity = 1.0", "intensity_list = 0.0, 0.5, 1.0")
-        assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--domain", "td",
-                     "--out-dir", str(tmp_path / "out")]) == 0
+        cfg = write_config(tmp_path, text)
+        assert main(["sweep", "--config", str(cfg), "--domain", "td", "--out-dir", str(tmp_path / "out")]) == 0
         assert sampled == [0.0, 0.5, 1.0]
-        assert len(plans) == 3
+        [(intensity, chi)] = plans
+        config = load_config(cfg)
+        top = config.medium.build().with_control_intensity(1.0)
+        assert intensity == 1.0 and np.array_equal(chi, sl.chi(top, config.grid.build().frequency_grid().omegas))
 
     def test_td_sweep_refuses_a_later_point_before_solving_any(self, tmp_path, capsys, monkeypatch):
-        # every point is checked, in order, before the first is sent through its transfer
+        # the top point's plan refuses the sweep before the first point is sent through its transfer
         solved = []
         monkeypatch.setattr(fdprop, "_through", lambda *args: solved.append(args))
         text = EXAMPLE.read_text().replace("intensity = 1.0", "intensity_list = 0.5, 1e12")

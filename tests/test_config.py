@@ -57,8 +57,9 @@ def test_good_config_builds_everything(tmp_path):
 
 
 def test_unknown_key_named(tmp_path):
-    with pytest.raises(ConfigError, match="frequency_offset"):
-        load_config(write(tmp_path, GOOD + "\nfrequency_offset = 2\n"))
+    text = GOOD.replace("[grid]\n", "[grid]\nfrequency_offset = 2\n")
+    with pytest.raises(ConfigError, match=r"^unknown key 'frequency_offset' in section \[grid\]$"):
+        load_config(write(tmp_path, text))
 
 
 def test_unknown_section_rejected(tmp_path):

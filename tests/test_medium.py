@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,24 @@ NON_FINITE_INPUTS = {
 def test_constructors_refuse_non_finite(build, value):
     with pytest.raises(ValueError, match="finite"):
         build(value)
+
+
+@pytest.mark.parametrize("strength, linewidth, length, intensity, quantity", [
+    (1e300 / 30.0, 1.0, 30.0, 1e10, "a line's c / Gamma"),  # c = g I itself overflows
+    (1e300 / 30.0, 1.0, 30.0, 1e9, "peak optical depth L c / Gamma"),  # c / Gamma = 3.3e307 does not
+    (1e300, 1e-9, 1e-10, 1.0, "a line's c / Gamma"),  # L c / Gamma = 1e299 does not
+], ids=["strength", "depth", "short-length"])
+def test_line_strength_past_the_float_range_refused(strength, linewidth, length, intensity, quantity):
+    # chi holds c / Gamma and its transfer L c / Gamma, so either past the float range would leave an
+    # overflow warning and a nan: the medium is refused, naming the quantity and the control intensity
+    lines = (sl.RamanLine(linewidth, strength),) * 2
+    message = re.escape(f"{quantity} at control intensity {intensity!r} must be finite, got inf")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=length, k0=1.0, control_intensity=intensity)
+    if intensity != 1.0:  # a medium that holds at unit intensity refuses the scaled one
+        medium = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=length, k0=1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            medium.with_control_intensity(intensity)
 
 
 class TestFiguresOfMerit:
