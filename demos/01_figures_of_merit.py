@@ -3,7 +3,9 @@
 Sweeps the peak optical depth d0 and prints the induced group delay, the
 loss, and the delay-bandwidth product, reproducing the headline operating
 point: DBP reaches 1 near d0 = 2.5 at about 1.8 dB of loss, with roughly
-0.097 ps of delay per dB.
+0.097 ps of delay per dB.  The same closed forms take unequal lines: it
+ends with the two-Lorentzian fit of the bundled KTP records, whose lines
+have depths 1.6 and 2.0.
 """
 
 import numpy as np
@@ -33,4 +35,14 @@ at_unity = sl.from_target_depth(d0_unity, GAMMA, DELTA, K0, LENGTH)
 print(
     f"\nDBP = 1 at d0 = {d0_unity:.3f}: delay "
     f"{sl.group_delay(at_unity):.4f} ps, loss {sl.loss_db(at_unity):.3f} dB"
+)
+
+# unequal lines: (linewidth, coupling) of each, at depths 1.6 and 2.0
+ktp = sl.RamanMedium(
+    lines=(sl.RamanLine(GAMMA, 1.6 / LENGTH), sl.RamanLine(GAMMA, 2.0 / LENGTH)),
+    splitting=DELTA, length_mm=LENGTH, k0=K0,
+)
+print(
+    f"\nlines of depths 1.6 and 2.0: delay {sl.group_delay(ktp):.6f} ps, "
+    f"loss {sl.loss_db(ktp):.6f} dB, DBP {sl.delay_bandwidth_product(ktp):.4f}"
 )

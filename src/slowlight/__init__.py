@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .errors import (
     AmbiguousWidthError,
-    AsymmetricMediumError,
     ConfigError,
     GridResolutionError,
     SlowLightError,

@@ -60,6 +60,9 @@ def cmd_analytic(args):
     d0_values = np.minimum(np.arange(count) * args.d0_step, args.d0_max)  # 3 * 0.1 is 0.30000000000000004
     # delay, loss and DBP are each linear in d0, so one unit-depth medium gives every row
     unit = med.figures_of_merit(med.from_target_depth(1.0, m.gamma_invps, m.delta_invps, m.k0, m.length_mm))
+    if not unit.group_delay_ps > 0:  # zero at Gamma = Delta/2, and a lead beyond it: no depth gives unit DBP
+        raise ConfigError(f"analytic needs a positive window-centre delay: medium.gamma_invps = {m.gamma_invps} "
+                          f"must be below medium.delta_invps / 2 = {m.delta_invps / 2}")
     d0_unity = 1.0 / unit.delay_bandwidth_product
     summary = {
         "run.command": "analytic",

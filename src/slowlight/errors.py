@@ -28,10 +28,6 @@ class GridResolutionError(SlowLightError):
     """Grid or solver settings too coarse for the requested computation."""
 
 
-class AsymmetricMediumError(SlowLightError):
-    """Closed-form figure of merit requested for an asymmetric medium."""
-
-
 class TruncationRiskError(SlowLightError):
     """Absorption data does not decay at its edges; the principal-value
     integral would be corrupted by spectral truncation."""

@@ -14,7 +14,9 @@ Lorentzian of strength ``c = g * |E_c|^2`` to the susceptibility
 so Im(chi) >= 0 (absorption, never gain) and the dispersion between the
 lines is normal: the transparency window slows pulses down.  The line
 response s_nu is written once, here, for chi and the time-domain operator.
-The on-line peak optical depth of one line is d0 = L * c / Gamma.
+Line nu has the on-line peak optical depth d_nu = L * c_nu / Gamma_nu, and
+each closed-form figure is a sum over the two lines, so it holds for
+unequal lines as well as for a symmetric doublet.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, AsymmetricMediumError, _require
-
-_SYMMETRY_RTOL = 1e-9
+from .errors import _FINITE, _NON_NEGATIVE, _POSITIVE, _require
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,6 @@ class RamanMedium:
     def with_control_intensity(self, intensity: float) -> "RamanMedium":
         return replace(self, control_intensity=intensity)
 
-    def is_symmetric(self) -> bool:
-        lo, hi = self.lines
-        gmax = max(lo.linewidth, hi.linewidth)
-        smax = max(lo.strength_per_intensity, hi.strength_per_intensity, 1e-300)
-        return (abs(lo.linewidth - hi.linewidth) <= _SYMMETRY_RTOL * gmax
-                and abs(lo.strength_per_intensity - hi.strength_per_intensity) <= _SYMMETRY_RTOL * smax)
-
 
 def symmetric_doublet(g: float, gamma: float, delta: float, k0: float, length_mm: float) -> RamanMedium:
     """Two lines of equal linewidth ``gamma`` and coupling ``g`` at -delta/2
@@ -121,50 +114,42 @@ def chi(medium: RamanMedium, omega) -> np.ndarray | complex:
     return out
 
 
-def _require_symmetric(medium: RamanMedium, what: str) -> tuple[float, float]:
-    if not medium.is_symmetric():
-        lo, hi = medium.lines
-        raise AsymmetricMediumError(
-            f"{what} is defined for symmetric media only; got linewidths "
-            f"({lo.linewidth}, {hi.linewidth}) and strengths "
-            f"({lo.strength_per_intensity}, {hi.strength_per_intensity}). "
-            "Use the numerical propagators for asymmetric media."
-        )
-    gamma = medium.lines[0].linewidth
-    c = medium.line_strengths[0]
-    return gamma, c
+def _line_depths(medium: RamanMedium) -> tuple[float, float]:
+    """d_nu = L * c_nu / Gamma_nu, each line's on-resonance optical depth, in line order."""
+    return tuple(medium.length_mm * c / line.linewidth for line, c in zip(medium.lines, medium.line_strengths))
+
+
+def _mean_over_lines(medium: RamanMedium, term) -> float:
+    """Half the sum over the lines of ``term(d_nu, Gamma_nu, q)``, q = Delta^2/4: each term is the
+    symmetric doublet's figure at that line's depth and width, so equal lines read it exactly."""
+    q = medium.splitting**2 / 4.0
+    lo, hi = (term(d, line.linewidth, q) for line, d in zip(medium.lines, _line_depths(medium)))
+    return (lo + hi) / 2.0
 
 
 def peak_optical_depth(medium: RamanMedium) -> float:
-    """On-resonance intensity optical depth of one Raman line, d0 = L*c/Gamma."""
-    gamma, c = _require_symmetric(medium, "peak optical depth")
-    return medium.length_mm * c / gamma
+    """On-resonance intensity optical depth of the deeper line, d0 = max_nu L*c_nu/Gamma_nu."""
+    return max(_line_depths(medium))
 
 
 def group_delay(medium: RamanMedium) -> float:
     """Window-center group delay relative to control-off propagation (ps),
 
-        tau_g = d0 * Gamma * (Delta^2/4 - Gamma^2) / (Delta^2/4 + Gamma^2)^2
+        tau_g = (1/2) sum_nu d_nu * Gamma_nu * (Delta^2/4 - Gamma_nu^2) / (Delta^2/4 + Gamma_nu^2)^2
     """
-    gamma, _ = _require_symmetric(medium, "group delay")
-    d0 = peak_optical_depth(medium)
-    q = medium.splitting**2 / 4.0
-    return d0 * gamma * (q - gamma**2) / (q + gamma**2) ** 2
+    return _mean_over_lines(medium, lambda d, gamma, q: d * gamma * (q - gamma**2) / (q + gamma**2) ** 2)
 
 
 def loss_db(medium: RamanMedium) -> float:
     """Window-center loss in dB,
 
-        eta = d0 * (10/ln 10) * 2*Gamma^2 / (Delta^2/4 + Gamma^2)
+        eta = (1/2) sum_nu d_nu * (10/ln 10) * 2*Gamma_nu^2 / (Delta^2/4 + Gamma_nu^2)
     """
-    gamma, _ = _require_symmetric(medium, "loss")
-    d0 = peak_optical_depth(medium)
-    q = medium.splitting**2 / 4.0
-    return d0 * (10.0 / np.log(10.0)) * 2.0 * gamma**2 / (q + gamma**2)
+    return _mean_over_lines(medium, lambda d, gamma, q: d * (10.0 / np.log(10.0)) * 2.0 * gamma**2 / (q + gamma**2))
 
 
 def delay_per_loss(gamma: float, delta: float) -> float:
-    """Delay per dB of loss (ps/dB); independent of depth and control power."""
+    """Delay per dB of loss (ps/dB) of lines of width ``gamma``; independent of depth and control power."""
     _require(_POSITIVE, "gamma", gamma)
     _require(_POSITIVE, "delta", delta)
     q = delta**2 / 4.0
@@ -172,18 +157,21 @@ def delay_per_loss(gamma: float, delta: float) -> float:
 
 
 def delay_bandwidth_product(medium: RamanMedium) -> float:
-    """tau_g times the transparency-window bandwidth (Delta - Gamma)."""
-    gamma, _ = _require_symmetric(medium, "delay-bandwidth product")
-    if gamma >= medium.splitting:
+    """tau_g times the transparency-window bandwidth Delta - (Gamma_lo + Gamma_hi)/2,
+    which is Delta - Gamma for equal lines."""
+    mean_gamma = (medium.lines[0].linewidth + medium.lines[1].linewidth) / 2.0
+    if mean_gamma >= medium.splitting:
         raise ValueError(
-            f"no transparency window: Gamma = {gamma} >= Delta = {medium.splitting}"
+            f"no transparency window: mean linewidth (Gamma_lo + Gamma_hi)/2 = {mean_gamma} >= Delta = {medium.splitting}"
         )
-    return group_delay(medium) * (medium.splitting - gamma)
+    return group_delay(medium) * (medium.splitting - mean_gamma)
 
 
 @dataclass(frozen=True)
 class FiguresOfMerit:
-    """All closed-form figures for a symmetric medium in one record."""
+    """All closed-form figures of a medium in one record.  ``d0`` is the deeper line's depth, and
+    ``delay_per_loss_ps_per_db`` is the mean of the lines' own ratios weighted by their losses,
+    which is tau_g / eta wherever the medium has depth and stays defined where it has none."""
 
     d0: float
     group_delay_ps: float
@@ -193,11 +181,15 @@ class FiguresOfMerit:
 
 
 def figures_of_merit(medium: RamanMedium) -> FiguresOfMerit:
-    gamma, _ = _require_symmetric(medium, "figures of merit")
+    q = medium.splitting**2 / 4.0
+    r_lo, r_hi = (delay_per_loss(line.linewidth, medium.splitting) for line in medium.lines)
+    # each line's share of the loss at unit intensity; the lines are weighted alike when neither couples
+    w_lo, w_hi = (line.strength_per_intensity * line.linewidth / (q + line.linewidth**2) for line in medium.lines)
+    share_hi = w_hi / (w_lo + w_hi) if w_lo + w_hi > 0 else 0.5
     return FiguresOfMerit(
         d0=peak_optical_depth(medium),
         group_delay_ps=group_delay(medium),
         loss_db=loss_db(medium),
-        delay_per_loss_ps_per_db=delay_per_loss(gamma, medium.splitting),
+        delay_per_loss_ps_per_db=r_lo + (r_hi - r_lo) * share_hi,
         delay_bandwidth_product=delay_bandwidth_product(medium),
     )

@@ -17,6 +17,7 @@ positive group delay.  Medium rates (linewidths, splittings) quoted in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ C_NM_PER_PS = 2.99792458e5
 # GAUSSIAN_TBP/(2*pi) = 2 ln2/pi ~ 0.4413 and FLAT_TOP_TBP/(2*pi) ~ 0.8859.
 # sinc half-power point: sin(x)/x = 1/sqrt(2)
 SINC_HALF_POWER_X = 1.3915573782515105
-GAUSSIAN_TBP = 4.0 * np.log(2.0)            # 2.772589
+GAUSSIAN_TBP = 4.0 * math.log(2.0)          # 2.772589
 FLAT_TOP_TBP = 4.0 * SINC_HALF_POWER_X      # 5.566230
 
 _TBP = {"gaussian": GAUSSIAN_TBP, "flat_top_spectrum": FLAT_TOP_TBP}

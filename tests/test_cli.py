@@ -723,6 +723,19 @@ class TestAnalytic:
         assert cp.returncode == 2
         assert "typo_key" in cp.stderr
 
+    @pytest.mark.parametrize("gamma", [3.4, 5.0], ids=["gamma-half-delta", "gamma-past-half-delta"])
+    def test_no_window_centre_delay_exits_2_naming_both_keys(self, tmp_path, capsys, gamma):
+        # at Gamma = Delta/2 the unit-depth delay is 0 and no depth reaches unit DBP; past it the
+        # window centre leads, and d0_at_unit_dbp would come out negative
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(tmp_path, CONFIG.replace("gamma_invps = 1.0", f"gamma_invps = {gamma}"))
+        assert main(["analytic", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: analytic needs a positive window-centre delay: medium.gamma_invps = {gamma} "
+            "must be below medium.delta_invps / 2 = 3.4\n")
+        assert list(out.iterdir()) == []
+
 
 class TestPropagate:
     def test_fd_run(self, tmp_path):
@@ -995,6 +1008,20 @@ class TestPropagate:
         summary = read_summary(tmp_path / "out" / "summary.txt")
         assert float(summary["metrics.td_fd_l2_error"]) > 1e-3
         assert "the TD output differs from the FD output by" in summary["warnings"]
+
+    def test_gaussian_given_by_bandwidth_reruns_byte_identically(self, tmp_path):
+        # its derived grid step comes from the Gaussian's time-bandwidth product
+        text = CONFIG.replace("shape = flat_top_spectrum", "shape = gaussian")
+        text = text.replace("bandwidth_invps = 1.8", "bandwidth_invps = 10").replace("dt_ps = 0.06\n", "")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["propagate", "--out-dir", str(first), "--config", str(write_config(tmp_path, text))]) == 0
+        assert main(["propagate", "--out-dir", str(second), "--config", str(first / "resolved_config.ini")]) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            lines = [[line for line in (out / name).read_text().splitlines() if not line.startswith("run.seconds")]
+                     for out in (first, second)]
+            assert lines[0] == lines[1], name
 
     @pytest.mark.parametrize("command", ["propagate", "sweep"])
     def test_td_rerun_from_resolved_config_is_byte_identical(self, tmp_path, command):

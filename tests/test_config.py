@@ -239,6 +239,25 @@ def test_loaded_config_is_the_resolved_config(tmp_path, name):
     assert load_config(resolved) == config
 
 
+GAUSSIAN_BY_BANDWIDTH = [("shape = flat_top_spectrum", "shape = gaussian"),
+                         ("bandwidth_invps = 1.8", "bandwidth_invps = 10"), ("dt_ps = 0.06\n", "")]
+
+
+@pytest.mark.parametrize("edits", [*RESOLVED_VARIANTS.values(), GAUSSIAN_BY_BANDWIDTH],
+                         ids=[*RESOLVED_VARIANTS, "gaussian_by_bandwidth"])
+def test_every_resolved_value_is_a_plain_python_value(tmp_path, edits):
+    # a numpy scalar meets `value == []` with an empty array, whose truth value is an error
+    text = EXAMPLE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    config = load_config(write(tmp_path, text))
+    for section, key, _ in config._resolved_items():
+        value = getattr(getattr(config, section), key)
+        items = value if type(value) is list else [value]
+        assert all(type(item) in (int, float, str) for item in items), f"{section}.{key} = {value!r}"
+
+
 def test_legacy_solver_scheme(tmp_path):
     """resolved_config.ini files once carried a [solver] section of an integer
     ``nz`` and ``scheme = midpoint``; any such section loads to the config of

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slowlight as sl
-from slowlight.errors import AsymmetricMediumError
 
 GAMMA, DELTA = 1.0, 6.8
 
@@ -111,20 +110,6 @@ class TestDepthParameterization:
         )
         depth = 8.0 * 30.0 * sl.chi(single, DELTA / 2.0).imag
         assert depth == pytest.approx(2.5, rel=1e-12)
-
-    def test_asymmetric_medium_rejected(self):
-        m = unit_medium(c_lo=1.0, c_hi=1.0 + 1e-6)
-        with pytest.raises(AsymmetricMediumError):
-            sl.peak_optical_depth(m)
-        m2 = unit_medium()
-        lines = (
-            sl.RamanLine(1.0, 1.0),
-            sl.RamanLine(1.0 + 1e-6, 1.0),
-        )
-        m2 = sl.RamanMedium(lines=lines, splitting=DELTA, length_mm=1.0, k0=1.0)
-        for figure in (sl.group_delay, sl.loss_db, sl.delay_bandwidth_product):
-            with pytest.raises(AsymmetricMediumError):
-                figure(m2)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -282,3 +267,59 @@ class TestFiguresOfMerit:
         assert figures.group_delay_ps / figures.loss_db == pytest.approx(
             figures.delay_per_loss_ps_per_db, rel=1e-12
         )
+
+    @pytest.mark.parametrize("lines, tau_g, eta", [
+        (((0.7, 0.2), (1.3, 0.05)), 0.270879542, 2.152873875),
+        # the two-Lorentzian fit of the bundled KTP records: depths 1.6 and 2.0
+        (((1.0, 1.6 / 30.0), (1.0, 2.0 / 30.0)), 0.120491704, 1.244793101),
+    ], ids=["unequal-widths", "ktp-fit"])
+    def test_unequal_lines_match_their_sampled_chi(self, lines, tau_g, eta):
+        m = sl.RamanMedium(lines=tuple(sl.RamanLine(*line) for line in lines), splitting=DELTA, length_mm=30.0,
+                           k0=2 * np.pi / 765e-6)
+        chi = sl.susceptibility_from_medium(m, sl.TimeGrid.centered(65536, 0.06).frequency_grid())
+        transmission = sl.transfer_function(chi, m.k0, m.length_mm).center_transmission()
+        assert sl.group_delay(m) == pytest.approx(tau_g, abs=5e-10)
+        assert sl.loss_db(m) == pytest.approx(eta, abs=5e-10)
+        assert sl.group_delay(m) == pytest.approx(sl.group_delay_from_susceptibility(chi, m.k0, m.length_mm), rel=1e-6)
+        assert sl.loss_db(m) == pytest.approx(-10.0 * np.log10(transmission), rel=1e-12)
+        figures = sl.figures_of_merit(m)
+        assert figures.d0 == max(30.0 * g / gamma for gamma, g in lines)
+        assert figures.delay_per_loss_ps_per_db == pytest.approx(figures.group_delay_ps / figures.loss_db, rel=1e-12)
+        window = DELTA - (lines[0][0] + lines[1][0]) / 2.0
+        assert figures.delay_bandwidth_product == figures.group_delay_ps * window
+
+    # the figures of configs/example.ini's medium and of the seeded depths of perfbench/workloads.py,
+    # (d0, tau_g, eta, DBP), as the symmetric-only closed forms gave them
+    PINNED = [
+        (2.5, 0.167349588218589, 1.7288793069396966, 0.9706276116678162),
+        (2.134364244112401, 0.1428739909442761, 1.476023270047167, 0.8286691474768014),
+        (2.9560342718892496, 0.19787644726428097, 2.0442505933095507, 1.1476833941328295),
+        (2.237964627091891, 0.14980898351663843, 1.5476682933768742, 0.8688921043965029),
+        (2.2360480897374346, 0.14968069082180888, 1.5463429086676352, 0.8681480067664915),
+        (2.622901694889702, 0.1755766074310523, 1.8138721857727453, 1.0183443231001033),
+        (2.793340083761663, 0.18698572510879727, 1.9317391472242953, 1.0845172056310242),
+        (2.3238327648331625, 0.15555698251347796, 1.6070505519634068, 0.9022304985781722),
+        (2.226705859381049, 0.14905532346053516, 1.5398822731701076, 0.8645208760711038),
+        (2.4630073578150213, 0.16487330684387946, 1.703296981506643, 0.9562651796945009),
+        (2.5714025946899133, 0.1721292661462273, 1.778257894308174, 0.9983497436481183),
+    ]
+
+    @pytest.mark.parametrize("d0, tau_g, eta, dbp", PINNED, ids=[f"d0={row[0]:.4f}" for row in PINNED])
+    def test_symmetric_figures_are_pinned_bit_for_bit(self, d0, tau_g, eta, dbp):
+        figures = sl.figures_of_merit(sl.from_target_depth(d0, GAMMA, DELTA, 2 * np.pi / 765e-6, 30.0))
+        assert dataclasses.astuple(figures) == (d0, tau_g, eta, 0.096796570788284728, dbp)
+
+    def test_delay_per_loss_is_defined_at_zero_depth(self, std_medium):
+        # tau_g / eta is 0/0 here, but each line's own ratio needs no depth
+        for m in (std_medium.with_control_intensity(0.0), sl.from_target_depth(0.0, GAMMA, DELTA, 1.0, 1.0)):
+            assert sl.figures_of_merit(m).delay_per_loss_ps_per_db == 0.096796570788284728
+        # unequal lines: their ratios weighted by their losses, which no control intensity changes,
+        # and weighted alike when neither line couples
+        coupled = sl.RamanMedium(lines=(sl.RamanLine(0.7, 0.2), sl.RamanLine(1.3, 0.05)), splitting=DELTA,
+                                 length_mm=30.0, k0=1.0)
+        uncoupled = sl.RamanMedium(lines=(sl.RamanLine(0.7, 0.0), sl.RamanLine(1.3, 0.0)), splitting=DELTA,
+                                   length_mm=30.0, k0=1.0)
+        ratio = sl.figures_of_merit(coupled).delay_per_loss_ps_per_db
+        assert sl.figures_of_merit(coupled.with_control_intensity(0.0)).delay_per_loss_ps_per_db == ratio
+        assert sl.figures_of_merit(uncoupled).delay_per_loss_ps_per_db == pytest.approx(
+            (sl.delay_per_loss(0.7, DELTA) + sl.delay_per_loss(1.3, DELTA)) / 2.0, rel=1e-15)

@@ -2,13 +2,15 @@ import ast
 import inspect
 import os
 import textwrap
+from pathlib import Path
 
 import slowlight as sl
+from slowlight import errors
 
 # The names `import slowlight` exports are an external contract: a change
 # that adds or drops one edits this list and says so.
 PUBLIC_NAMES = """
-AmbiguousWidthError AsymmetricMediumError C_MM_PER_PS C_NM_PER_PS ComplexEnvelope ConfigError
+AmbiguousWidthError C_MM_PER_PS C_NM_PER_PS ComplexEnvelope ConfigError
 ControlField CorrelationCurve FiguresOfMerit FrequencyGrid GridResolutionError OpticalDepthSpectrum
 RamanLine RamanMedium ScanPoint SlowLightError SolveResult SolverSettings SpectralEnvelope Susceptibility
 TimeGrid TransferFunction TruncationRiskError absorption_spectrum chi cross_correlate
@@ -58,3 +60,24 @@ def test_every_public_parameter_changes_the_result():
         params |= {p.arg for p in (tree.args.vararg, tree.args.kwarg) if p is not None}
         unread += [f"{name}({p})" for p in sorted(params - _reads_outside_require(ast.Module(tree.body, []), params))]
     assert unread == []
+
+
+def _raised_or_subclassed():
+    """The names the package's ``raise`` statements raise, and the names its classes take as a base."""
+    found = set()
+    for path in Path(sl.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                found.add(getattr(raised, "id", getattr(raised, "attr", None)))
+            elif isinstance(node, ast.ClassDef):
+                found |= {base.id for base in node.bases if isinstance(base, ast.Name)}
+    return found
+
+
+def test_every_public_error_is_raised_or_subclassed():
+    # an exported error that nothing raises is a name callers catch in vain
+    public_errors = {name for name in PUBLIC_NAMES if getattr(getattr(sl, name), "__module__", None) == errors.__name__}
+    assert public_errors == {"AmbiguousWidthError", "ConfigError", "GridResolutionError", "SlowLightError",
+                             "TruncationRiskError"}
+    assert sorted(public_errors - _raised_or_subclassed()) == []

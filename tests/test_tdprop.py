@@ -312,7 +312,7 @@ class TestConstant:
             assert np.array_equal(drive, np.fft.fft(output.samples))
         assert rel_l2(drive, np.fft.fft(output.samples)) <= 1e-14
 
-    def test_checked_nine_point_scan_transforms_in_constant(self, std_medium, monkeypatch):
+    def test_nine_point_scan_transforms_once_per_point_in_constant(self, std_medium, monkeypatch):
         # one inverse transform (an fft) per output, and no coherence read
         pulse = sl.synthesize_pulse("flat_top_spectrum", sl.TimeGrid.centered(2**12, 0.06), bandwidth=1.8)
         counts, inside, constant = {"fft": 0, "ifft": 0}, [], tdprop._constant
